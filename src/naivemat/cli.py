@@ -3,6 +3,8 @@
 Exit codes: 0 = pass/success, 1 = verification failure or runtime error,
 2 = usage or invalid parameters, 3 = indeterminate verification.
 Artifacts go to stdout unless --out is given; diagnostics go to stderr.
+Output is written piece by piece once it is fully computed, so a failed
+generation writes nothing; an unwritable --out exits 1 with an error line.
 
 Environment: COLUMN_CAP overrides the generator safety cap, BUDGET_NODES
 the isomorphism node budget.
@@ -15,8 +17,8 @@ import json
 import os
 import sys
 
-from .errors import (InputRangeError, InvalidParameterError, ResourceLimitError,
-                     RowIncompleteError)
+from .errors import (InputRangeError, InvalidParameterError, OutputError,
+                     ResourceLimitError, RowIncompleteError)
 from .geometry import DEFAULT_NODE_BUDGET, build_pg, build_pg2_nim, expected_counts
 from .greedy import DEFAULT_COLUMN_CAP, GenParams, generate
 from .nimber import field_check
@@ -33,37 +35,66 @@ _STATUS_EXIT = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INDETERMINATE: EXIT_INDETERMIN
 _FORMATS = ("rows-csv", "rows-json", "matrix-pbm")
 
 
+def _csv_lines(rows):
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
+
+
+def _json_chunks(k: int, r: int, rows):
+    yield f'{{"k":{json.dumps(k)},"r":{json.dumps(r)},"rows":['
+    sep = ""
+    for row in rows:
+        yield sep + json.dumps(list(row), separators=(",", ":"))
+        sep = ","
+    yield "]}\n"
+
+
+def _pbm_lines(rows, width: int, height: int):
+    yield f"P1\n{width} {height}\n"
+    blank = b"0 " * (width - 1) + b"0\n"  # cell j sits at byte 2(j-1)
+    for row in rows:
+        line = bytearray(blank)
+        for j in row:
+            line[2 * j - 2] = 49  # "1"
+        yield line.decode("ascii")
+
+
 def format_rows_csv(rows) -> str:
-    return "\n".join(",".join(str(p) for p in row) for row in rows) + "\n"
+    return "".join(_csv_lines(rows))
 
 
 def format_rows_json(k: int, r: int, rows) -> str:
-    doc = {"k": k, "r": r, "rows": [list(row) for row in rows]}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return "".join(_json_chunks(k, r, rows))
 
 
 def format_matrix_pbm(rows, width: int, height: int) -> str:
-    out = [f"P1\n{width} {height}\n"]
-    for row in rows:
-        members = set(row)
-        out.append(" ".join("1" if j in members else "0" for j in range(1, width + 1)) + "\n")
-    return "".join(out)
+    return "".join(_pbm_lines(rows, width, height))
 
 
-def _format_rows(fmt: str, rows, k: int, r: int, width: int) -> str:
+def _format_lines(fmt: str, rows, k: int, r: int, width: int):
     if fmt == "rows-csv":
-        return format_rows_csv(rows)
+        return _csv_lines(rows)
     if fmt == "rows-json":
-        return format_rows_json(k, r, rows)
-    return format_matrix_pbm(rows, width, len(rows))
+        return _json_chunks(k, r, rows)
+    return _pbm_lines(rows, width, len(rows))
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
+def _write(lines, out: str | None) -> None:
+    """Write the text pieces to --out, or to stdout, one at a time."""
+    if not out:
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): drop the rest, and point
+            # stdout at devnull so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
         with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(lines)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _env_int(name: str, default: int) -> int:
@@ -137,9 +168,9 @@ def _cmd_generate(args) -> int:
     if cap is None:
         cap = _env_int("COLUMN_CAP", DEFAULT_COLUMN_CAP)
     params = GenParams(k=args.k, r=args.r, max_rows=args.rows, column_cap=cap)
-    rows = [row.points for row in generate(params)]
+    rows = [row.points for row in generate(params)]  # all rows before any output
     width = max(pts[-1] for pts in rows)
-    _write(_format_rows(args.format, rows, args.k, args.r, width), args.out)
+    _write(_format_lines(args.format, rows, args.k, args.r, width), args.out)
     return EXIT_PASS
 
 
@@ -157,7 +188,7 @@ def _cmd_verify(args) -> int:
         report = lemma_exhaustive(args.bound)
     else:
         report = field_check(args.q, mode=args.mode, samples=args.samples)
-    _write(report.to_json() + "\n", args.out)
+    _write([report.to_json() + "\n"], args.out)
     return _STATUS_EXIT[report.status]
 
 
@@ -175,7 +206,7 @@ def _cmd_export_pg(args) -> int:
         width = geom.v
         counts = expected_counts(args.n, args.q)
         k, r = counts.k, counts.r
-    _write(_format_rows(args.format, lines, k, r, width), args.out)
+    _write(_format_lines(args.format, lines, k, r, width), args.out)
     return EXIT_PASS
 
 
@@ -192,7 +223,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_export_pg(args)
-    except RowIncompleteError as exc:
+    except (RowIncompleteError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (InvalidParameterError, InputRangeError, ResourceLimitError) as exc:

@@ -17,5 +17,9 @@ class RowIncompleteError(RuntimeError):
     """The column scan hit the safety cap before completing a row."""
 
 
+class OutputError(RuntimeError):
+    """An artifact could not be written to its destination."""
+
+
 class PreconditionError(ValueError):
     """A checker was handed a structure that violates its stated precondition."""

@@ -9,9 +9,16 @@ in ascending order makes each emitted row the lexicographically least
 admissible k-set: an admissible partial row can always be finished with
 fresh columns, which have degree zero and no pair history.
 
-The generator keeps one bitmask per column recording its pair partners and
-one global mask of non-saturated columns, so building a row costs a handful
-of big-int operations instead of a column-by-column rescan.
+The generator's state is relative to the frontier: `base`, the lowest
+column whose degree is still below r.  Every column under base is saturated
+and can never be placed again, so each mask is stored shifted down by the
+length of that saturated prefix.  The mask of unsaturated columns is
+shifted by the current prefix, and each column's pair mask by its anchor,
+the prefix at the column's first placement: every partner it ever gets lies
+above that.  Building a row therefore costs a handful of big-int operations
+on masks as wide as the frontier, not as wide as the largest column, and a
+column's stored mask spans only its partners.  Before any column saturates
+the prefix is empty and every mask is absolute.
 """
 
 from __future__ import annotations
@@ -96,10 +103,15 @@ class Row:
 class NaiveMatrixGenerator:
     """Streams rows of the greedy matrix while tracking column state.
 
-    State per column: its degree (rows containing it) and a bitmask of the
-    columns it already shares a row with.  `_active` is the mask of columns
-    whose degree is still below r; the window of materialised columns grows
-    on demand and is capped by params.column_cap.
+    `_floor` is the length of the saturated prefix, so base = floor + 1 is
+    the lowest column whose degree is below r.  State per column: its degree
+    (rows containing it), its anchor (the floor at its first placement), and
+    a bitmask of the columns it already shares a row with, where bit i
+    stands for column anchor + i.  `_active` marks the columns above the
+    floor whose degree is below r, bit i standing for column floor + i.  The
+    window of materialised columns grows on demand by its live width
+    (window - floor), up to params.column_cap.  The public queries answer in
+    absolute column numbers for every column, saturated ones included.
     """
 
     def __init__(self, params: GenParams):
@@ -108,38 +120,42 @@ class NaiveMatrixGenerator:
         self.max_used_column = 0
         w = min(max(_INITIAL_WINDOW, 2 * params.k), params.column_cap)
         self._window = w
+        self._floor = 0
         self._degree = [0] * (w + 1)
         self._pair = [0] * (w + 1)
-        self._active = ((1 << w) - 1) << 1  # bits 1..w
+        self._anchor = [0] * (w + 1)
+        self._active = ((1 << w) - 1) << 1  # columns 1..w
 
     def _grow_window(self) -> None:
         cap = self.params.column_cap
         if self._window >= cap:
             raise RowIncompleteError(
                 f"no admissible column below the cap {cap} while building row {len(self.rows) + 1}")
-        new_w = min(2 * self._window, cap)
-        grown = new_w - self._window
-        self._active |= ((1 << grown) - 1) << (self._window + 1)
+        live = self._window - self._floor
+        grown = min(max(live, _INITIAL_WINDOW), cap - self._window)
+        self._active |= ((1 << grown) - 1) << (live + 1)
         self._degree.extend([0] * grown)
         self._pair.extend([0] * grown)
-        self._window = new_w
+        self._anchor.extend([0] * grown)
+        self._window += grown
 
     def _scan(self) -> tuple[int, ...]:
         k = self.params.k
+        floor, pair, anchor = self._floor, self._pair, self._anchor
         placed: list[int] = []
         cand = self._active
         while True:
             if cand == 0:
-                before = self._window
+                live = self._window - floor
                 self._grow_window()  # raises RowIncompleteError at the cap
-                cand |= self._active & (-1 << (before + 1))
+                cand |= self._active & (-1 << (live + 1))
                 continue
             low = cand & -cand
-            j = low.bit_length() - 1
+            j = floor + low.bit_length() - 1
             placed.append(j)
             if len(placed) == k:
                 return tuple(placed)
-            cand &= ~self._pair[j]
+            cand &= ~(pair[j] >> (floor - anchor[j]))
             cand &= -(low << 1)  # keep columns above j only
 
     def peek_next_row(self) -> tuple[int, ...]:
@@ -154,18 +170,24 @@ class NaiveMatrixGenerator:
 
     def next_row(self) -> Row:
         points = self.peek_next_row()
-        r = self.params.r
+        r, floor = self.params.r, self._floor
+        degree, pair, anchor = self._degree, self._pair, self._anchor
+        row_bits = 0  # bit i stands for column floor + i
         for x in points:
-            d = self._degree[x] + 1
-            self._degree[x] = d
-            if d == r:
-                self._active &= ~(1 << x)
-        pair = self._pair
-        for i, x in enumerate(points):
-            bx = 1 << x
-            for y in points[i + 1:]:
-                pair[x] |= 1 << y
-                pair[y] |= bx
+            row_bits |= 1 << (x - floor)
+            d = degree[x]
+            if d == 0:
+                anchor[x] = floor
+            degree[x] = d + 1
+            if d + 1 == r:
+                self._active &= ~(1 << (x - floor))
+        for x in points:
+            pair[x] |= (row_bits ^ (1 << (x - floor))) << (floor - anchor[x])
+        active = self._active
+        if not active & 2:  # the base column saturated: retire up to the next live one
+            shift = (active & -active).bit_length() - 2 if active else self._window - floor
+            self._floor = floor + shift
+            self._active = active >> shift
         row = Row(len(self.rows) + 1, points)
         self.rows.append(row)
         if points[-1] > self.max_used_column:
@@ -189,13 +211,17 @@ class NaiveMatrixGenerator:
             raise InputRangeError("columns are 1-based")
         if x > self._window or y > self._window:
             return False
-        return bool((self._pair[x] >> y) & 1)
+        offset = y - self._anchor[x]
+        return offset > 0 and bool((self._pair[x] >> offset) & 1)
 
     def connectable_mask(self, x: int) -> int:
-        """Bitmask of all columns sharing an emitted row with x."""
+        """Bitmask of all columns sharing an emitted row with x (bit y for column y)."""
         if x < 1:
             raise InputRangeError(f"columns are 1-based, got {x}")
-        return self._pair[x] if x <= self._window else 0
+        if x > self._window:
+            return 0
+        shift = self._anchor[x]
+        return self._pair[x] << shift if shift else self._pair[x]  # a shift copies even by 0
 
 
 def generate(params: GenParams) -> list[Row]:

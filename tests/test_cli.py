@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from naivemat.cli import (EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE,
-                          format_rows_json, main)
+                          format_matrix_pbm, format_rows_csv, format_rows_json, main)
+from naivemat.greedy import GenParams, generate
 
 FANO_CSV = "1,2,3\n1,4,5\n1,6,7\n2,4,6\n2,5,7\n3,4,7\n3,5,6\n"
 
@@ -67,11 +68,17 @@ def test_generate_missing_flag_is_usage_error(capsys):
     assert main(["generate", "--k", "3", "--r", "3"]) == EXIT_USAGE
 
 
-def test_generate_cap_failure_is_runtime_error(capsys):
-    code, _, err = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2",
-                           "--column-cap", "3")
+def test_generate_cap_failure_is_runtime_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2",
+                             "--column-cap", "3")
     assert code == EXIT_FAIL
     assert "cap" in err
+    assert out == ""
+    target = tmp_path / "rows.csv"
+    code, _, _ = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2",
+                         "--column-cap", "3", "--out", str(target))
+    assert code == EXIT_FAIL
+    assert not target.exists()
 
 
 def test_generate_column_cap_env(capsys, monkeypatch):
@@ -90,6 +97,40 @@ def test_generate_out_file(tmp_path, capsys):
     assert code == EXIT_PASS
     assert out == ""
     assert target.read_text() == FANO_CSV
+
+
+def naive_pbm(rows, width):
+    """The PBM bitmap cell by cell, as a reference for the streamed one."""
+    out = [f"P1\n{width} {len(rows)}\n"]
+    for row in rows:
+        out.append(" ".join("1" if j in row else "0" for j in range(1, width + 1)) + "\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("k,r,n_rows", [(3, 3, 700), (3, 1, 300)])
+def test_generate_streams_the_formatted_text(tmp_path, capsys, k, r, n_rows):
+    rows = [row.points for row in generate(GenParams(k, r, n_rows))]
+    width = max(pts[-1] for pts in rows)
+    expected = {"rows-csv": format_rows_csv(rows),
+                "matrix-pbm": format_matrix_pbm(rows, width, len(rows))}
+    assert expected["matrix-pbm"] == naive_pbm(rows, width)
+    for fmt, text in expected.items():
+        argv = ["generate", "--k", str(k), "--r", str(r), "--rows", str(n_rows),
+                "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_PASS and out == text
+        target = tmp_path / f"{fmt}.txt"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert code == EXIT_PASS and out == ""
+        assert target.read_text() == text
+
+
+def test_generate_unwritable_out_is_clean_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "generate", "--k", "3", "--r", "3", "--rows", "7",
+                             "--out", str(tmp_path))
+    assert code == EXIT_FAIL and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +185,13 @@ def test_verify_report_out_file(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "theorem", "--n", "1", "--out", str(target))
     assert code == EXIT_PASS
     assert json.loads(target.read_text())["status"] == "pass"
+
+
+def test_verify_unwritable_out_is_clean_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "theorem", "--n", "1", "--out", str(target))
+    assert code == EXIT_FAIL and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 def test_verify_bad_bound_is_usage(capsys):
@@ -207,6 +255,13 @@ def test_export_pg_rows_json(capsys):
     assert doc["k"] == 5 and doc["r"] == 5 and len(doc["rows"]) == 21
 
 
+def test_export_pg_unwritable_out_is_clean_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "export-pg", "--n", "2", "--q", "2",
+                             "--out", str(tmp_path))
+    assert code == EXIT_FAIL and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 # ---------------------------------------------------------------------------
 # process-level smoke
 # ---------------------------------------------------------------------------
@@ -217,6 +272,17 @@ def test_module_entry_point_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == FANO_CSV
+
+
+def test_closed_stdout_pipe_is_not_a_traceback():
+    proc = subprocess.Popen([sys.executable, "-m", "naivemat", "generate",
+                             "--k", "3", "--r", "1", "--rows", "50000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "1,2,3\n"
+    proc.stdout.close()  # like `| head -1`
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_PASS
+    assert err == ""
 
 
 def test_help_exits_zero():

@@ -1,6 +1,7 @@
 """Greedy generation: frozen row lists, family detection, state queries,
 and the brute-force lexicographic-minimum oracle."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -18,20 +19,30 @@ FANO_ROWS = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (
 
 def lexmin_admissible_row(prev_rows, k, r, bound):
     """Smallest k-subset of [1, bound] in lexicographic order that keeps the
-    pair-once and degree-at-most-r invariants.  Independent of the generator."""
+    pair-once and degree-at-most-r invariants.  Independent of the generator.
+
+    Walks the ascending k-subsets depth first in lexicographic order and
+    drops a prefix as soon as it breaks an invariant, since every subset
+    extending it breaks it too."""
     deg = {}
     covered = set()
     for row in prev_rows:
         for x in row:
             deg[x] = deg.get(x, 0) + 1
         covered.update(combinations(row, 2))
-    for cand in combinations(range(1, bound + 1), k):
-        if any(deg.get(x, 0) >= r for x in cand):
-            continue
-        if any(pair in covered for pair in combinations(cand, 2)):
-            continue
-        return cand
-    return None
+
+    def extend(prefix, start):
+        if len(prefix) == k:
+            return prefix
+        for x in range(start, bound + 1):
+            if deg.get(x, 0) >= r or any((p, x) in covered for p in prefix):
+                continue
+            found = extend(prefix + (x,), x + 1)
+            if found is not None:
+                return found
+        return None
+
+    return extend((), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +224,59 @@ def test_window_growth_past_initial_bound():
     assert rows == [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(30)]
     rows = [row.points for row in generate(GenParams(5, 1, 20))]
     assert rows == [tuple(range(5 * i + 1, 5 * i + 6)) for i in range(20)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300),
+       st.one_of(st.none(), st.integers(2, 30)))
+def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
+    """Every state query, saturated columns included, agrees with the rows:
+    degrees and masks of every column after every row, and connectable for
+    every pair that involves a column of the new row."""
+    params = GenParams(k, r, n_rows, column_cap=max(cap, k)) if cap else GenParams(k, r, n_rows)
+    gen = NaiveMatrixGenerator(params)
+    deg, partners = {}, {}
+    for m in range(n_rows):
+        prev = [row.points for row in gen.rows]
+        try:
+            row = gen.next_row().points
+        except RowIncompleteError:
+            # the greedy row needs a column beyond the cap
+            bound = max((p for rr in prev for p in rr), default=0) + k
+            assert cap is not None
+            assert lexmin_admissible_row(prev, k, r, bound)[-1] > params.column_cap
+            return
+        assert [x.points for x in gen.rows] == prev + [row]
+        if m < 10:
+            bound = max((p for rr in prev for p in rr), default=0) + k
+            assert row == lexmin_admissible_row(prev, k, r, bound)
+        row_bits = sum(1 << x for x in row)
+        for x in row:
+            deg[x] = deg.get(x, 0) + 1
+            partners[x] = partners.get(x, 0) | (row_bits ^ (1 << x))
+        top = gen.max_used_column + 2
+        for x in range(1, top + 1):
+            assert gen.column_degree(x) == deg.get(x, 0)
+            assert gen.is_complete(x) == (deg.get(x, 0) == r)
+            assert gen.connectable_mask(x) == partners.get(x, 0)
+        for x in row:
+            for y in range(1, top + 1):
+                if y != x:
+                    want = bool(partners[x] >> y & 1)
+                    assert gen.connectable(x, y) == want
+                    assert gen.connectable(y, x) == want
+
+
+def _generate_peak_bytes(k, r, rows):
+    tracemalloc.start()
+    try:
+        generate(GenParams(k, r, rows))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_memory_is_linear_in_rows():
+    # (3,1) takes three new columns per row; (3,7) repeats over 15-column blocks
+    assert _generate_peak_bytes(3, 1, 20000) <= 5 * _generate_peak_bytes(3, 1, 5000)
+    assert _generate_peak_bytes(3, 7, 56000) <= 5 * _generate_peak_bytes(3, 7, 14000)
