@@ -8,10 +8,9 @@ rows reproduce their point-line designs.
 
 from .errors import (InputRangeError, InvalidParameterError, PreconditionError,
                      ResourceLimitError, RowIncompleteError)
-from .geometry import (CanonicalGeometry, IncidenceStructure, IsomorphismResult,
-                       PgCounts, build_pg, build_pg2_nim, check_design,
-                       check_veblen_young, expected_counts, isomorphic,
-                       normalize_point)
+from .geometry import (CanonicalGeometry, IncidenceStructure, PgCounts, build_pg,
+                       build_pg2_nim, check_design, check_veblen_young,
+                       expected_counts, normalize_point)
 from .greedy import (DerivedParams, GenParams, NaiveMatrixGenerator, Row,
                      derive_params, entry, generate)
 from .nimber import (FermatField, field_check, greediness_lemma_holds,
@@ -33,7 +32,6 @@ __all__ = [
     "IncidenceStructure",
     "InputRangeError",
     "InvalidParameterError",
-    "IsomorphismResult",
     "NaiveMatrixGenerator",
     "PgCounts",
     "PointWindow",
@@ -53,7 +51,6 @@ __all__ = [
     "generate",
     "greediness_lemma_holds",
     "is_fermat_two_power",
-    "isomorphic",
     "lemma_exhaustive",
     "nim_add",
     "nim_mul",

@@ -13,11 +13,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, PreconditionError, ResourceLimitError
-from .nimber import FermatField, is_fermat_two_power
+from .nimber import FermatField, is_fermat_two_power, nim_mul
 from .report import VerificationReport
 
 DEFAULT_POINT_BOUND = 10_000
-DEFAULT_NODE_BUDGET = 10_000_000
 
 PgCounts = namedtuple("PgCounts", "v b r k d")
 
@@ -127,44 +126,53 @@ class CanonicalGeometry:
 
 
 def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> CanonicalGeometry:
-    """Points and lines of PG(n, q) with nim-field coordinates.
+    """Points and lines of PG(n, q) with nim-field coordinates, in the
+    ranked labelling.
 
-    Points are enumerated canonically (leading zeros, then a 1, then free
-    coordinates); the line through P and R is {P + lam*R : lam} plus R,
-    normalized and deduplicated.
+    Points are the normalized vectors, numbered by ascending base-q value:
+    a vector with m coordinates after its leading 1 and tail t (the base-q
+    value of those coordinates) is point (q^m - 1)/(q - 1) + t + 1.
+
+    Each line is enumerated once, as the reduced echelon basis of its
+    2-dimensional subspace: row 2 has its leading 1 at pivot j, row 1 has
+    its leading 1 at pivot i < j and a 0 at j.  The points are row 2 and
+    row 1 + lam*row 2 for lam in GF(q), already normalized and already in
+    ascending order, and the loops below run in lex order of the lines,
+    so the build is O(b*k) with no inverse, lookup or sort.
     """
     counts = expected_counts(n, q)
-    gf = FermatField(q)
     if counts.v > point_bound:
         raise ResourceLimitError(
             f"PG({n},{q}) has {counts.v} points, above the bound {point_bound}")
+    w = q.bit_length() - 1  # bits per base-q digit
+    mul = [[nim_mul(lam, x) for x in range(q)] for lam in range(q)]
+    # scaled[lam][t]: the tail t with every base-q digit nim-multiplied by
+    # lam; row 2's tail has at most n - 1 digits
+    scaled = []
+    for lam in range(q):
+        table = [0]
+        for _ in range(n - 1):
+            table = [(hi << w) | lo for hi in table for lo in mul[lam]]
+        scaled.append(table)
+    first = [(q ** m - 1) // (q - 1) + 1 for m in range(n + 1)]  # rank at tail 0
 
-    points: list[tuple[int, ...]] = []
-    for lead in range(n + 1):
-        head = (0,) * lead + (1,)
-        for tail in itertools.product(range(q), repeat=n - lead):
-            points.append(head + tail)
-    assert len(points) == counts.v
-    index = {p: i + 1 for i, p in enumerate(points)}
-
-    lines: set[tuple[int, ...]] = set()
-    pair_done: set[tuple[int, int]] = set()
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if (i + 1, j + 1) in pair_done:
-                continue
-            p, rp = points[i], points[j]
-            members = {j + 1}
-            for lam in range(q):
-                coords = tuple(pc ^ gf.mul(lam, rc) for pc, rc in zip(p, rp))
-                members.add(index[normalize_point(gf, coords)])
-            line = tuple(sorted(members))
-            lines.add(line)
-            pair_done.update(itertools.combinations(line, 2))
-    out = tuple(sorted(lines))
-    if len(out) != counts.b or any(len(line) != counts.k for line in out):
+    points = [(0,) * (n - m) + (1,) + tail
+              for m in range(n + 1)
+              for tail in itertools.product(range(q), repeat=m)]
+    lines = []
+    for low_len in range(n):  # coordinates after row 2's pivot
+        step = [lam << (w * low_len) for lam in range(q)]
+        for t2 in range(q ** low_len):
+            p2 = first[low_len] + t2
+            cols = [(step[lam], scaled[lam][t2]) for lam in range(q)]
+            for m in range(low_len + 1, n + 1):  # coordinates after row 1's pivot
+                for mid in range(q ** (m - low_len - 1)):  # between the pivots
+                    head = first[m] + (mid << (w * (low_len + 1)))
+                    for low in range(q ** low_len):
+                        lines.append((p2,) + tuple(head + hi + (low ^ s) for hi, s in cols))
+    if len(lines) != counts.b or len(points) != counts.v:
         raise RuntimeError(f"PG({n},{q}) construction produced inconsistent counts")
-    return CanonicalGeometry(n=n, q=q, points=tuple(points), lines=out)
+    return CanonicalGeometry(n=n, q=q, points=tuple(points), lines=tuple(lines))
 
 
 def build_pg2_nim(n: int) -> IncidenceStructure:
@@ -314,168 +322,3 @@ def check_veblen_young(s: IncidenceStructure) -> VerificationReport:
                      "transversals": transversals, "all_line_pairs_meet": 0}
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-# ---------------------------------------------------------------------------
-
-@dataclass
-class IsomorphismResult:
-    status: str  # "isomorphic" | "not_isomorphic" | "indeterminate"
-    mapping: dict[int, int] | None = None
-    nodes: int = 0
-    reason: str | None = None
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _point_signatures(s: IncidenceStructure) -> dict[int, tuple]:
-    sizes: dict[int, list[int]] = {p: [] for p in range(1, s.point_window + 1)}
-    for line in s.lines:
-        for p in line:
-            sizes[p].append(len(line))
-    return {p: (len(v), tuple(sorted(v))) for p, v in sizes.items()}
-
-
-def isomorphic(s1: IncidenceStructure, s2: IncidenceStructure,
-               node_budget: int = DEFAULT_NODE_BUDGET) -> IsomorphismResult:
-    """Search for a point bijection carrying the lines of s1 onto those of s2.
-
-    Candidates are refined by (degree, line-size multiset) point signatures,
-    then extended one point at a time; every new assignment must preserve
-    pair coverage, and any line with two mapped points is pinned to its
-    image line (same size, injectively).  The search is complete, so a
-    finished scan without a match is a definite "not_isomorphic"; running
-    out of node budget is reported as indeterminate, never as a verdict.
-
-    Both structures must be partial linear spaces (no pair on two lines);
-    anything else raises PreconditionError, since pinning relies on the line
-    through a pair being unique.
-    """
-    v = s1.point_window
-    if v != s2.point_window or s1.num_lines != s2.num_lines:
-        return IsomorphismResult("not_isomorphic", reason="point or line counts differ")
-    if sorted(map(len, s1.lines)) != sorted(map(len, s2.lines)):
-        return IsomorphismResult("not_isomorphic", reason="line-size multisets differ")
-
-    sig1 = _point_signatures(s1)
-    sig2 = _point_signatures(s2)
-    hist1: dict[tuple, int] = {}
-    hist2: dict[tuple, int] = {}
-    for p in range(1, v + 1):
-        hist1[sig1[p]] = hist1.get(sig1[p], 0) + 1
-        hist2[sig2[p]] = hist2.get(sig2[p], 0) + 1
-    if hist1 != hist2:
-        return IsomorphismResult("not_isomorphic", reason="point signatures differ")
-
-    def pair_index(s: IncidenceStructure) -> dict[tuple[int, int], int]:
-        # pinning lines through point pairs is only sound when pairs are
-        # covered at most once, which holds for everything built here
-        out: dict[tuple[int, int], int] = {}
-        for idx, line in enumerate(s.lines):
-            for pair in itertools.combinations(line, 2):
-                if pair in out:
-                    raise PreconditionError(
-                        f"pair {pair} lies on two lines; the isomorphism search "
-                        "supports partial linear spaces only")
-                out[pair] = idx
-        return out
-
-    pair1 = pair_index(s1)
-    pair2 = pair_index(s2)
-
-    # process points of s1 so each one touches as many assigned points as
-    # possible; ties break toward rare signatures, then low index
-    adj: dict[int, set[int]] = {p: set() for p in range(1, v + 1)}
-    for line in s1.lines:
-        for x, y in itertools.combinations(line, 2):
-            adj[x].add(y)
-            adj[y].add(x)
-    remaining = set(range(1, v + 1))
-    order: list[int] = []
-    chosen: set[int] = set()
-    while remaining:
-        best = min(remaining,
-                   key=lambda p: (-len(adj[p] & chosen), hist1[sig1[p]], p))
-        order.append(best)
-        chosen.add(best)
-        remaining.remove(best)
-
-    cands = {p: [x for x in range(1, v + 1) if sig2[x] == sig1[p]] for p in order}
-
-    mapping: dict[int, int] = {}
-    rev: dict[int, int] = {}
-    pin12: dict[int, int] = {}
-    pin21: dict[int, int] = {}
-    nodes = 0
-
-    def try_assign(x: int, y: int):
-        new_pins = []
-        for x2, y2 in mapping.items():
-            l1 = pair1.get((x, x2) if x < x2 else (x2, x))
-            l2 = pair2.get((y, y2) if y < y2 else (y2, y))
-            if (l1 is None) != (l2 is None):
-                break
-            if l1 is None:
-                continue
-            cur = pin12.get(l1)
-            if cur is not None:
-                if cur != l2:
-                    break
-                continue
-            if pin21.get(l2) is not None or len(s1.lines[l1]) != len(s2.lines[l2]):
-                break
-            pin12[l1] = l2
-            pin21[l2] = l1
-            new_pins.append((l1, l2))
-        else:
-            mapping[x] = y
-            rev[y] = x
-            return new_pins
-        for l1, l2 in new_pins:
-            del pin12[l1]
-            del pin21[l2]
-        return None
-
-    def undo(x: int, y: int, pins) -> None:
-        del mapping[x]
-        del rev[y]
-        for l1, l2 in pins:
-            del pin12[l1]
-            del pin21[l2]
-
-    def search(i: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in cands[x]:
-            if y in rev:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise _BudgetExceeded
-            pins = try_assign(x, y)
-            if pins is not None:
-                if search(i + 1):
-                    return True
-                undo(x, y, pins)
-        return False
-
-    try:
-        found = search(0)
-    except _BudgetExceeded:
-        return IsomorphismResult("indeterminate", nodes=nodes,
-                                 reason=f"node budget {node_budget} exceeded")
-    if not found:
-        return IsomorphismResult("not_isomorphic", nodes=nodes,
-                                 reason="search exhausted without a match")
-
-    # independent sanity pass: the mapped line set must be exactly s2's
-    mapped = sorted(tuple(sorted(mapping[p] for p in line)) for line in s1.lines)
-    if mapped != sorted(s2.lines):
-        raise RuntimeError("isomorphism search returned an invalid mapping")
-    return IsomorphismResult("isomorphic", mapping=dict(mapping), nodes=nodes)

@@ -12,18 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResourceLimitError
-from .geometry import (DEFAULT_NODE_BUDGET, IncidenceStructure, build_pg,
+from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
+from .geometry import (DEFAULT_POINT_BOUND, IncidenceStructure, build_pg,
                        build_pg2_nim, check_design, check_veblen_young,
-                       expected_counts, isomorphic)
+                       expected_counts)
 from .greedy import GenParams, NaiveMatrixGenerator, generate
-from .nimber import greediness_lemma_holds
-from .report import FAIL, INDETERMINATE, PASS, Check, VerificationReport
+from .nimber import VALUE_BITS, greediness_lemma_holds
+from .report import INDETERMINATE, PASS, Check, VerificationReport
 
 DEFAULT_MAX_N = 10
 LEMMA_BOUND_CAP = 512
-GENERAL_Q_ROW_BUDGET = 5000
-ISO_POINT_BUDGET = 400
 
 
 @dataclass(frozen=True)
@@ -39,14 +37,6 @@ class PointWindow:
         return range(1, self.bound + 1)
 
 
-def _q2_counts(n: int) -> tuple[int, int, int]:
-    """(r, s, d) for the k=3 family at dimension n."""
-    r = (1 << n) - 1
-    s = (1 << (n + 1)) - 1
-    d = s * r // 3
-    return r, s, d
-
-
 def _guard_n(n: int, max_n: int) -> None:
     if not 1 <= n <= max_n:
         raise InvalidParameterError(f"n must be in [1, {max_n}], got {n}")
@@ -57,7 +47,7 @@ def verify_theorem_q2(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
     exactly the xor-closed triples below 2^(n+1)."""
     _guard_n(n, max_n)
     start = time.perf_counter()
-    r, s, d = _q2_counts(n)
+    s, _, r, _, d = expected_counts(n, 2)
     rows = generate(GenParams(k=3, r=r, max_rows=d))
 
     report = VerificationReport(subject=f"theorem q=2 n={n}",
@@ -91,7 +81,7 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int,
     if blocks < 1:
         raise InvalidParameterError(f"blocks must be at least 1, got {blocks}")
     start = time.perf_counter()
-    r, s, d = _q2_counts(n)
+    s, _, r, _, d = expected_counts(n, 2)
     rows = generate(GenParams(k=3, r=r, max_rows=blocks * d))
 
     report = VerificationReport(
@@ -132,7 +122,7 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
     """
     _guard_n(n, max_n)
     start = time.perf_counter()
-    r, s, d = _q2_counts(n)
+    s, _, r, _, d = expected_counts(n, 2)
     window = PointWindow(s)
     window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
     gen = NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
@@ -176,31 +166,37 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
     return report
 
 
-def verify_general_q(a_exponent: int, n: int, check_iso: bool = False,
-                     row_budget: int = GENERAL_Q_ROW_BUDGET,
-                     iso_point_budget: int = ISO_POINT_BUDGET,
-                     node_budget: int = DEFAULT_NODE_BUDGET) -> VerificationReport:
-    """Generate the first b rows at (k, r) = (q+1, (q^n-1)/(q-1)) and test
-    them against the point-line design of PG(n, q).
+def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
+    """Generate the first b rows at (k, r) = (q+1, (q^n-1)/(q-1)) and check
+    that they are, line for line, the lines of PG(n, q) as build_pg ranks
+    them.
 
-    The design and Pasch checks are itemized separately from the optional
-    isomorphism check, whose budget overrun is reported as indeterminate so
-    it can never mask a design result.
+    The window and design checks are independent evidence on the rows
+    alone.  Pasch closure runs only when the identity fails on a design, to
+    say whether the rows form a projective space under some other
+    labelling (a failed design is none under any labelling).  Above
+    build_pg's point bound nothing is generated and the identity is
+    reported as indeterminate.
     """
     if a_exponent < 0:
         raise InvalidParameterError(f"a must be nonnegative, got {a_exponent}")
     if n < 1:
         raise InvalidParameterError(f"n must be at least 1, got {n}")
+    if (1 << a_exponent) > VALUE_BITS:
+        raise InputRangeError(f"q = 2^(2^{a_exponent}) exceeds the {VALUE_BITS}-bit nim value domain")
     q = 1 << (1 << a_exponent)
     v, b, r, k, _ = expected_counts(n, q)
-    if b > row_budget:
-        raise ResourceLimitError(f"{b} rows exceed the row budget {row_budget}")
-
     start = time.perf_counter()
-    rows = [row.points for row in generate(GenParams(k=k, r=r, max_rows=b))]
     report = VerificationReport(subject=f"general q={q} n={n}",
                                 counts={"q": q, "n": n, "v": v, "b": b, "k": k, "r": r})
+    identity = f"rows equal the lines of PG({n},{q})"
+    if v > DEFAULT_POINT_BOUND:
+        report.checks.append(Check(identity, INDETERMINATE, {
+            "reason": f"{v} points exceed the point bound {DEFAULT_POINT_BOUND}"}))
+        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        return report
 
+    rows = [row.points for row in generate(GenParams(k=k, r=r, max_rows=b))]
     max_col = max(pts[-1] for pts in rows)
     report.add("rows stay within the point window", max_col <= v,
                {"max_column": max_col, "window": v})
@@ -210,24 +206,14 @@ def verify_general_q(a_exponent: int, n: int, check_iso: bool = False,
     for c in design.checks:
         report.checks.append(Check("design: " + c.name, c.status, c.witness))
 
-    vy = check_veblen_young(s)
-    for c in vy.checks:
-        report.checks.append(Check("veblen-young: " + c.name, c.status, c.witness))
-
-    if check_iso:
-        if v > iso_point_budget:
-            report.checks.append(Check(
-                "isomorphic to canonical model", INDETERMINATE,
-                {"reason": f"{v} points exceed the isomorphism budget {iso_point_budget}"}))
-        else:
-            model = build_pg(n, q).as_incidence()
-            res = isomorphic(s, model, node_budget=node_budget)
-            status = {"isomorphic": PASS, "not_isomorphic": FAIL,
-                      "indeterminate": INDETERMINATE}[res.status]
-            report.checks.append(Check(
-                "isomorphic to canonical model", status,
-                None if status == PASS else {"reason": res.reason, "nodes": res.nodes}))
-            report.counts["iso_nodes"] = res.nodes
+    lines = build_pg(n, q).lines
+    bad = next((i for i, (row, line) in enumerate(zip(rows, lines)) if row != line), None)
+    report.add(identity, bad is None,
+               None if bad is None else {"line": bad + 1, "row": list(rows[bad]),
+                                         "expected": list(lines[bad])})
+    if bad is not None and design.status == PASS:
+        for c in check_veblen_young(s).checks:
+            report.checks.append(Check("veblen-young: " + c.name, c.status, c.witness))
 
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

@@ -171,12 +171,15 @@ def test_verify_general_with_iso(capsys):
     assert code == EXIT_PASS
     doc = json.loads(out)
     assert doc["counts"]["v"] == 21
+    # --iso is accepted and changes nothing
+    _, plain, _ = run_cli(capsys, "verify", "general", "--a", "1", "--n", "2")
+    assert json.loads(plain)["checks"] == doc["checks"]
 
 
-def test_verify_general_budget_env_indeterminate(capsys, monkeypatch):
-    monkeypatch.setenv("BUDGET_NODES", "1")
-    code, out, _ = run_cli(capsys, "verify", "general", "--a", "0", "--n", "2", "--iso")
-    assert code == EXIT_INDETERMINATE
+def test_verify_general_above_point_bound_is_indeterminate(capsys):
+    # q = 256 has 65793 points: a size bound, reported as undecided, not refused
+    code, out, err = run_cli(capsys, "verify", "general", "--a", "3", "--n", "2")
+    assert code == EXIT_INDETERMINATE and err == ""
     assert json.loads(out)["status"] == "indeterminate"
 
 

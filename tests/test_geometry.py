@@ -1,19 +1,44 @@
-"""Projective models, design/Pasch checks, and the isomorphism search."""
+"""Projective models, their reference construction, and design/Pasch checks."""
 
-import random
-from itertools import combinations
+import json
+from itertools import combinations, product
 
 import pytest
 
+from naivemat import verify
+from naivemat.cli import main
 from naivemat.errors import (InvalidParameterError, PreconditionError,
                              ResourceLimitError)
 from naivemat.geometry import (CanonicalGeometry, IncidenceStructure,
                                build_pg, build_pg2_nim, check_design,
-                               check_veblen_young, expected_counts, isomorphic,
+                               check_veblen_young, expected_counts,
                                normalize_point)
+from naivemat.greedy import Row
 from naivemat.nimber import FermatField
 
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
+
+
+def reference_pg_lines(n, q):
+    """O(v^2) reference for build_pg: close each uncovered point pair P, R
+    under P + lam*R, normalize, and number the points by ascending base-q
+    value of their normalized vectors."""
+    gf = FermatField(q)
+    points = sorted({normalize_point(gf, c) for c in product(range(q), repeat=n + 1) if any(c)},
+                    key=lambda p: sum(c * q ** (n - i) for i, c in enumerate(p)))
+    rank = {p: i + 1 for i, p in enumerate(points)}
+    lines = set()
+    covered = set()
+    for p, rp in combinations(points, 2):
+        if (rank[p], rank[rp]) in covered:
+            continue
+        members = {rank[rp]}
+        for lam in range(q):
+            members.add(rank[normalize_point(gf, [pc ^ gf.mul(lam, rc) for pc, rc in zip(p, rp)])])
+        line = tuple(sorted(members))
+        lines.add(line)
+        covered.update(combinations(line, 2))
+    return points, sorted(lines)
 
 
 def count_2d_subspaces_gf2(dim):
@@ -70,6 +95,14 @@ def test_build_pg_small():
     assert all(len(line) == 5 for line in g.lines)
 
 
+@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 4), (3, 4), (2, 16)])
+def test_build_pg_matches_reference(n, q):
+    points, lines = reference_pg_lines(n, q)
+    g = build_pg(n, q)
+    assert g.points == tuple(points)
+    assert g.lines == tuple(lines)
+
+
 def test_build_pg_points_are_canonical():
     g = build_pg(2, 4)
     gf = FermatField(4)
@@ -104,10 +137,11 @@ def test_build_pg2_nim():
         build_pg2_nim(0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_pg2_models_isomorphic(n):
-    res = isomorphic(build_pg(n, 2).as_incidence(), build_pg2_nim(n))
-    assert res.status == "isomorphic"
+    # at q = 2 a point's rank is its vector read in binary, so the ranked
+    # model is the nim-triple model itself: the identity is the isomorphism
+    assert build_pg(n, 2).lines == build_pg2_nim(n).lines
 
 
 def test_nim_model_lines_are_xor_closed():
@@ -207,62 +241,6 @@ def test_veblen_young_precondition():
 
 
 # ---------------------------------------------------------------------------
-# isomorphism
-# ---------------------------------------------------------------------------
-
-def test_isomorphic_identity():
-    fano = IncidenceStructure(7, FANO_TRIPLES)
-    res = isomorphic(fano, fano)
-    assert res.status == "isomorphic"
-    mapped = sorted(tuple(sorted(res.mapping[p] for p in line)) for line in fano.lines)
-    assert mapped == sorted(fano.lines)
-
-
-def test_isomorphic_recovers_relabelling():
-    rng = random.Random(7)
-    perm = list(range(1, 8))
-    rng.shuffle(perm)
-    relabel = {i + 1: perm[i] for i in range(7)}
-    shuffled = IncidenceStructure(
-        7, tuple(tuple(sorted(relabel[p] for p in line)) for line in FANO_TRIPLES))
-    res = isomorphic(IncidenceStructure(7, FANO_TRIPLES), shuffled)
-    assert res.status == "isomorphic"
-    mapped = sorted(tuple(sorted(res.mapping[p] for p in line)) for line in FANO_TRIPLES)
-    assert mapped == sorted(shuffled.lines)
-
-
-def test_isomorphic_rejects_line_size_mismatch():
-    other = IncidenceStructure(7, ((1, 2, 3, 4), (1, 5, 6), (2, 5, 7), (3, 6, 7),
-                                   (4, 5, 6), (2, 4, 6), (3, 4, 5)))
-    res = isomorphic(IncidenceStructure(7, FANO_TRIPLES), other)
-    assert res.status == "not_isomorphic"
-    assert res.reason == "line-size multisets differ"
-
-
-def test_isomorphic_rejects_different_counts():
-    res = isomorphic(IncidenceStructure(7, FANO_TRIPLES),
-                     IncidenceStructure(7, FANO_TRIPLES[:-1]))
-    assert res.status == "not_isomorphic"
-
-
-def test_isomorphic_definite_negative_same_invariants():
-    # two 2-regular pair systems on 6 points: a hexagon vs two triangles;
-    # identical degree and line-size data, structurally different
-    hexagon = IncidenceStructure(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)))
-    tris = IncidenceStructure(6, ((1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)))
-    res = isomorphic(hexagon, tris)
-    assert res.status == "not_isomorphic"
-    assert res.reason == "search exhausted without a match"
-
-
-def test_isomorphic_budget_exceeded_is_indeterminate():
-    res = isomorphic(IncidenceStructure(7, FANO_TRIPLES),
-                     IncidenceStructure(7, FANO_TRIPLES), node_budget=1)
-    assert res.status == "indeterminate"
-    assert res.mapping is None
-
-
-# ---------------------------------------------------------------------------
 # a Steiner system that is not a projective space
 # ---------------------------------------------------------------------------
 
@@ -292,22 +270,21 @@ def test_pasch_switch_fails_veblen_young():
     assert set(w["transversal"]) & set(w["side"]) == set()
 
 
-def test_pasch_switch_not_isomorphic_to_pg32():
-    # identical point signatures force the search all the way to exhaustion
-    res = isomorphic(build_pg2_nim(3), pasch_switched_sts15())
-    assert res.status == "not_isomorphic"
-    assert res.reason == "search exhausted without a match"
+def test_pasch_switch_not_isomorphic_to_pg32(monkeypatch, capsys):
+    # fed to the general harness as the rows for PG(3,2): the identity names
+    # the first changed line, and the failed Pasch closure, an isomorphism
+    # invariant that PG(3,2) has, shows no relabelling matches either
+    lines = sorted(pasch_switched_sts15().lines)
+    monkeypatch.setattr(verify, "generate",
+                        lambda params: [Row(i + 1, line) for i, line in enumerate(lines)])
+    rep = verify.verify_general_q(0, 3)
+    assert rep.status == "fail"
+    by_name = {c.name: c for c in rep.checks}
+    # PG(3,2)'s first line is {1,2,3}; the switch replaced it by {1,2,4}
+    assert by_name["rows equal the lines of PG(3,2)"].witness == {
+        "line": 1, "row": [1, 2, 4], "expected": [1, 2, 3]}
+    assert all(c.status == "pass" for name, c in by_name.items() if name.startswith("design: "))
+    assert by_name["veblen-young: pasch closure"].status == "fail"
 
-
-def test_pasch_switch_isomorphic_to_own_relabelling():
-    base = pasch_switched_sts15()
-    rng = random.Random(3)
-    perm = list(range(1, 16))
-    rng.shuffle(perm)
-    relabel = {i + 1: perm[i] for i in range(15)}
-    shuffled = IncidenceStructure(
-        15, tuple(tuple(sorted(relabel[p] for p in l)) for l in base.lines))
-    res = isomorphic(base, shuffled)
-    assert res.status == "isomorphic"
-    mapped = sorted(tuple(sorted(res.mapping[p] for p in l)) for l in base.lines)
-    assert mapped == sorted(shuffled.lines)
+    assert main(["verify", "general", "--a", "0", "--n", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"

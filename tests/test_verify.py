@@ -4,12 +4,16 @@ import json
 
 import pytest
 
-from naivemat.errors import InvalidParameterError, ResourceLimitError
-from naivemat.greedy import GenParams, generate
+from naivemat import verify
+from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
+from naivemat.geometry import build_pg
+from naivemat.greedy import GenParams, Row, generate
 from naivemat.report import Check, VerificationReport
 from naivemat.verify import (PointWindow, lemma_exhaustive, verify_general_q,
                              verify_proof_invariants, verify_theorem_q2,
                              verify_zero_blocks_and_periodicity)
+
+IDENTITY = "rows equal the lines of PG({},{})"
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +125,7 @@ def test_proof_invariants(n):
 # ---------------------------------------------------------------------------
 
 def test_general_q2_consistent_with_theorem():
-    rep = verify_general_q(0, 2, check_iso=True)
+    rep = verify_general_q(0, 2)
     assert rep.status == "pass"
     assert rep.counts["q"] == 2 and rep.counts["v"] == 7 and rep.counts["b"] == 7
     # the same rows the theorem harness checks
@@ -129,32 +133,56 @@ def test_general_q2_consistent_with_theorem():
 
 
 def test_general_q4_n2_with_isomorphism():
-    rep = verify_general_q(1, 2, check_iso=True)
+    # the isomorphism to the canonical model is the identity labelling
+    rep = verify_general_q(1, 2)
     assert rep.status == "pass"
     for key, want in [("q", 4), ("n", 2), ("v", 21), ("b", 21), ("k", 5), ("r", 5)]:
         assert rep.counts[key] == want
     names = [c.name for c in rep.checks]
-    assert "isomorphic to canonical model" in names
+    assert IDENTITY.format(2, 4) in names
+    assert not any(name.startswith("veblen-young") for name in names)
 
 
 def test_general_q4_n3_with_isomorphism():
-    rep = verify_general_q(1, 3, check_iso=True)
+    rep = verify_general_q(1, 3)
     assert rep.status == "pass"
     assert rep.counts["v"] == 85 and rep.counts["b"] == 357 and rep.counts["r"] == 21
 
 
-def test_general_q_iso_budget_indeterminate():
-    rep = verify_general_q(1, 2, check_iso=True, node_budget=1)
+def test_general_q4_n4_passes():
+    rep = verify_general_q(1, 4)
+    assert rep.status == "pass"
+    assert rep.counts["v"] == 341 and rep.counts["b"] == 5797
+
+
+def test_general_q_point_budget_indeterminate(monkeypatch):
+    # q = 256: the point bound is checked before any row is generated
+    def no_rows(params):
+        raise AssertionError("generated rows above the point bound")
+
+    monkeypatch.setattr(verify, "generate", no_rows)
+    rep = verify_general_q(3, 2)
     assert rep.status == "indeterminate"
+    assert rep.counts["v"] == 65793
+    assert [(c.name, c.status) for c in rep.checks] == [(IDENTITY.format(2, 256), "indeterminate")]
+    assert rep.checks[0].witness == {"reason": "65793 points exceed the point bound 10000"}
+
+
+def test_general_q_moved_point_names_its_row(monkeypatch):
+    lines = list(build_pg(2, 4).lines)
+    row = lines[9]
+    moved = next(x for x in range(1, 22) if x not in row)
+    lines[9] = tuple(sorted(row[:-1] + (moved,)))
+    monkeypatch.setattr(verify, "generate",
+                        lambda params: [Row(i + 1, line) for i, line in enumerate(lines)])
+    rep = verify_general_q(1, 2)
+    assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}
-    assert by_name["isomorphic to canonical model"].status == "indeterminate"
-    # a budget blowup never masks the design result
-    assert by_name["design: every point pair is covered exactly 1 time(s)"].status == "pass"
-
-
-def test_general_q_point_budget_indeterminate():
-    rep = verify_general_q(1, 2, check_iso=True, iso_point_budget=5)
-    assert rep.status == "indeterminate"
+    assert by_name[IDENTITY.format(2, 4)].witness == {
+        "line": 10, "row": list(lines[9]), "expected": list(row)}
+    assert by_name["design: every point pair is covered exactly 1 time(s)"].status == "fail"
+    # not a design, so no projective space under any labelling: Pasch is skipped
+    assert not any(name.startswith("veblen-young") for name in by_name)
 
 
 def test_general_q_guards():
@@ -162,11 +190,9 @@ def test_general_q_guards():
         verify_general_q(-1, 2)
     with pytest.raises(InvalidParameterError):
         verify_general_q(1, 0)
-    with pytest.raises(ResourceLimitError):
-        verify_general_q(2, 3)  # q=16, n=3 needs 70161 rows, over the 5000 budget
-    # row budget respects the override
-    rep = verify_general_q(1, 2, row_budget=21)
-    assert rep.status == "pass"
+    assert verify_general_q(3, 2).status == "indeterminate"  # q = 256, 65793 points
+    with pytest.raises(InputRangeError):
+        verify_general_q(6, 1)  # q = 2^64 leaves the 63-bit nim value domain
 
 
 # ---------------------------------------------------------------------------
