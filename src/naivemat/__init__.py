@@ -9,24 +9,20 @@ rows reproduce their point-line designs.
 from .errors import (InputRangeError, InvalidParameterError, PreconditionError,
                      ResourceLimitError, RowIncompleteError)
 from .geometry import (CanonicalGeometry, IncidenceStructure, PgCounts, build_pg,
-                       build_pg2_nim, check_design, check_veblen_young,
-                       expected_counts, normalize_point)
-from .greedy import (DerivedParams, GenParams, NaiveMatrixGenerator, Row,
-                     derive_params, entry, generate)
+                       check_design, check_veblen_young, expected_counts,
+                       normalize_point)
+from .greedy import GenParams, NaiveMatrixGenerator, Row, generate
 from .nimber import (FermatField, field_check, greediness_lemma_holds,
-                     is_fermat_two_power, nim_add, nim_mul, nim_mul_mex,
-                     nim_mul_table)
+                     is_fermat_two_power, nim_add, nim_mul, nim_mul_table)
 from .report import Check, VerificationReport
-from .verify import (PointWindow, lemma_exhaustive, verify_general_q,
-                     verify_proof_invariants, verify_theorem_q2,
-                     verify_zero_blocks_and_periodicity)
+from .verify import (lemma_exhaustive, verify_general_q, verify_proof_invariants,
+                     verify_theorem_q2, verify_zero_blocks_and_periodicity)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalGeometry",
     "Check",
-    "DerivedParams",
     "FermatField",
     "GenParams",
     "IncidenceStructure",
@@ -34,18 +30,14 @@ __all__ = [
     "InvalidParameterError",
     "NaiveMatrixGenerator",
     "PgCounts",
-    "PointWindow",
     "PreconditionError",
     "ResourceLimitError",
     "Row",
     "RowIncompleteError",
     "VerificationReport",
     "build_pg",
-    "build_pg2_nim",
     "check_design",
     "check_veblen_young",
-    "derive_params",
-    "entry",
     "expected_counts",
     "field_check",
     "generate",
@@ -54,7 +46,6 @@ __all__ = [
     "lemma_exhaustive",
     "nim_add",
     "nim_mul",
-    "nim_mul_mex",
     "nim_mul_table",
     "normalize_point",
     "verify_general_q",

@@ -22,7 +22,7 @@ import sys
 
 from .errors import (InputRangeError, InvalidParameterError, OutputError,
                      ResourceLimitError, RowIncompleteError)
-from .geometry import build_pg, build_pg2_nim, expected_counts
+from .geometry import build_pg, expected_counts
 from .greedy import DEFAULT_COLUMN_CAP, GenParams, generate
 from .nimber import field_check
 from .report import FAIL, INDETERMINATE, PASS
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--q", type=int, required=True)
     fd.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     fd.add_argument("--samples", type=int, default=1_000_000,
-                    help="sampled-mode triple count (slow for q > 256)")
+                    help="sampled-mode triple count")
 
     for cmd in (t, p, i, gq, lm, fd):
         cmd.add_argument("--out", help="report file (default: stdout)")
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--q", type=int, required=True)
     e.add_argument("--model", choices=("canonical", "nim"), default="canonical",
-                   help="nim = xor-closed triples, q=2 only")
+                   help="nim = xor-closed triples, q=2 only; the same lines as canonical")
     e.add_argument("--format", choices=_FORMATS, default="rows-csv")
     e.add_argument("--out")
 
@@ -196,20 +196,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_pg(args) -> int:
-    if args.model == "nim":
-        if args.q != 2:
-            raise InvalidParameterError("the nim model exists for q=2 only")
-        structure = build_pg2_nim(args.n)
-        lines = structure.lines
-        width = structure.point_window
-        k, r = 3, (1 << args.n) - 1
-    else:
-        geom = build_pg(args.n, args.q)
-        lines = geom.lines
-        width = geom.v
-        counts = expected_counts(args.n, args.q)
-        k, r = counts.k, counts.r
-    _write(_format_lines(args.format, lines, k, r, width), args.out)
+    # at q = 2 the canonical model is the nim-triple model, point for point
+    if args.model == "nim" and args.q != 2:
+        raise InvalidParameterError("the nim model exists for q=2 only")
+    geom = build_pg(args.n, args.q)
+    counts = expected_counts(args.n, args.q)
+    _write(_format_lines(args.format, geom.lines, counts.k, counts.r, geom.v), args.out)
     return EXIT_PASS
 
 

@@ -175,22 +175,6 @@ def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Canonica
     return CanonicalGeometry(n=n, q=q, points=tuple(points), lines=tuple(lines))
 
 
-def build_pg2_nim(n: int) -> IncidenceStructure:
-    """All xor-closed triples {a, b, a^b} with 0 < a < b < a^b < 2^(n+1),
-    sorted lexicographically; the nim model of the lines of PG(n, 2)."""
-    if n < 1:
-        raise InvalidParameterError(f"dimension n must be at least 1, got {n}")
-    top = 1 << (n + 1)
-    lines = []
-    for a in range(1, top):
-        for b in range(a + 1, top):
-            c = a ^ b
-            if c > b:
-                lines.append((a, b, c))
-    lines.sort()
-    return IncidenceStructure(point_window=top - 1, lines=tuple(lines))
-
-
 # ---------------------------------------------------------------------------
 # design and Pasch checks
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputRangeError, InvalidParameterError, RowIncompleteError
-from .nimber import is_fermat_two_power
 
 DEFAULT_COLUMN_CAP = 1 << 20
 _INITIAL_WINDOW = 64
@@ -51,45 +50,6 @@ class GenParams:
         if self.column_cap < self.k:
             raise InvalidParameterError(
                 f"column_cap must be at least k={self.k}, got {self.column_cap}")
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Projective family matched by (k, r), with its derived counts.
-
-    family is "q2_theorem" when k=3 and r=2^n-1 (rows are nim triples),
-    "general_q" when k=q+1 and r=(q^n-1)/(q-1) for a Fermat 2-power q > 2,
-    and "none" otherwise.  d is the identified row count, s the width of the
-    column window those rows use, v and b the point and line counts of the
-    matching projective space.
-    """
-
-    family: str
-    q: int | None = None
-    n: int | None = None
-    d: int | None = None
-    s: int | None = None
-    v: int | None = None
-    b: int | None = None
-
-
-def derive_params(params: GenParams) -> DerivedParams:
-    """Match (k, r) against the projective families; "none" is not an error."""
-    q = params.k - 1
-    if not is_fermat_two_power(q):
-        return DerivedParams("none")
-    target = params.r * (q - 1) + 1  # equals q^n iff r = (q^n-1)/(q-1)
-    n, power = 1, q
-    while power < target:
-        n += 1
-        power *= q
-    if power != target:
-        return DerivedParams("none")
-    v = (q ** (n + 1) - 1) // (q - 1)
-    assert v * params.r % params.k == 0
-    b = v * params.r // params.k
-    family = "q2_theorem" if q == 2 else "general_q"
-    return DerivedParams(family, q=q, n=n, d=b, s=v, v=v, b=b)
 
 
 @dataclass(frozen=True)
@@ -230,12 +190,3 @@ def generate(params: GenParams) -> list[Row]:
     for _ in range(params.max_rows):
         gen.next_row()
     return gen.rows
-
-
-def entry(rows: list[Row], i: int, j: int) -> int:
-    """Matrix entry in row i, column j (both 1-based) of the generated rows."""
-    if not 1 <= i <= len(rows):
-        raise InputRangeError(f"row {i} is outside the generated range 1..{len(rows)}")
-    if j < 1:
-        raise InputRangeError(f"columns are 1-based, got {j}")
-    return 1 if j in rows[i - 1].points else 0

@@ -6,19 +6,21 @@ bitwise xor.  Nim multiplication is Conway's recursive product
     a (x) b = mex { a' (x) b  ^  a (x) b'  ^  a' (x) b'  :  a' < a, b' < b }
 
 which turns [0, 2^(2^a)) into a field for every Fermat 2-power 2^(2^a).
-Two multipliers live here: a literal mex recursion kept as the trusted
-reference (scalar form plus a vectorised bottom-up table), and the fast
-splitting rule used everywhere else.  Values are capped at 63 bits so all
-arithmetic stays in native machine words on typical builds.
+One multiplier serves every caller: the Fermat splitting rule, applied
+down to a GF(256) product table that the same rule builds from GF(2) on
+first use.  It runs unchanged on ints and on uint64 arrays and keeps no
+memo, so its memory does not grow with use.  The mex recursion itself
+survives only as nim_mul_table, the reference the multiplier is checked
+against.  Values are capped at 63 bits so all arithmetic stays in native
+machine words.
 
-Everything is a pure function once the memo tables are warm, so calls are
-safe from concurrent readers.
+Every function is pure; the table is built once and read-only after, so
+calls are safe from concurrent readers.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 import time
 
 import numpy as np
@@ -43,43 +45,78 @@ def nim_add(a: int, b: int) -> int:
 
 
 def nim_mul(a: int, b: int) -> int:
-    """Nim product via the Fermat splitting rule (memoized)."""
+    """Nim product by the Fermat splitting rule."""
     a = _check_value(a, "a")
     b = _check_value(b, "b")
-    return _mul(a, b)
+    return int(_mul(a, b, _bits(a | b)))
 
 
-def _mul(x: int, y: int) -> int:
-    return _nim_mul_split(x, y) if x <= y else _nim_mul_split(y, x)
+# ---------------------------------------------------------------------------
+# the multiplier
+# ---------------------------------------------------------------------------
+
+_TABLE_BITS = 8
+_table: np.ndarray | None = None  # GF(256) products, built on first use
 
 
-@functools.cache
-def _nim_mul_split(a: int, b: int) -> int:
-    # a <= b.  Split both operands in base F = 2^half where F is the largest
-    # Fermat 2-power not exceeding b; recombine Karatsuba-style using the
-    # field identity F (x) F = F + F/2.
-    if a < 2:
-        return a * b
-    h = 1
-    while b >> (1 << h):
-        h += 1
-    half = 1 << (h - 1)
-    f = 1 << half
-    a_hi, a_lo = a >> half, a & (f - 1)
-    b_hi, b_lo = b >> half, b & (f - 1)
-    lo = _mul(a_lo, b_lo)
-    hi = _mul(a_hi, b_hi)
-    mid = _mul(a_lo ^ a_hi, b_lo ^ b_hi)
-    return ((mid ^ lo) << half) ^ lo ^ _mul(hi, f >> 1)
+def _bits(top: int) -> int:
+    """The least Fermat width 2^m >= 8 with top < 2^(2^m)."""
+    bits = _TABLE_BITS
+    while top >> bits:
+        bits *= 2
+    return bits
 
 
-def _pow(x: int, e: int) -> int:
-    out = 1
-    base = x
+def _gf256() -> np.ndarray:
+    """The 256x256 nim product table, built by the splitting rule from GF(2)."""
+    global _table
+    if _table is None:
+        t, bits = np.array([[0, 0], [0, 1]], dtype=np.uint8), 1
+        while bits < _TABLE_BITS:
+            xs = np.arange(1 << (2 * bits), dtype=np.uint8)
+            t = _mul(xs[:, None], xs[None, :], 2 * bits, t, bits)
+            bits *= 2
+        t = t.astype(np.uint64)  # products above GF(256) need 64 bits
+        t.setflags(write=False)
+        _table = t
+    return _table
+
+
+def _mul(x, y, bits: int, table=None, table_bits: int = _TABLE_BITS):
+    """x (x) y for x, y below 2^bits, a Fermat width >= table_bits.
+
+    x and y are ints or uint64 arrays (broadcast together); the result is
+    uint64, since products of 63-bit values can reach 2^64.  With
+    F = 2^(bits/2), x = x1*F + x0 and y = y1*F + y0, the field identity
+    F (x) F = F + F/2 gives, Karatsuba-style,
+
+        x (x) y = (mid + lo)*F + lo + hi (x) F/2
+
+    where lo = x0 (x) y0, hi = x1 (x) y1, mid = (x0 + x1) (x) (y0 + y1) and
+    + is xor; the recursion ends in `table`, the products of
+    GF(2^table_bits).
+    """
+    if table is None:
+        table = _gf256()
+    if bits == table_bits:
+        return table[x, y]
+    h = bits // 2
+    low = (1 << h) - 1
+    x1, x0, y1, y0 = x >> h, x & low, y >> h, y & low
+    lo = _mul(x0, y0, h, table, table_bits)
+    hi = _mul(x1, y1, h, table, table_bits)
+    mid = _mul(x0 ^ x1, y0 ^ y1, h, table, table_bits)
+    return ((mid ^ lo) << h) ^ lo ^ _mul(hi, 1 << (h - 1), h, table, table_bits)
+
+
+def _inverse(x, q: int):
+    """x^(q-2) by square and multiply: the inverse of nonzero x in GF(q)."""
+    bits = _bits(q - 1)
+    out, e = 1, q - 2
     while e:
         if e & 1:
-            out = _mul(out, base)
-        base = _mul(base, base)
+            out = _mul(out, x, bits)
+        x = _mul(x, x, bits)
         e >>= 1
     return out
 
@@ -88,60 +125,13 @@ def _pow(x: int, e: int) -> int:
 # mex reference
 # ---------------------------------------------------------------------------
 
-_mex_table: list[list[int]] = []
-
-
-def nim_mul_mex(a: int, b: int) -> int:
-    """Nim product straight from the mex recursion.
-
-    This is the reference implementation the fast multiplier is checked
-    against.  Cost grows like the product of the inputs, so inputs are capped
-    at 2^12; asking for more is a programming error, not a supported path.
-    """
-    a = _check_value(a, "a")
-    b = _check_value(b, "b")
-    if a >= MEX_INPUT_BOUND or b >= MEX_INPUT_BOUND:
-        raise InputRangeError(f"mex reference accepts inputs below {MEX_INPUT_BOUND} only")
-    need = max(a, b) + 1
-    if need > len(_mex_table):
-        _grow_mex_table(need)
-    return _mex_table[a][b]
-
-
-def _grow_mex_table(n: int) -> None:
-    old = len(_mex_table)
-    for row in _mex_table:
-        row.extend(0 for _ in range(old, n))
-    for _ in range(old, n):
-        _mex_table.append([0] * n)
-    t = _mex_table
-    for a in range(n):
-        row_a = t[a]
-        start = old if a < old else 0
-        for b in range(start, n):
-            if a == 0 or b == 0:
-                row_a[b] = 0
-            elif a == 1:
-                row_a[b] = b
-            elif b == 1:
-                row_a[b] = a
-            else:
-                seen = 0
-                for a2 in range(a):
-                    row_a2 = t[a2]
-                    p = row_a2[b]
-                    for b2 in range(b):
-                        seen |= 1 << (p ^ row_a[b2] ^ row_a2[b2])
-                # mex = lowest absent value = number of trailing set bits
-                row_a[b] = (~seen & (seen + 1)).bit_length() - 1
-
-
 @functools.lru_cache(maxsize=4)
 def nim_mul_table(n: int) -> np.ndarray:
     """The n-by-n nim product table, filled bottom-up by the mex recursion.
 
-    Vectorised form of nim_mul_mex for bulk cross-checks; the returned array
-    is cached and read-only.
+    This is the reference the splitting-rule multiplier is checked against.
+    Cost grows like n^4, so n is capped at 2^12; the returned array is
+    cached and read-only.
     """
     if n < 1 or n > MEX_INPUT_BOUND:
         raise InputRangeError(f"table size must be in [1, {MEX_INPUT_BOUND}], got {n}")
@@ -198,7 +188,6 @@ class FermatField:
             raise InputRangeError(f"elements of GF({q}) exceed the {VALUE_BITS}-bit value domain")
         self.q = q
         self.a_exponent = (q.bit_length() - 1).bit_length() - 1
-        self._inv: dict[int, int] = {}
 
     def __repr__(self) -> str:
         return f"FermatField(q={self.q})"
@@ -216,33 +205,37 @@ class FermatField:
         return self._check(x) ^ self._check(y)
 
     def mul(self, x: int, y: int) -> int:
-        return _mul(self._check(x), self._check(y))
+        return int(_mul(self._check(x), self._check(y), _bits(self.q - 1)))
 
     def inv(self, x: int) -> int:
-        self._check(x)
-        if x == 0:
+        """x^(q-2), the inverse of nonzero x."""
+        if self._check(x) == 0:
             raise InputRangeError("0 has no multiplicative inverse")
-        cached = self._inv.get(x)
-        if cached is None:
-            for y in range(1, self.q):
-                if _mul(x, y) == 1:
-                    cached = y
-                    break
-            self._inv[x] = cached
-        return cached
+        return int(_inverse(x, self.q))
 
 
 # ---------------------------------------------------------------------------
 # field structure check
 # ---------------------------------------------------------------------------
 
+def _bad(ok: np.ndarray, *values) -> list[int] | None:
+    """None if ok holds everywhere, else the values (broadcast to ok's
+    shape) where it first fails."""
+    if ok.all():
+        return None
+    at = np.unravel_index(np.argmin(ok), ok.shape)
+    return [int(np.broadcast_to(v, ok.shape)[at]) for v in values]
+
+
 def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000,
                 seed: int = 0) -> VerificationReport:
     """Verify that [0, q) under nim arithmetic behaves like a field.
 
-    Exhaustive mode scans every triple and is capped at q <= 256; sampled
-    mode draws `samples` pseudo-random triples.  Identity and inverse checks
-    run exhaustively whenever q <= 256 because they are cheap there.
+    Associativity and distributivity run over every triple in exhaustive
+    mode (capped at q <= 256) and over `samples` seeded triples in sampled
+    mode.  Closure, identity, commutativity and inverses run over all of
+    [0, q) while q <= 256, where the q-by-q table is cheap, and over the
+    sampled elements above it; an inverse is checked as x (x) x^(q-2) = 1.
     """
     if not is_fermat_two_power(q):
         raise InvalidParameterError(f"field order must be a Fermat 2-power, got {q}")
@@ -252,97 +245,49 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000,
         raise InvalidParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "exhaustive" and q > EXHAUSTIVE_FIELD_CAP:
         raise ResourceLimitError(f"exhaustive field check is capped at q <= {EXHAUSTIVE_FIELD_CAP}")
+    if mode == "sampled" and samples < 1:
+        raise InvalidParameterError(f"samples must be at least 1, got {samples}")
 
     start = time.perf_counter()
     report = VerificationReport(subject=f"nim field q={q}")
-    if q <= EXHAUSTIVE_FIELD_CAP:
-        _field_check_table(q, mode, samples, seed, report)
-        triples = q ** 3 if mode == "exhaustive" else samples
+    bits = _bits(q - 1)
+    # the pair laws cover all of [0, q) while the q-by-q table is cheap,
+    # else the samples; the check names say which
+    whole = q <= EXHAUSTIVE_FIELD_CAP
+    a, b, c = np.random.default_rng(seed).integers(
+        0, q, size=(3, samples if mode == "sampled" else 0), dtype=np.uint64)
+    xs = np.arange(q, dtype=np.uint64) if whole else a
+    x, y = (xs[:, None], xs[None, :]) if whole else (a, b)
+    scope = "" if whole else f" ({samples} sampled)"
+
+    xy = _mul(x, y, bits)
+    w = _bad(xy < q, x, y, xy)
+    report.add("closure of [0,q) under nim product", w is None,
+               w and {"pair": w[:2], "product": w[2]})
+    w = _bad(_mul(1, xs, bits) == xs, xs)
+    report.add("1 is the multiplicative identity", w is None, w and {"element": w[0]})
+    w = _bad(xy == _mul(y, x, bits), x, y)
+    report.add("commutativity" + scope, w is None, {"pair": w})
+
+    if mode == "exhaustive":  # plane by plane through the q-by-q table
+        t, b_xor_c = xy.astype(np.intp), (x ^ y).astype(np.intp)  # intp gathers fastest
+        laws, assoc, distrib = " (exhaustive)", None, None
+        for i in range(q):
+            ti = t[i]
+            assoc = assoc or _bad(t[ti] == ti[t], i, x, y)  # (i*b)*c = i*(b*c)
+            distrib = distrib or _bad(ti[b_xor_c] == (ti[:, None] ^ ti[None, :]), i, x, y)
     else:
-        _field_check_scalar(q, samples, seed, report)
-        triples = samples
-    report.counts = {"q": q, "mode": mode, "triples": triples}
+        laws = f" ({samples} sampled triples)" if whole else scope
+        ab = _mul(a, b, bits)
+        assoc = _bad(_mul(ab, c, bits) == _mul(a, _mul(b, c, bits), bits), a, b, c)
+        distrib = _bad(_mul(a, b ^ c, bits) == ab ^ _mul(a, c, bits), a, b, c)
+    report.add("associativity" + laws, assoc is None, {"triple": assoc})
+    report.add("distributivity" + laws, distrib is None, {"triple": distrib})
+
+    nonzero = xs[xs != 0]
+    w = _bad(_mul(nonzero, _inverse(nonzero, q), bits) == 1, nonzero)
+    report.add("every nonzero element has an inverse" if whole else
+               "sampled nonzero elements have inverses", w is None, w and {"element": w[0]})
+    report.counts = {"q": q, "mode": mode, "triples": q ** 3 if mode == "exhaustive" else samples}
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
-
-
-def _field_check_table(q: int, mode: str, samples: int, seed: int,
-                       report: VerificationReport) -> None:
-    t = np.zeros((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(a, q):
-            t[a, b] = t[b, a] = _mul(a, b)
-
-    bad = np.argwhere(t >= q)
-    report.add("closure of [0,q) under nim product", bad.size == 0,
-               None if bad.size == 0 else {"pair": bad[0].tolist(), "product": int(t[tuple(bad[0])])})
-    report.add("1 is the multiplicative identity", bool((t[1] == np.arange(q)).all()),
-               {"element": int(np.argmax(t[1] != np.arange(q)))})
-    report.add("commutativity", bool((t == t.T).all()), None)
-
-    xs = np.arange(q)
-    if mode == "exhaustive":
-        assoc_bad = distrib_bad = None
-        for a in range(q):
-            ta = t[a]
-            left = t[t[a], :]          # (a*b)*c
-            right = ta[t]              # a*(b*c)
-            if assoc_bad is None and not (left == right).all():
-                b, c = np.argwhere(left != right)[0]
-                assoc_bad = [a, int(b), int(c)]
-            dl = ta[xs[:, None] ^ xs[None, :]]       # a*(b^c)
-            dr = ta[xs][:, None] ^ ta[xs][None, :]   # (a*b)^(a*c)
-            if distrib_bad is None and not (dl == dr).all():
-                b, c = np.argwhere(dl != dr)[0]
-                distrib_bad = [a, int(b), int(c)]
-        report.add("associativity (exhaustive)", assoc_bad is None, {"triple": assoc_bad})
-        report.add("distributivity (exhaustive)", distrib_bad is None, {"triple": distrib_bad})
-    else:
-        rng = np.random.default_rng(seed)
-        a, b, c = rng.integers(0, q, size=(3, samples))
-
-        def first_bad(ok: np.ndarray) -> dict:
-            i = int(np.argmin(ok))
-            return {"triple": [int(a[i]), int(b[i]), int(c[i])]}
-
-        assoc = t[t[a, b], c] == t[a, t[b, c]]
-        report.add(f"associativity ({samples} sampled triples)", bool(assoc.all()),
-                   None if assoc.all() else first_bad(assoc))
-        distrib = t[a, b ^ c] == (t[a, b] ^ t[a, c])
-        report.add(f"distributivity ({samples} sampled triples)", bool(distrib.all()),
-                   None if distrib.all() else first_bad(distrib))
-
-    has_inv = (t[1:, :] == 1).any(axis=1)
-    report.add("every nonzero element has an inverse", bool(has_inv.all()),
-               {"element": int(np.argmin(has_inv)) + 1})
-
-
-def _field_check_scalar(q: int, samples: int, seed: int,
-                        report: VerificationReport) -> None:
-    rng = random.Random(seed)
-    witness = {"closure": None, "identity": None, "commutativity": None,
-               "associativity": None, "distributivity": None, "inverse": None}
-    for _ in range(samples):
-        a, b, c = (rng.randrange(q) for _ in range(3))
-        ab = _mul(a, b)
-        if witness["closure"] is None and ab >= q:
-            witness["closure"] = {"pair": [a, b], "product": ab}
-        if witness["identity"] is None and _mul(1, a) != a:
-            witness["identity"] = {"element": a}
-        if witness["commutativity"] is None and ab != _mul(b, a):
-            witness["commutativity"] = {"pair": [a, b]}
-        if witness["associativity"] is None and _mul(ab, c) != _mul(a, _mul(b, c)):
-            witness["associativity"] = {"triple": [a, b, c]}
-        if witness["distributivity"] is None and _mul(a, b ^ c) != (ab ^ _mul(a, c)):
-            witness["distributivity"] = {"triple": [a, b, c]}
-        if witness["inverse"] is None and a != 0 and _mul(a, _pow(a, q - 2)) != 1:
-            witness["inverse"] = {"element": a}
-    for name, key in [
-        ("closure of [0,q) under nim product", "closure"),
-        ("1 is the multiplicative identity", "identity"),
-        (f"commutativity ({samples} sampled)", "commutativity"),
-        (f"associativity ({samples} sampled)", "associativity"),
-        (f"distributivity ({samples} sampled)", "distributivity"),
-        ("sampled nonzero elements have inverses", "inverse"),
-    ]:
-        report.add(name, witness[key] is None, witness[key])

@@ -8,14 +8,12 @@ name the smallest offending row, point, or triple.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from .geometry import (DEFAULT_POINT_BOUND, IncidenceStructure, build_pg,
-                       build_pg2_nim, check_design, check_veblen_young,
-                       expected_counts)
+                       check_design, check_veblen_young, expected_counts)
 from .greedy import GenParams, NaiveMatrixGenerator, generate
 from .nimber import VALUE_BITS, greediness_lemma_holds
 from .report import INDETERMINATE, PASS, Check, VerificationReport
@@ -24,51 +22,43 @@ DEFAULT_MAX_N = 10
 LEMMA_BOUND_CAP = 512
 
 
-@dataclass(frozen=True)
-class PointWindow:
-    """The initial column window {1, ..., bound} the identified rows live in."""
-
-    bound: int
-
-    def __contains__(self, x: int) -> bool:
-        return 1 <= x <= self.bound
-
-    def points(self) -> range:
-        return range(1, self.bound + 1)
-
-
 def _guard_n(n: int, max_n: int) -> None:
     if not 1 <= n <= max_n:
         raise InvalidParameterError(f"n must be in [1, {max_n}], got {n}")
 
 
+def _identity(n: int, q: int) -> str:
+    return f"rows equal the lines of PG({n},{q})"
+
+
+def _add_identity(report: VerificationReport, rows: list[tuple[int, ...]],
+                  n: int, q: int) -> bool:
+    """Check that the rows are, in order, the lines of PG(n, q) as build_pg
+    ranks them; the witness names the first differing line."""
+    lines = build_pg(n, q).lines
+    bad = next((i for i, (row, line) in enumerate(zip(rows, lines)) if row != line), None)
+    report.add(_identity(n, q), bad is None,
+               None if bad is None else {"line": bad + 1, "row": list(rows[bad]),
+                                         "expected": list(lines[bad])})
+    return bad is None
+
+
 def verify_theorem_q2(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
     """Generate the first d rows at (k, r) = (3, 2^n - 1) and check they are
-    exactly the xor-closed triples below 2^(n+1)."""
+    xor-closed triples below 2^(n+1) and, in order, the lines of PG(n, 2):
+    at q = 2 build_pg's ranked labelling is the nim-triple model."""
     _guard_n(n, max_n)
     start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
-    rows = generate(GenParams(k=3, r=r, max_rows=d))
+    rows = [row.points for row in generate(GenParams(k=3, r=r, max_rows=d))]
 
     report = VerificationReport(subject=f"theorem q=2 n={n}",
                                 counts={"n": n, "k": 3, "r": r, "d": d, "s": s})
-    bad = None
-    for row in rows:
-        a, b, c = row.points
-        if not (a < b < c and c == (a ^ b) and c < s + 1):
-            bad = {"row": row.index, "points": list(row.points)}
-            break
-    report.add("rows are xor-closed triples below 2^(n+1)", bad is None, bad)
-
-    nim_lines = list(build_pg2_nim(n).lines)
-    got = sorted(row.points for row in rows)
-    if got == nim_lines:
-        report.add("row set equals the nim-triple line set", True)
-    else:
-        diff = sorted(set(got) ^ set(nim_lines))[0]
-        side = "generated rows" if diff in set(nim_lines) else "nim-triple lines"
-        report.add("row set equals the nim-triple line set", False,
-                   {"triple": list(diff), "missing_from": side})
+    bad = next((i for i, (a, b, c) in enumerate(rows)
+                if not (a < b < c and c == (a ^ b) and c < s + 1)), None)
+    report.add("rows are xor-closed triples below 2^(n+1)", bad is None,
+               None if bad is None else {"row": bad + 1, "points": list(rows[bad])})
+    _add_identity(report, rows, n, 2)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -123,7 +113,6 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
     _guard_n(n, max_n)
     start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
-    window = PointWindow(s)
     window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
     gen = NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
 
@@ -131,10 +120,10 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
                                      "claim2": None, "claim3": None}
     for m in range(d):
         a, b, c = gen.peek_next_row()
-        if first["member"] is None and not (a in window and b in window and c in window):
+        if first["member"] is None and not 1 <= a < b < c <= s:
             first["member"] = {"step": m, "points": [a, b, c]}
         if first["claim1"] is None:
-            for x in window.points():
+            for x in range(1, s + 1):
                 if gen.column_degree(x) == r:
                     want = window_mask & ~(1 << x)
                     missing = want & ~gen.connectable_mask(x)
@@ -189,9 +178,8 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     start = time.perf_counter()
     report = VerificationReport(subject=f"general q={q} n={n}",
                                 counts={"q": q, "n": n, "v": v, "b": b, "k": k, "r": r})
-    identity = f"rows equal the lines of PG({n},{q})"
     if v > DEFAULT_POINT_BOUND:
-        report.checks.append(Check(identity, INDETERMINATE, {
+        report.checks.append(Check(_identity(n, q), INDETERMINATE, {
             "reason": f"{v} points exceed the point bound {DEFAULT_POINT_BOUND}"}))
         report.elapsed_ms = (time.perf_counter() - start) * 1000.0
         return report
@@ -206,12 +194,7 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     for c in design.checks:
         report.checks.append(Check("design: " + c.name, c.status, c.witness))
 
-    lines = build_pg(n, q).lines
-    bad = next((i for i, (row, line) in enumerate(zip(rows, lines)) if row != line), None)
-    report.add(identity, bad is None,
-               None if bad is None else {"line": bad + 1, "row": list(rows[bad]),
-                                         "expected": list(lines[bad])})
-    if bad is not None and design.status == PASS:
+    if not _add_identity(report, rows, n, q) and design.status == PASS:
         for c in check_veblen_young(s).checks:
             report.checks.append(Check("veblen-young: " + c.name, c.status, c.witness))
 

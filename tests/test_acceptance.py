@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from naivemat.cli import main
-from naivemat.geometry import build_pg2_nim, expected_counts
+from naivemat.geometry import build_pg, expected_counts
 from naivemat.greedy import GenParams, generate
 from naivemat.nimber import field_check, nim_mul, nim_mul_table
 from naivemat.verify import (lemma_exhaustive, verify_general_q,
@@ -142,5 +142,5 @@ def test_criterion_9_parameter_identities():
     for n in range(1, 5):
         d = expected_counts(n, 2).d
         ok = ok and d == count_2d_subspaces(n + 1)
-        ok = ok and d == build_pg2_nim(n).num_lines
+        ok = ok and d == build_pg(n, 2).b
     _criterion(9, "b*k = v*r and d equals the 2-subspace count", ok)

@@ -242,6 +242,20 @@ def test_export_pg_nim_model(capsys):
     assert out == FANO_CSV
     code, _, _ = run_cli(capsys, "export-pg", "--n", "2", "--q", "4", "--model", "nim")
     assert code == EXIT_USAGE
+    # at q = 2 the nim model is the canonical one, byte for byte: the
+    # xor-closed triples {a, b, a^b}, lex-sorted, over points 1..2^(n+1)-1
+    for n in (2, 3, 4):
+        top = 1 << (n + 1)
+        triples = sorted((a, b, a ^ b) for a in range(1, top)
+                         for b in range(a + 1, top) if a ^ b > b)
+        for fmt in ("rows-csv", "rows-json", "matrix-pbm"):
+            args = ("export-pg", "--n", str(n), "--q", "2", "--format", fmt)
+            code, nim, _ = run_cli(capsys, *args, "--model", "nim")
+            assert code == EXIT_PASS
+            assert nim == run_cli(capsys, *args)[1]
+        assert nim.splitlines()[:2] == ["P1", f"{top - 1} {len(triples)}"]
+        code, csv, _ = run_cli(capsys, "export-pg", "--n", str(n), "--q", "2", "--model", "nim")
+        assert csv == "".join(f"{a},{b},{c}\n" for a, b, c in triples)
 
 
 def test_export_pg_invalid_q(capsys):

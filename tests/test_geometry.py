@@ -10,7 +10,7 @@ from naivemat.cli import main
 from naivemat.errors import (InvalidParameterError, PreconditionError,
                              ResourceLimitError)
 from naivemat.geometry import (CanonicalGeometry, IncidenceStructure,
-                               build_pg, build_pg2_nim, check_design,
+                               build_pg, check_design,
                                check_veblen_young, expected_counts,
                                normalize_point)
 from naivemat.greedy import Row
@@ -127,26 +127,33 @@ def test_build_pg_errors():
         build_pg(2, 16, point_bound=100)
 
 
+def xor_triples(n):
+    """The nim-triple model of PG(n, 2): every {a, b, a^b} with
+    0 < a < b < a^b < 2^(n+1), lex-sorted."""
+    top = 1 << (n + 1)
+    return sorted((a, b, a ^ b) for a in range(1, top) for b in range(a + 1, top) if a ^ b > b)
+
+
 def test_build_pg2_nim():
-    assert build_pg2_nim(1).lines == ((1, 2, 3),)
-    fano = build_pg2_nim(2)
-    assert fano.lines == FANO_TRIPLES
-    assert build_pg2_nim(3).num_lines == 35
-    assert build_pg2_nim(3).point_window == 15
+    # the nim model of PG(n, 2) is build_pg at q = 2
+    assert build_pg(1, 2).lines == ((1, 2, 3),)
+    assert build_pg(2, 2).lines == FANO_TRIPLES
+    assert build_pg(3, 2).b == 35
+    assert build_pg(3, 2).v == 15
     with pytest.raises(InvalidParameterError):
-        build_pg2_nim(0)
+        build_pg(0, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_pg2_models_isomorphic(n):
     # at q = 2 a point's rank is its vector read in binary, so the ranked
     # model is the nim-triple model itself: the identity is the isomorphism
-    assert build_pg(n, 2).lines == build_pg2_nim(n).lines
+    assert list(build_pg(n, 2).lines) == xor_triples(n)
 
 
 def test_nim_model_lines_are_xor_closed():
     for n in (1, 2, 3, 4):
-        for a, b, c in build_pg2_nim(n).lines:
+        for a, b, c in build_pg(n, 2).lines:
             assert a < b < c and a ^ b ^ c == 0
 
 
@@ -248,11 +255,11 @@ def pasch_switched_sts15():
     """Trade one Pasch quad of PG(3,2) for its opposite: the four new triples
     cover the same twelve pairs, so the result is again a 2-(15,3,1) design,
     but classically a non-projective one."""
-    pg = build_pg2_nim(3)
+    lines = build_pg(3, 2).lines
     old = {(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)}
     new = ((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6))
-    assert old <= set(pg.lines)
-    return IncidenceStructure(15, tuple(l for l in pg.lines if l not in old) + new)
+    assert old <= set(lines)
+    return IncidenceStructure(15, tuple(l for l in lines if l not in old) + new)
 
 
 def test_pasch_switch_is_still_a_design():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from naivemat.errors import (InputRangeError, InvalidParameterError,
                              RowIncompleteError)
-from naivemat.greedy import (GenParams, NaiveMatrixGenerator, Row,
-                             derive_params, entry, generate)
+from naivemat.greedy import GenParams, NaiveMatrixGenerator, Row, generate
 
 # hand-executed from the three blocking conditions; first row is forced
 FANO_ROWS = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
@@ -58,35 +57,6 @@ def test_gen_params_validation():
         GenParams(k=3, r=1, max_rows=0)
     with pytest.raises(InvalidParameterError):
         GenParams(k=3, r=1, max_rows=1, column_cap=2)
-
-
-def test_derive_params_q2_family():
-    d = derive_params(GenParams(k=3, r=3, max_rows=1))
-    assert (d.family, d.n, d.d, d.s) == ("q2_theorem", 2, 7, 7)
-    d = derive_params(GenParams(k=3, r=1, max_rows=1))
-    assert (d.family, d.n, d.d, d.s) == ("q2_theorem", 1, 1, 3)
-    d = derive_params(GenParams(k=3, r=7, max_rows=1))
-    assert (d.family, d.n, d.d, d.s) == ("q2_theorem", 3, 35, 15)
-
-
-def test_derive_params_general_family():
-    d = derive_params(GenParams(k=5, r=5, max_rows=1))
-    assert (d.family, d.q, d.n, d.v, d.b) == ("general_q", 4, 2, 21, 21)
-    d = derive_params(GenParams(k=5, r=21, max_rows=1))
-    assert (d.family, d.q, d.n, d.v, d.b) == ("general_q", 4, 3, 85, 357)
-    d = derive_params(GenParams(k=17, r=17, max_rows=1))
-    assert (d.family, d.q, d.n, d.v, d.b) == ("general_q", 16, 2, 273, 273)
-
-
-def test_derive_params_none():
-    assert derive_params(GenParams(k=4, r=2, max_rows=1)).family == "none"   # q=3
-    assert derive_params(GenParams(k=9, r=73, max_rows=1)).family == "none"  # q=8
-    assert derive_params(GenParams(k=3, r=2, max_rows=1)).family == "none"
-    assert derive_params(GenParams(k=2, r=5, max_rows=1)).family == "none"
-    # identity b*k = v*r holds whenever a family is detected
-    for k, r in [(3, 1), (3, 3), (3, 7), (5, 5), (5, 21), (17, 17)]:
-        d = derive_params(GenParams(k=k, r=r, max_rows=1))
-        assert d.b * k == d.v * r
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +106,6 @@ def test_determinism():
 def test_column_cap_raises_row_incomplete():
     with pytest.raises(RowIncompleteError):
         generate(GenParams(k=3, r=1, max_rows=2, column_cap=3))
-
-
-def test_entry():
-    rows = generate(GenParams(k=3, r=3, max_rows=7))
-    assert entry(rows, 1, 2) == 1
-    assert entry(rows, 1, 4) == 0
-    assert entry(rows, 4, 6) == 1
-    assert entry(rows, 7, 100) == 0
-    with pytest.raises(InputRangeError):
-        entry(rows, 8, 1)
-    with pytest.raises(InputRangeError):
-        entry(rows, 0, 1)
-    with pytest.raises(InputRangeError):
-        entry(rows, 1, 0)
 
 
 def test_is_complete_and_connectable():

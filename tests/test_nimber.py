@@ -1,14 +1,18 @@
 """Nim arithmetic: spot values, group/field laws, mex vs split agreement."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naivemat import nimber
 from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
-from naivemat.nimber import (FermatField, field_check, greediness_lemma_holds,
-                             is_fermat_two_power, nim_add, nim_mul, nim_mul_mex,
-                             nim_mul_table)
+from naivemat.nimber import (FermatField, _gf256, _mul, field_check,
+                             greediness_lemma_holds, is_fermat_two_power, nim_add,
+                             nim_mul, nim_mul_table)
 
 nimbers = st.integers(min_value=0, max_value=(1 << 63) - 1)
 small = st.integers(min_value=0, max_value=(1 << 16) - 1)
@@ -81,8 +85,10 @@ def test_nim_mul_spot_values():
     # frozen from the mex recursion: mex{0,2,2,1} = 3 and mex{0,2,3,3,0,2} = 1
     assert nim_mul(2, 2) == 3
     assert nim_mul(2, 3) == 1
-    assert nim_mul_mex(2, 2) == 3
-    assert nim_mul_mex(2, 3) == 1
+    assert nim_mul_table(4)[2, 2] == 3
+    assert nim_mul_table(4)[2, 3] == 1
+    assert brute_nim_mul(2, 2) == 3
+    assert brute_nim_mul(2, 3) == 1
 
 
 def test_nim_mul_zero_and_identity():
@@ -92,18 +98,55 @@ def test_nim_mul_zero_and_identity():
 
 
 def test_nim_mul_matches_test_side_oracle():
+    t = nim_mul_table(24)
     for a in range(24):
         for b in range(24):
             want = brute_nim_mul(a, b)
             assert nim_mul(a, b) == want
-            assert nim_mul_mex(a, b) == want
+            assert int(t[a, b]) == want
 
 
 def test_nim_mul_table_matches_scalar_mex():
+    # the package's vectorised mex against the test-side scalar one
     t = nim_mul_table(32)
     for a in range(32):
         for b in range(32):
-            assert int(t[a, b]) == nim_mul_mex(a, b)
+            assert int(t[a, b]) == brute_nim_mul(a, b)
+
+
+def test_base_table_equals_mex_reference():
+    # the GF(256) table the splitting rule builds from GF(2)
+    assert (_gf256() == nim_mul_table(256)).all()
+
+
+def test_array_products_match_scalar():
+    rng = np.random.default_rng(7)
+    for bits in (8, 16, 32, 63):
+        a = rng.integers(0, 1 << bits, size=2000, dtype=np.uint64)
+        b = rng.integers(0, 1 << bits, size=2000, dtype=np.uint64)
+        p = _mul(a, b, 64)
+        assert p.dtype == np.uint64
+        for x, y, z in zip(a.tolist(), b.tolist(), p.tolist()):
+            assert z == nim_mul(x, y)
+    # products of 63-bit values reach past 2^63, so arrays must be uint64
+    assert (p >= 1 << 63).any()
+    assert nim_mul(1 << 32, 1 << 31) == 1 << 63  # distinct Fermat 2-powers
+
+
+def test_nim_mul_memory_is_bounded():
+    # no memo: 10^5 distinct 32-bit products leave nothing behind
+    rng = random.Random(3)
+    pairs = [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(10 ** 5)]
+    nim_mul(3, 5)  # the GF(256) table is built once, on first use
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for a, b in pairs:
+            nim_mul(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1 << 20
 
 
 @pytest.mark.parametrize("q", [2, 4, 16])
@@ -165,9 +208,9 @@ def test_nim_mul_range_errors():
 
 def test_mex_reference_input_cap():
     with pytest.raises(InputRangeError):
-        nim_mul_mex(1 << 12, 1)
-    with pytest.raises(InputRangeError):
         nim_mul_table((1 << 12) + 1)
+    with pytest.raises(InputRangeError):
+        nim_mul_table(0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +269,17 @@ def test_fermat_field_inverses():
         gf.inv(0)
     with pytest.raises(InputRangeError):
         gf.mul(16, 1)
+    assert FermatField(2).inv(1) == 1
+
+
+@pytest.mark.parametrize("q", [65536, 1 << 32])
+def test_fermat_field_inverses_large_q(q):
+    gf = FermatField(q)
+    rng = random.Random(q)
+    for x in [rng.randrange(1, q) for _ in range(200)] + [1, q - 1]:
+        assert gf.mul(x, gf.inv(x)) == 1
+    if q == 1 << 32:
+        assert gf.inv(577090038) == 3739135424
 
 
 def test_field_check_passes():
@@ -248,6 +302,37 @@ def test_field_check_sampled():
 def test_field_check_sampled_large_q():
     rep = field_check(65536, mode="sampled", samples=300)
     assert rep.status == "pass"
+    assert [c.name for c in rep.checks] == [
+        "closure of [0,q) under nim product", "1 is the multiplicative identity",
+        "commutativity (300 sampled)", "associativity (300 sampled)",
+        "distributivity (300 sampled)", "sampled nonzero elements have inverses"]
+
+
+def test_field_check_sampled_q_2_32():
+    rep = field_check(1 << 32, mode="sampled", samples=10 ** 5)
+    assert rep.status == "pass"
+    assert rep.counts == {"q": 1 << 32, "mode": "sampled", "triples": 10 ** 5}
+
+
+def test_field_check_names_its_witnesses(monkeypatch):
+    # xor in place of the nim product: closed, commutative and associative,
+    # but 1 is no identity and the product does not distribute
+    monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: x ^ y)
+    rep = field_check(4)
+    by_name = {c.name: c for c in rep.checks}
+    assert rep.status == "fail"
+    assert by_name["1 is the multiplicative identity"].witness == {"element": 0}
+    assert by_name["associativity (exhaustive)"].status == "pass"
+    assert by_name["distributivity (exhaustive)"].witness == {"triple": [1, 0, 0]}
+    assert by_name["every nonzero element has an inverse"].witness == {"element": 1}
+    # the integer product leaves [0, q): the sampled witness is a real pair
+    monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: x * y)
+    rep = field_check(65536, mode="sampled", samples=100)
+    w = rep.checks[0].witness
+    assert rep.checks[0].status == "fail"
+    assert w["product"] == w["pair"][0] * w["pair"][1] >= 65536
+    a, b, c = {c.name: c for c in rep.checks}["distributivity (100 sampled)"].witness["triple"]
+    assert a * (b ^ c) != (a * b) ^ (a * c)
 
 
 def test_field_check_errors():
@@ -257,3 +342,8 @@ def test_field_check_errors():
         field_check(16, mode="guess")
     with pytest.raises(ResourceLimitError):
         field_check(65536, mode="exhaustive")
+    for q in (256, 65536):  # no vacuous pass, no numpy traceback
+        with pytest.raises(InvalidParameterError):
+            field_check(q, mode="sampled", samples=0)
+        with pytest.raises(InvalidParameterError):
+            field_check(q, mode="sampled", samples=-1)

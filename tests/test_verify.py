@@ -9,9 +9,8 @@ from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimi
 from naivemat.geometry import build_pg
 from naivemat.greedy import GenParams, Row, generate
 from naivemat.report import Check, VerificationReport
-from naivemat.verify import (PointWindow, lemma_exhaustive, verify_general_q,
-                             verify_proof_invariants, verify_theorem_q2,
-                             verify_zero_blocks_and_periodicity)
+from naivemat.verify import (lemma_exhaustive, verify_general_q, verify_proof_invariants,
+                             verify_theorem_q2, verify_zero_blocks_and_periodicity)
 
 IDENTITY = "rows equal the lines of PG({},{})"
 
@@ -42,13 +41,6 @@ def test_report_json_shape():
     assert doc["status"] == "pass"
 
 
-def test_point_window():
-    w = PointWindow(7)
-    assert 1 in w and 7 in w
-    assert 0 not in w and 8 not in w
-    assert list(w.points()) == list(range(1, 8))
-
-
 def test_window_width_identity():
     # s = 2^(n+1)-1 equals r(k-1)+1 at k=3, r=2^n-1
     for n in range(1, 9):
@@ -73,8 +65,25 @@ def test_theorem_n1():
 def test_theorem_n2_and_n5():
     rep = verify_theorem_q2(2)
     assert rep.status == "pass" and rep.counts["d"] == 7
+    assert [c.name for c in rep.checks] == ["rows are xor-closed triples below 2^(n+1)",
+                                            IDENTITY.format(2, 2)]
     rep = verify_theorem_q2(5)
     assert rep.status == "pass" and rep.counts["d"] == 651
+
+
+def test_theorem_moved_row_names_its_line(monkeypatch):
+    # the same seven triples with row 3 moved to the end: still xor-closed
+    # and the same set, but no longer the lines of PG(2,2) in order
+    lines = list(build_pg(2, 2).lines)
+    lines.append(lines.pop(2))
+    monkeypatch.setattr(verify, "generate",
+                        lambda params: [Row(i + 1, line) for i, line in enumerate(lines)])
+    rep = verify_theorem_q2(2)
+    assert rep.status == "fail"
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["rows are xor-closed triples below 2^(n+1)"].status == "pass"
+    assert by_name[IDENTITY.format(2, 2)].witness == {
+        "line": 3, "row": [2, 4, 6], "expected": [1, 6, 7]}
 
 
 def test_theorem_guards():
