@@ -9,8 +9,7 @@ rows reproduce their point-line designs.
 from .errors import (InputRangeError, InvalidParameterError, PreconditionError,
                      ResourceLimitError, RowIncompleteError)
 from .geometry import (CanonicalGeometry, IncidenceStructure, PgCounts, build_pg,
-                       check_design, check_veblen_young, expected_counts,
-                       normalize_point)
+                       check_design, check_veblen_young, expected_counts)
 from .greedy import GenParams, NaiveMatrixGenerator, Row, generate
 from .nimber import (FermatField, field_check, greediness_lemma_holds,
                      is_fermat_two_power, nim_add, nim_mul, nim_mul_table)
@@ -47,7 +46,6 @@ __all__ = [
     "nim_add",
     "nim_mul",
     "nim_mul_table",
-    "normalize_point",
     "verify_general_q",
     "verify_proof_invariants",
     "verify_theorem_q2",

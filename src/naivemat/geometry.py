@@ -1,7 +1,7 @@
 """Canonical projective point-line models and incidence-structure checks.
 
 Coordinates over GF(q) are plain integers in [0, q) with nim arithmetic
-(FermatField), so a projective point is a tuple of ints whose first nonzero
+(nim_mul), so a projective point is a tuple of ints whose first nonzero
 entry is 1.  Incidence structures carry 1-based point indices throughout.
 """
 
@@ -13,7 +13,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, PreconditionError, ResourceLimitError
-from .nimber import FermatField, is_fermat_two_power, nim_mul
+from .nimber import is_fermat_two_power, nim_mul
 from .report import VerificationReport
 
 DEFAULT_POINT_BOUND = 10_000
@@ -34,18 +34,6 @@ def expected_counts(n: int, q: int) -> PgCounts:
     assert v * r % k == 0
     b = v * r // k
     return PgCounts(v, b, r, k, b)
-
-
-def normalize_point(gf: FermatField, coords) -> tuple[int, ...]:
-    """Scale so the first nonzero coordinate is 1 (canonical representative)."""
-    coords = tuple(coords)
-    for c in coords:
-        if c:
-            if c == 1:
-                return coords
-            lam = gf.inv(c)
-            return tuple(gf.mul(lam, x) for x in coords)
-    raise InvalidParameterError("the zero vector is not a projective point")
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,7 @@ class NaiveMatrixGenerator:
         self._pair = [0] * (w + 1)
         self._anchor = [0] * (w + 1)
         self._active = ((1 << w) - 1) << 1  # columns 1..w
+        self._peeked: tuple[int, ...] | None = None  # next row, until committed
 
     def _grow_window(self) -> None:
         cap = self.params.column_cap
@@ -121,15 +122,19 @@ class NaiveMatrixGenerator:
     def peek_next_row(self) -> tuple[int, ...]:
         """Columns the next row will use, without committing it.
 
-        May enlarge the internal column window, which has no observable
-        effect on generation.
+        The row is kept until next_row commits it, so peeking and then
+        committing scans once.  May enlarge the internal column window,
+        which has no observable effect on generation.
         """
         if len(self.rows) >= self.params.max_rows:
             raise InvalidParameterError(f"all {self.params.max_rows} requested rows already emitted")
-        return self._scan()
+        if self._peeked is None:
+            self._peeked = self._scan()
+        return self._peeked
 
     def next_row(self) -> Row:
         points = self.peek_next_row()
+        self._peeked = None
         r, floor = self.params.r, self._floor
         degree, pair, anchor = self._degree, self._pair, self._anchor
         row_bits = 0  # bit i stands for column floor + i

@@ -101,14 +101,21 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int,
 
 
 def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
-    """Replay generation and, before each emitted row {a, b, c}, assert the
-    membership and connectability claims over the initial window.
+    """Replay generation and assert the membership and connectability
+    claims over the initial window, at every step m with state = the first
+    m rows.
 
-    Claims checked at every step m < d with state = the first m rows:
-    a, b, c lie in the window; every complete window point is connectable to
-    all other window points; every window point x < c outside {a, b} is
-    connectable to a or b; every window point x < b other than a is
-    connectable to a.
+    Before each emitted row {a, b, c} (steps m < d): a, b, c lie in the
+    window; every window point x < c outside {a, b} is connectable to a or
+    b; every window point x < b other than a is connectable to a.
+
+    At every step m <= d: every complete window point is connectable to all
+    other window points.  A point completes only inside next_row, and from
+    then on its partners are frozen, so each point is checked once, right
+    after the row that completes it; the row's points ascend, so the first
+    failure found is the smallest failing point of the first failing step.
+    counts["complete_points"] is the number of points so checked; on a pass
+    it is s.
     """
     _guard_n(n, max_n)
     start = time.perf_counter()
@@ -118,19 +125,11 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
 
     first: dict[str, dict | None] = {"member": None, "claim1": None,
                                      "claim2": None, "claim3": None}
+    checked = 0
     for m in range(d):
         a, b, c = gen.peek_next_row()
         if first["member"] is None and not 1 <= a < b < c <= s:
             first["member"] = {"step": m, "points": [a, b, c]}
-        if first["claim1"] is None:
-            for x in range(1, s + 1):
-                if gen.column_degree(x) == r:
-                    want = window_mask & ~(1 << x)
-                    missing = want & ~gen.connectable_mask(x)
-                    if missing:
-                        first["claim1"] = {"step": m, "complete_point": x,
-                                           "not_connectable_to": (missing & -missing).bit_length() - 1}
-                        break
         if first["claim2"] is None:
             need = ((1 << c) - 2) & window_mask & ~(1 << a) & ~(1 << b)
             missing = need & ~(gen.connectable_mask(a) | gen.connectable_mask(b))
@@ -144,9 +143,19 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
                 first["claim3"] = {"step": m, "next_row": [a, b, c],
                                    "point": (missing & -missing).bit_length() - 1}
         gen.next_row()
+        if first["claim1"] is None:
+            for x in (a, b, c):
+                if x <= s and gen.is_complete(x):
+                    checked += 1
+                    missing = window_mask & ~(1 << x) & ~gen.connectable_mask(x)
+                    if missing:
+                        first["claim1"] = {"step": m + 1, "complete_point": x,
+                                           "not_connectable_to": (missing & -missing).bit_length() - 1}
+                        break
 
     report = VerificationReport(subject=f"proof invariants n={n}",
-                                counts={"n": n, "d": d, "s": s, "steps": d})
+                                counts={"n": n, "d": d, "s": s, "steps": d,
+                                        "complete_points": checked})
     report.add("next-row points stay in the initial window", first["member"] is None, first["member"])
     report.add("complete window points are connectable to all others", first["claim1"] is None, first["claim1"])
     report.add("window points below c are connectable to a or b", first["claim2"] is None, first["claim2"])

@@ -1,16 +1,23 @@
 """End-to-end CLI contract: formats, exit codes, round trips."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import naivemat
 from naivemat.cli import (EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE,
                           format_matrix_pbm, format_rows_csv, format_rows_json, main)
 from naivemat.greedy import GenParams, generate
 
 FANO_CSV = "1,2,3\n1,4,5\n1,6,7\n2,4,6\n2,5,7\n3,4,7\n3,5,6\n"
+
+# child interpreters import the same package as the tests, however pytest was started
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(naivemat.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +160,14 @@ def test_verify_periodicity_and_invariants(capsys):
     assert code == EXIT_PASS and json.loads(out)["status"] == "pass"
 
 
+def test_verify_invariants_default_max_n(capsys):
+    code, out, _ = run_cli(capsys, "verify", "invariants", "--n", "10")
+    doc = json.loads(out)
+    assert code == EXIT_PASS and doc["status"] == "pass"
+    assert doc["counts"]["steps"] == 698_027
+    assert doc["counts"]["complete_points"] == 2047
+
+
 def test_verify_lemma(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma", "--bound", "64")
     assert code == EXIT_PASS
@@ -286,7 +301,7 @@ def test_export_pg_unwritable_out_is_clean_error(tmp_path, capsys):
 def test_module_entry_point_subprocess():
     proc = subprocess.run([sys.executable, "-m", "naivemat", "generate",
                            "--k", "3", "--r", "3", "--rows", "7"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout == FANO_CSV
 
@@ -294,7 +309,8 @@ def test_module_entry_point_subprocess():
 def test_closed_stdout_pipe_is_not_a_traceback():
     proc = subprocess.Popen([sys.executable, "-m", "naivemat", "generate",
                              "--k", "3", "--r", "1", "--rows", "50000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=CHILD_ENV)
     assert proc.stdout.readline() == "1,2,3\n"
     proc.stdout.close()  # like `| head -1`
     err = proc.stderr.read()

@@ -11,12 +11,23 @@ from naivemat.errors import (InvalidParameterError, PreconditionError,
                              ResourceLimitError)
 from naivemat.geometry import (CanonicalGeometry, IncidenceStructure,
                                build_pg, check_design,
-                               check_veblen_young, expected_counts,
-                               normalize_point)
+                               check_veblen_young, expected_counts)
 from naivemat.greedy import Row
 from naivemat.nimber import FermatField
 
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
+
+
+def normalize_point(gf, coords):
+    """Scale so the first nonzero coordinate is 1 (canonical representative)."""
+    coords = tuple(coords)
+    for c in coords:
+        if c:
+            if c == 1:
+                return coords
+            lam = gf.inv(c)
+            return tuple(gf.mul(lam, x) for x in coords)
+    raise InvalidParameterError("the zero vector is not a projective point")
 
 
 def reference_pg_lines(n, q):

@@ -91,6 +91,26 @@ def test_peek_does_not_commit():
     assert gen.next_row().points == (1, 2, 3)
 
 
+def test_peek_is_kept_until_committed():
+    want = [row.points for row in generate(GenParams(k=3, r=7, max_rows=300))]
+    gen = NaiveMatrixGenerator(GenParams(k=3, r=7, max_rows=300))
+    scans = 0
+    scan = gen._scan
+
+    def counted_scan():
+        nonlocal scans
+        scans += 1
+        return scan()
+
+    gen._scan = counted_scan
+    for i, points in enumerate(want):
+        assert gen.peek_next_row() == points
+        assert gen.peek_next_row() == points
+        assert gen.next_row() == Row(i + 1, points)
+    assert [row.points for row in gen.rows] == want
+    assert scans == len(want)  # one scan per row, however often it is peeked
+
+
 def test_max_rows_is_enforced():
     gen = NaiveMatrixGenerator(GenParams(k=2, r=1, max_rows=1))
     gen.next_row()

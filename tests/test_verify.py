@@ -7,7 +7,7 @@ import pytest
 from naivemat import verify
 from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from naivemat.geometry import build_pg
-from naivemat.greedy import GenParams, Row, generate
+from naivemat.greedy import GenParams, NaiveMatrixGenerator, Row, generate
 from naivemat.report import Check, VerificationReport
 from naivemat.verify import (lemma_exhaustive, verify_general_q, verify_proof_invariants,
                              verify_theorem_q2, verify_zero_blocks_and_periodicity)
@@ -122,11 +122,115 @@ def test_periodicity_guards():
 # proof-invariant replay
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def rescan_invariants(n):
+    """The invariant replay that rescans every window point for Claim 1 at
+    every step m = 0..d, as (checks, counts).  Reads expected_counts and
+    NaiveMatrixGenerator through `verify`, so a patch there reaches it."""
+    s, _, r, _, d = verify.expected_counts(n, 2)
+    window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
+    gen = verify.NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
+
+    first = {"member": None, "claim1": None, "claim2": None, "claim3": None}
+    for m in range(d + 1):
+        if first["claim1"] is None:
+            for x in range(1, s + 1):
+                if gen.column_degree(x) == r:
+                    want = window_mask & ~(1 << x)
+                    missing = want & ~gen.connectable_mask(x)
+                    if missing:
+                        first["claim1"] = {"step": m, "complete_point": x,
+                                           "not_connectable_to": (missing & -missing).bit_length() - 1}
+                        break
+        if m == d:
+            break
+        a, b, c = gen.peek_next_row()
+        if first["member"] is None and not 1 <= a < b < c <= s:
+            first["member"] = {"step": m, "points": [a, b, c]}
+        if first["claim2"] is None:
+            need = ((1 << c) - 2) & window_mask & ~(1 << a) & ~(1 << b)
+            missing = need & ~(gen.connectable_mask(a) | gen.connectable_mask(b))
+            if missing:
+                first["claim2"] = {"step": m, "next_row": [a, b, c],
+                                   "point": (missing & -missing).bit_length() - 1}
+        if first["claim3"] is None:
+            need = ((1 << b) - 2) & window_mask & ~(1 << a)
+            missing = need & ~gen.connectable_mask(a)
+            if missing:
+                first["claim3"] = {"step": m, "next_row": [a, b, c],
+                                   "point": (missing & -missing).bit_length() - 1}
+        gen.next_row()
+
+    names = ["next-row points stay in the initial window",
+             "complete window points are connectable to all others",
+             "window points below c are connectable to a or b",
+             "window points below b are connectable to a"]
+    checks = [(name, "pass" if w is None else "fail", w) for name, w in zip(names, first.values())]
+    return checks, {"n": n, "d": d, "s": s, "steps": d}
+
+
+def assert_matches_rescan(n):
+    rep = verify_proof_invariants(n)
+    counts = dict(rep.counts)
+    checked = counts.pop("complete_points")
+    assert ([(c.name, c.status, c.witness) for c in rep.checks], counts) == rescan_invariants(n)
+    return rep, checked
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_proof_invariants(n):
     rep = verify_proof_invariants(n)
     assert rep.status == "pass"
     assert rep.counts["steps"] == rep.counts["d"]
+    # every window point completes and is checked exactly once
+    assert rep.counts["complete_points"] == rep.counts["s"]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_proof_invariants_match_rescan(n):
+    assert_matches_rescan(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_proof_invariants_wider_window_matches_rescan(monkeypatch, n):
+    # one column too many: no complete point reaches column s
+    real = verify.expected_counts
+    monkeypatch.setattr(verify, "expected_counts",
+                        lambda n, q: real(n, q)._replace(v=real(n, q).v + 1))
+    rep, _ = assert_matches_rescan(n)
+    claim1 = rep.checks[1]
+    assert claim1.status == "fail"
+    assert claim1.witness["not_connectable_to"] == rep.counts["s"]
+    if n == 1:  # row 1 completes all three points; the smallest is named
+        assert claim1.witness == {"step": 1, "complete_point": 1, "not_connectable_to": 4}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_proof_invariants_narrower_window_matches_rescan(monkeypatch, n):
+    # one column too few: rows leave the window, but the window points
+    # still complete, each is checked once, and Claim 1 holds on them
+    real = verify.expected_counts
+    monkeypatch.setattr(verify, "expected_counts",
+                        lambda n, q: real(n, q)._replace(v=real(n, q).v - 1))
+    rep, checked = assert_matches_rescan(n)
+    assert rep.checks[0].status == "fail" and rep.checks[1].status == "pass"
+    assert checked == rep.counts["s"]
+
+
+@pytest.mark.parametrize("n,point,partner,step", [(4, 6, 11, None), (2, 6, 1, 7)])
+def test_proof_invariants_hidden_partner_matches_rescan(monkeypatch, n, point, partner, step):
+    class HidesOnePartner(NaiveMatrixGenerator):
+        def connectable_mask(self, x):
+            mask = super().connectable_mask(x)
+            return mask & ~(1 << partner) if x == point else mask
+
+    monkeypatch.setattr(verify, "NaiveMatrixGenerator", HidesOnePartner)
+    rep, _ = assert_matches_rescan(n)
+    claim1 = rep.checks[1]
+    assert claim1.status == "fail"
+    assert claim1.witness["complete_point"] == point
+    assert claim1.witness["not_connectable_to"] == partner
+    if step is not None:  # the last row completes the point: caught at step d
+        assert claim1.witness["step"] == step == rep.counts["d"]
 
 
 # ---------------------------------------------------------------------------
