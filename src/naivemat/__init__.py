@@ -9,8 +9,8 @@ rows reproduce their point-line designs.
 from .errors import (InputRangeError, InvalidParameterError, PreconditionError,
                      ResourceLimitError, RowIncompleteError)
 from .geometry import (CanonicalGeometry, IncidenceStructure, PgCounts, build_pg,
-                       check_design, check_veblen_young, expected_counts)
-from .greedy import GenParams, NaiveMatrixGenerator, Row, generate
+                       check_design, check_veblen_young, expected_counts, pg_lines)
+from .greedy import GenParams, NaiveMatrixGenerator, generate
 from .nimber import (FermatField, field_check, greediness_lemma_holds,
                      is_fermat_two_power, nim_add, nim_mul, nim_mul_table)
 from .report import Check, VerificationReport
@@ -31,7 +31,6 @@ __all__ = [
     "PgCounts",
     "PreconditionError",
     "ResourceLimitError",
-    "Row",
     "RowIncompleteError",
     "VerificationReport",
     "build_pg",
@@ -46,6 +45,7 @@ __all__ = [
     "nim_add",
     "nim_mul",
     "nim_mul_table",
+    "pg_lines",
     "verify_general_q",
     "verify_proof_invariants",
     "verify_theorem_q2",

@@ -172,7 +172,7 @@ def _cmd_generate(args) -> int:
     if cap is None:
         cap = _env_int("COLUMN_CAP", DEFAULT_COLUMN_CAP)
     params = GenParams(k=args.k, r=args.r, max_rows=args.rows, column_cap=cap)
-    rows = [row.points for row in generate(params)]  # all rows before any output
+    rows = list(generate(params))  # all rows before any output
     width = max(pts[-1] for pts in rows)
     _write(_format_lines(args.format, rows, args.k, args.r, width), args.out)
     return EXIT_PASS

@@ -10,13 +10,17 @@ from __future__ import annotations
 import itertools
 import time
 from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidParameterError, PreconditionError, ResourceLimitError
 from .nimber import is_fermat_two_power, nim_mul
 from .report import VerificationReport
 
 DEFAULT_POINT_BOUND = 10_000
+_PAIR_CHUNK = 1 << 21  # pair ranks counted per bincount in check_design
 
 PgCounts = namedtuple("PgCounts", "v b r k d")
 
@@ -67,21 +71,6 @@ class IncidenceStructure:
     def num_lines(self) -> int:
         return len(self.lines)
 
-    def point_degrees(self) -> list[int]:
-        """Degree per point, 1-based (index 0 unused)."""
-        deg = [0] * (self.point_window + 1)
-        for line in self.lines:
-            for p in line:
-                deg[p] += 1
-        return deg
-
-    def pair_cover_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for line in self.lines:
-            for pair in itertools.combinations(line, 2):
-                counts[pair] = counts.get(pair, 0) + 1
-        return counts
-
     def line_masks(self) -> list[int]:
         masks = []
         for line in self.lines:
@@ -113,9 +102,9 @@ class CanonicalGeometry:
         return IncidenceStructure(point_window=self.v, lines=self.lines)
 
 
-def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> CanonicalGeometry:
-    """Points and lines of PG(n, q) with nim-field coordinates, in the
-    ranked labelling.
+def pg_lines(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Iterator[tuple[int, ...]]:
+    """The lines of PG(n, q) with nim-field coordinates, in the ranked
+    labelling, yielded one at a time in lex order.
 
     Points are the normalized vectors, numbered by ascending base-q value:
     a vector with m coordinates after its leading 1 and tail t (the base-q
@@ -125,13 +114,18 @@ def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Canonica
     2-dimensional subspace: row 2 has its leading 1 at pivot j, row 1 has
     its leading 1 at pivot i < j and a 0 at j.  The points are row 2 and
     row 1 + lam*row 2 for lam in GF(q), already normalized and already in
-    ascending order, and the loops below run in lex order of the lines,
-    so the build is O(b*k) with no inverse, lookup or sort.
+    ascending order, and the loops run in lex order of the lines, so the
+    enumeration is O(b*k) with no inverse, lookup or sort, and it holds
+    no line once it is yielded.  The parameters and the point bound are
+    checked before this returns.
     """
-    counts = expected_counts(n, q)
-    if counts.v > point_bound:
-        raise ResourceLimitError(
-            f"PG({n},{q}) has {counts.v} points, above the bound {point_bound}")
+    v = expected_counts(n, q).v
+    if v > point_bound:
+        raise ResourceLimitError(f"PG({n},{q}) has {v} points, above the bound {point_bound}")
+    return _ranked_lines(n, q)
+
+
+def _ranked_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
     w = q.bit_length() - 1  # bits per base-q digit
     mul = [[nim_mul(lam, x) for x in range(q)] for lam in range(q)]
     # scaled[lam][t]: the tail t with every base-q digit nim-multiplied by
@@ -144,10 +138,6 @@ def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Canonica
         scaled.append(table)
     first = [(q ** m - 1) // (q - 1) + 1 for m in range(n + 1)]  # rank at tail 0
 
-    points = [(0,) * (n - m) + (1,) + tail
-              for m in range(n + 1)
-              for tail in itertools.product(range(q), repeat=m)]
-    lines = []
     for low_len in range(n):  # coordinates after row 2's pivot
         step = [lam << (w * low_len) for lam in range(q)]
         for t2 in range(q ** low_len):
@@ -157,10 +147,21 @@ def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Canonica
                 for mid in range(q ** (m - low_len - 1)):  # between the pivots
                     head = first[m] + (mid << (w * (low_len + 1)))
                     for low in range(q ** low_len):
-                        lines.append((p2,) + tuple(head + hi + (low ^ s) for hi, s in cols))
+                        yield (p2,) + tuple(head + hi + (low ^ s) for hi, s in cols)
+
+
+def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> CanonicalGeometry:
+    """Points and lines of PG(n, q) in the ranked labelling of pg_lines,
+    all held in memory (for export; the harnesses compare against
+    pg_lines as they go)."""
+    counts = expected_counts(n, q)
+    lines = tuple(pg_lines(n, q, point_bound))
+    points = tuple((0,) * (n - m) + (1,) + tail
+                   for m in range(n + 1)
+                   for tail in itertools.product(range(q), repeat=m))
     if len(lines) != counts.b or len(points) != counts.v:
         raise RuntimeError(f"PG({n},{q}) construction produced inconsistent counts")
-    return CanonicalGeometry(n=n, q=q, points=tuple(points), lines=tuple(lines))
+    return CanonicalGeometry(n=n, q=q, points=points, lines=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +190,53 @@ def check_design(s: IncidenceStructure, v: int, k: int, r: int, lam: int = 1,
                None if bad_size is None else {"line": bad_size + 1,
                                               "size": len(s.lines[bad_size])})
 
-    deg = s.point_degrees()
-    bad_deg = None
-    for p in range(1, v + 1):
-        d = deg[p] if p < len(deg) else 0
-        if d != r:
-            bad_deg = {"point": p, "degree": d}
-            break
-    report.add("every point has degree r", bad_deg is None, bad_deg)
+    deg, cover = _cover_counts(s.lines, max(s.point_window, v), v)
+    bad = np.flatnonzero(deg[1:v + 1] != r)
+    report.add("every point has degree r", not bad.size,
+               bad.size and {"point": int(bad[0]) + 1, "degree": int(deg[bad[0] + 1])})
 
-    counts = s.pair_cover_counts()
-    bad_pair = None
-    for pair in itertools.combinations(range(1, v + 1), 2):
-        if counts.get(pair, 0) != lam:
-            bad_pair = {"pair": list(pair), "count": counts.get(pair, 0)}
-            break
-    report.add(f"every point pair is covered exactly {lam} time(s)", bad_pair is None, bad_pair)
+    bad = np.flatnonzero(cover != lam)
+    report.add(f"every point pair is covered exactly {lam} time(s)", not bad.size,
+               bad.size and {"pair": _unrank_pair(int(bad[0]), v), "count": int(cover[bad[0]])})
 
     report.counts = {"v": v, "k": k, "r": r, "lambda": lam, "lines": b}
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
+
+
+def _cover_counts(lines, top: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree of every point 0..top, and how many lines hold each pair
+    x < y of points in [1, v], indexed by the pair's rank in lex order.
+
+    Lines are grouped by size and turned into arrays a bounded chunk at a
+    time; pairs with a point above v are not counted.
+    """
+    deg = np.zeros(top + 1, dtype=np.int64)
+    cover = np.zeros(v * (v - 1) // 2, dtype=np.int64)
+    by_size: dict[int, list] = {}
+    for line in lines:
+        by_size.setdefault(len(line), []).append(line)
+    for size, group in by_size.items():
+        i, j = np.triu_indices(size, 1)
+        step = max(1, _PAIR_CHUNK // max(1, len(i)))
+        for at in range(0, len(group), step):
+            pts = np.array(group[at:at + step], dtype=np.int64)
+            deg += np.bincount(pts.ravel(), minlength=top + 1)
+            x, y = pts[:, i].ravel(), pts[:, j].ravel()  # lines are sorted: x < y
+            keep = y <= v
+            x, y = x[keep], y[keep]
+            cover += np.bincount((x - 1) * v - (x - 1) * x // 2 + (y - x - 1),
+                                 minlength=len(cover))
+    return deg, cover
+
+
+def _unrank_pair(rank: int, v: int) -> list[int]:
+    """The pair x < y in [1, v] at this rank in lex order."""
+    x = 1
+    while rank >= v - x:
+        rank -= v - x
+        x += 1
+    return [x, x + 1 + rank]
 
 
 def check_veblen_young(s: IncidenceStructure) -> VerificationReport:

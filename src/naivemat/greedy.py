@@ -23,6 +23,7 @@ the prefix is empty and every mask is absolute.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InputRangeError, InvalidParameterError, RowIncompleteError
@@ -54,7 +55,11 @@ class GenParams:
 
 @dataclass(frozen=True)
 class Row:
-    """One emitted row: its 1-based index and strictly increasing column set."""
+    """One emitted row: its 1-based index and strictly increasing column set.
+
+    Only NaiveMatrixGenerator.rows builds these; generation itself deals in
+    point tuples.
+    """
 
     index: int
     points: tuple[int, ...]
@@ -72,11 +77,14 @@ class NaiveMatrixGenerator:
     window of materialised columns grows on demand by its live width
     (window - floor), up to params.column_cap.  The public queries answer in
     absolute column numbers for every column, saturated ones included.
+
+    No row history is kept: next_row hands each row to the caller, and
+    `emitted` counts them.
     """
 
     def __init__(self, params: GenParams):
         self.params = params
-        self.rows: list[Row] = []
+        self.emitted = 0
         self.max_used_column = 0
         w = min(max(_INITIAL_WINDOW, 2 * params.k), params.column_cap)
         self._window = w
@@ -91,7 +99,7 @@ class NaiveMatrixGenerator:
         cap = self.params.column_cap
         if self._window >= cap:
             raise RowIncompleteError(
-                f"no admissible column below the cap {cap} while building row {len(self.rows) + 1}")
+                f"no admissible column below the cap {cap} while building row {self.emitted + 1}")
         live = self._window - self._floor
         grown = min(max(live, _INITIAL_WINDOW), cap - self._window)
         self._active |= ((1 << grown) - 1) << (live + 1)
@@ -116,8 +124,10 @@ class NaiveMatrixGenerator:
             placed.append(j)
             if len(placed) == k:
                 return tuple(placed)
+            # no bit lies below low, and no pair mask holds its own column,
+            # so clearing low leaves exactly the admissible columns above j
             cand &= ~(pair[j] >> (floor - anchor[j]))
-            cand &= -(low << 1)  # keep columns above j only
+            cand ^= low
 
     def peek_next_row(self) -> tuple[int, ...]:
         """Columns the next row will use, without committing it.
@@ -126,38 +136,49 @@ class NaiveMatrixGenerator:
         committing scans once.  May enlarge the internal column window,
         which has no observable effect on generation.
         """
-        if len(self.rows) >= self.params.max_rows:
+        if self.emitted >= self.params.max_rows:
             raise InvalidParameterError(f"all {self.params.max_rows} requested rows already emitted")
         if self._peeked is None:
             self._peeked = self._scan()
         return self._peeked
 
-    def next_row(self) -> Row:
-        points = self.peek_next_row()
+    def next_row(self) -> tuple[int, ...]:
+        """Commit the next row and return its columns, in ascending order."""
+        points = self._peeked or self.peek_next_row()
         self._peeked = None
-        r, floor = self.params.r, self._floor
+        r, floor, active = self.params.r, self._floor, self._active
         degree, pair, anchor = self._degree, self._pair, self._anchor
         row_bits = 0  # bit i stands for column floor + i
         for x in points:
             row_bits |= 1 << (x - floor)
-            d = degree[x]
-            if d == 0:
+            d = degree[x] + 1
+            degree[x] = d
+            if d == 1:
                 anchor[x] = floor
-            degree[x] = d + 1
-            if d + 1 == r:
-                self._active &= ~(1 << (x - floor))
+            if d == r:
+                active &= ~(1 << (x - floor))
         for x in points:
             pair[x] |= (row_bits ^ (1 << (x - floor))) << (floor - anchor[x])
-        active = self._active
+        self._active = active
         if not active & 2:  # the base column saturated: retire up to the next live one
             shift = (active & -active).bit_length() - 2 if active else self._window - floor
             self._floor = floor + shift
             self._active = active >> shift
-        row = Row(len(self.rows) + 1, points)
-        self.rows.append(row)
+        self.emitted += 1
         if points[-1] > self.max_used_column:
             self.max_used_column = points[-1]
-        return row
+        return points
+
+    @property
+    def rows(self) -> list[Row]:
+        """The rows emitted so far, regenerated from params on every read.
+
+        Kept for callers written against the generator's old row history
+        (perfbench/trace_worker.py reads `rows[i].points`) until the
+        benchmark reads the reports' own counters (ROADMAP direction 4).
+        """
+        again = NaiveMatrixGenerator(self.params)
+        return [Row(i, again.next_row()) for i in range(1, self.emitted + 1)]
 
     def column_degree(self, x: int) -> int:
         if x < 1:
@@ -189,9 +210,10 @@ class NaiveMatrixGenerator:
         return self._pair[x] << shift if shift else self._pair[x]  # a shift copies even by 0
 
 
-def generate(params: GenParams) -> list[Row]:
-    """The first params.max_rows rows; deterministic for fixed params."""
+def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
+    """The first params.max_rows rows, as point tuples, one at a time;
+    deterministic for fixed params.  Nothing is kept: a caller that needs
+    the rows again stores them itself."""
     gen = NaiveMatrixGenerator(params)
     for _ in range(params.max_rows):
-        gen.next_row()
-    return gen.rows
+        yield gen.next_row()

@@ -31,6 +31,7 @@ from .report import VerificationReport
 VALUE_BITS = 63
 MEX_INPUT_BOUND = 1 << 12
 EXHAUSTIVE_FIELD_CAP = 256
+_SAMPLE_CHUNK = 1 << 16  # sampled triples checked per batch in field_check
 
 
 def _check_value(x: int, what: str = "value") -> int:
@@ -227,6 +228,19 @@ def _bad(ok: np.ndarray, *values) -> list[int] | None:
     return [int(np.broadcast_to(v, ok.shape)[at]) for v in values]
 
 
+def _pair_laws(x: np.ndarray, y: np.ndarray, xs: np.ndarray, q: int,
+               bits: int) -> tuple[np.ndarray, list]:
+    """The products x (x) y, and the first failures (or None) of closure
+    and commutativity on the pairs (x, y) and of the identity and the
+    inverses on the elements xs."""
+    xy = _mul(x, y, bits)
+    nonzero = xs[xs != 0]
+    return xy, [_bad(xy < q, x, y, xy),
+                _bad(_mul(1, xs, bits) == xs, xs),
+                _bad(xy == _mul(y, x, bits), x, y),
+                _bad(_mul(nonzero, _inverse(nonzero, q), bits) == 1, nonzero)]
+
+
 def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000,
                 seed: int = 0) -> VerificationReport:
     """Verify that [0, q) under nim arithmetic behaves like a field.
@@ -254,40 +268,43 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000,
     # the pair laws cover all of [0, q) while the q-by-q table is cheap,
     # else the samples; the check names say which
     whole = q <= EXHAUSTIVE_FIELD_CAP
-    a, b, c = np.random.default_rng(seed).integers(
-        0, q, size=(3, samples if mode == "sampled" else 0), dtype=np.uint64)
-    xs = np.arange(q, dtype=np.uint64) if whole else a
-    x, y = (xs[:, None], xs[None, :]) if whole else (a, b)
     scope = "" if whole else f" ({samples} sampled)"
-
-    xy = _mul(x, y, bits)
-    w = _bad(xy < q, x, y, xy)
-    report.add("closure of [0,q) under nim product", w is None,
-               w and {"pair": w[:2], "product": w[2]})
-    w = _bad(_mul(1, xs, bits) == xs, xs)
-    report.add("1 is the multiplicative identity", w is None, w and {"element": w[0]})
-    w = _bad(xy == _mul(y, x, bits), x, y)
-    report.add("commutativity" + scope, w is None, {"pair": w})
+    pair_laws, assoc, distrib = [None] * 4, None, None  # first failures
+    if whole:
+        xs = np.arange(q, dtype=np.uint64)
+        x, y = xs[:, None], xs[None, :]
+        xy, pair_laws = _pair_laws(x, y, xs, q, bits)
 
     if mode == "exhaustive":  # plane by plane through the q-by-q table
         t, b_xor_c = xy.astype(np.intp), (x ^ y).astype(np.intp)  # intp gathers fastest
-        laws, assoc, distrib = " (exhaustive)", None, None
+        laws = " (exhaustive)"
         for i in range(q):
             ti = t[i]
             assoc = assoc or _bad(t[ti] == ti[t], i, x, y)  # (i*b)*c = i*(b*c)
             distrib = distrib or _bad(ti[b_xor_c] == (ti[:, None] ^ ti[None, :]), i, x, y)
-    else:
+    else:  # fixed-size chunks of seeded triples, so memory does not grow with samples
         laws = f" ({samples} sampled triples)" if whole else scope
-        ab = _mul(a, b, bits)
-        assoc = _bad(_mul(ab, c, bits) == _mul(a, _mul(b, c, bits), bits), a, b, c)
-        distrib = _bad(_mul(a, b ^ c, bits) == ab ^ _mul(a, c, bits), a, b, c)
+        rng = np.random.default_rng(seed)
+        for done in range(0, samples, _SAMPLE_CHUNK):
+            a, b, c = rng.integers(0, q, size=(3, min(_SAMPLE_CHUNK, samples - done)),
+                                   dtype=np.uint64)
+            if not whole:
+                pair_laws = [old or new for old, new in zip(pair_laws, _pair_laws(a, b, a, q, bits)[1])]
+            ab = _mul(a, b, bits)
+            assoc = assoc or _bad(_mul(ab, c, bits) == _mul(a, _mul(b, c, bits), bits), a, b, c)
+            distrib = distrib or _bad(_mul(a, b ^ c, bits) == ab ^ _mul(a, c, bits), a, b, c)
+
+    closure, identity, commute, inverse = pair_laws
+    report.add("closure of [0,q) under nim product", closure is None,
+               closure and {"pair": closure[:2], "product": closure[2]})
+    report.add("1 is the multiplicative identity", identity is None,
+               identity and {"element": identity[0]})
+    report.add("commutativity" + scope, commute is None, {"pair": commute})
     report.add("associativity" + laws, assoc is None, {"triple": assoc})
     report.add("distributivity" + laws, distrib is None, {"triple": distrib})
-
-    nonzero = xs[xs != 0]
-    w = _bad(_mul(nonzero, _inverse(nonzero, q), bits) == 1, nonzero)
     report.add("every nonzero element has an inverse" if whole else
-               "sampled nonzero elements have inverses", w is None, w and {"element": w[0]})
+               "sampled nonzero elements have inverses", inverse is None,
+               inverse and {"element": inverse[0]})
     report.counts = {"q": q, "mode": mode, "triples": q ** 3 if mode == "exhaustive" else samples}
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

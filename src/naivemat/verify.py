@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
-from .geometry import (DEFAULT_POINT_BOUND, IncidenceStructure, build_pg,
-                       check_design, check_veblen_young, expected_counts)
+from .geometry import (DEFAULT_POINT_BOUND, IncidenceStructure, check_design,
+                       check_veblen_young, expected_counts, pg_lines)
 from .greedy import GenParams, NaiveMatrixGenerator, generate
 from .nimber import VALUE_BITS, greediness_lemma_holds
 from .report import INDETERMINATE, PASS, Check, VerificationReport
@@ -31,34 +31,31 @@ def _identity(n: int, q: int) -> str:
     return f"rows equal the lines of PG({n},{q})"
 
 
-def _add_identity(report: VerificationReport, rows: list[tuple[int, ...]],
-                  n: int, q: int) -> bool:
-    """Check that the rows are, in order, the lines of PG(n, q) as build_pg
-    ranks them; the witness names the first differing line."""
-    lines = build_pg(n, q).lines
-    bad = next((i for i, (row, line) in enumerate(zip(rows, lines)) if row != line), None)
-    report.add(_identity(n, q), bad is None,
-               None if bad is None else {"line": bad + 1, "row": list(rows[bad]),
-                                         "expected": list(lines[bad])})
-    return bad is None
+def _line_witness(i: int, row: tuple[int, ...], line: tuple[int, ...]) -> dict:
+    return {"line": i, "row": list(row), "expected": list(line)}
 
 
 def verify_theorem_q2(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
     """Generate the first d rows at (k, r) = (3, 2^n - 1) and check they are
     xor-closed triples below 2^(n+1) and, in order, the lines of PG(n, 2):
-    at q = 2 build_pg's ranked labelling is the nim-triple model."""
+    at q = 2 pg_lines' ranked labelling is the nim-triple model.  Both
+    checks read each row as it is generated; no row is kept."""
     _guard_n(n, max_n)
     start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
-    rows = [row.points for row in generate(GenParams(k=3, r=r, max_rows=d))]
+    bad_xor = bad_line = None
+    rows = generate(GenParams(k=3, r=r, max_rows=d))
+    for i, (row, line) in enumerate(zip(rows, pg_lines(n, 2)), 1):
+        a, b, c = row
+        if bad_xor is None and not (a < b < c and c == (a ^ b) and c <= s):
+            bad_xor = {"row": i, "points": list(row)}
+        if bad_line is None and row != line:
+            bad_line = _line_witness(i, row, line)
 
     report = VerificationReport(subject=f"theorem q=2 n={n}",
                                 counts={"n": n, "k": 3, "r": r, "d": d, "s": s})
-    bad = next((i for i, (a, b, c) in enumerate(rows)
-                if not (a < b < c and c == (a ^ b) and c < s + 1)), None)
-    report.add("rows are xor-closed triples below 2^(n+1)", bad is None,
-               None if bad is None else {"row": bad + 1, "points": list(rows[bad])})
-    _add_identity(report, rows, n, 2)
+    report.add("rows are xor-closed triples below 2^(n+1)", bad_xor is None, bad_xor)
+    report.add(_identity(n, 2), bad_line is None, bad_line)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -66,36 +63,39 @@ def verify_theorem_q2(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
 def verify_zero_blocks_and_periodicity(n: int, blocks: int,
                                        max_n: int = DEFAULT_MAX_N) -> VerificationReport:
     """Check block t uses only columns in (t*s, (t+1)*s] and that row i+d is
-    row i shifted by s."""
+    row i shifted by s.
+
+    One pass over the rows, keeping block 0 only: while every earlier row
+    is its predecessor shifted by s, row i+d is row i shifted by s exactly
+    when row t*d + j is row j of block 0 shifted by t*s, so the first
+    failure and its witness are the same.
+    """
     _guard_n(n, max_n)
     if blocks < 1:
         raise InvalidParameterError(f"blocks must be at least 1, got {blocks}")
     start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
-    rows = generate(GenParams(k=3, r=r, max_rows=blocks * d))
+
+    block0: list[tuple[int, ...]] = []
+    bad_window = bad_shift = None
+    count = 0
+    for count, row in enumerate(generate(GenParams(k=3, r=r, max_rows=blocks * d)), 1):
+        block, j = divmod(count - 1, d)
+        lo, hi = block * s, (block + 1) * s  # lo is also the block's shift
+        if bad_window is None and not lo < min(row) <= max(row) <= hi:
+            bad_window = {"row": count, "points": list(row), "window": [lo + 1, hi]}
+        if block == 0:
+            block0.append(row)
+        elif bad_shift is None:
+            want = tuple(p + lo for p in block0[j])
+            if row != want:
+                bad_shift = {"row": count, "points": list(row), "expected": list(want)}
 
     report = VerificationReport(
         subject=f"zero blocks and periodicity n={n} blocks={blocks}",
-        counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": len(rows)})
-
-    bad = None
-    for row in rows:
-        block = (row.index - 1) // d
-        lo, hi = block * s, (block + 1) * s
-        if not all(lo < p <= hi for p in row.points):
-            bad = {"row": row.index, "points": list(row.points),
-                   "window": [lo + 1, hi]}
-            break
-    report.add("each block of d rows stays in its s-column window", bad is None, bad)
-
-    bad = None
-    for i in range((blocks - 1) * d):
-        want = tuple(p + s for p in rows[i].points)
-        if rows[i + d].points != want:
-            bad = {"row": i + 1 + d, "points": list(rows[i + d].points),
-                   "expected": list(want)}
-            break
-    report.add("row i+d equals row i shifted by s", bad is None, bad)
+        counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": count})
+    report.add("each block of d rows stays in its s-column window", bad_window is None, bad_window)
+    report.add("row i+d equals row i shifted by s", bad_shift is None, bad_shift)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -166,14 +166,14 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
 
 def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     """Generate the first b rows at (k, r) = (q+1, (q^n-1)/(q-1)) and check
-    that they are, line for line, the lines of PG(n, q) as build_pg ranks
+    that they are, line for line, the lines of PG(n, q) as pg_lines ranks
     them.
 
     The window and design checks are independent evidence on the rows
     alone.  Pasch closure runs only when the identity fails on a design, to
     say whether the rows form a projective space under some other
     labelling (a failed design is none under any labelling).  Above
-    build_pg's point bound nothing is generated and the identity is
+    the point bound nothing is generated and the identity is
     reported as indeterminate.
     """
     if a_exponent < 0:
@@ -193,7 +193,7 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
         report.elapsed_ms = (time.perf_counter() - start) * 1000.0
         return report
 
-    rows = [row.points for row in generate(GenParams(k=k, r=r, max_rows=b))]
+    rows = list(generate(GenParams(k=k, r=r, max_rows=b)))
     max_col = max(pts[-1] for pts in rows)
     report.add("rows stay within the point window", max_col <= v,
                {"max_column": max_col, "window": v})
@@ -203,7 +203,10 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     for c in design.checks:
         report.checks.append(Check("design: " + c.name, c.status, c.witness))
 
-    if not _add_identity(report, rows, n, q) and design.status == PASS:
+    bad_line = next((_line_witness(i, row, line) for i, (row, line)
+                     in enumerate(zip(rows, pg_lines(n, q)), 1) if row != line), None)
+    report.add(_identity(n, q), bad_line is None, bad_line)
+    if bad_line is not None and design.status == PASS:
         for c in check_veblen_young(s).checks:
             report.checks.append(Check("veblen-young: " + c.name, c.status, c.witness))
 

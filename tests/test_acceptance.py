@@ -114,7 +114,7 @@ def test_criterion_8_oracle_equivalence():
 
     ok = True
     for k, r in [(3, 1), (3, 2), (3, 3), (4, 2)]:
-        rows = [row.points for row in generate(GenParams(k, r, 10))]
+        rows = list(generate(GenParams(k, r, 10)))
         prev = []
         for row in rows:
             bound = max((p for rr in prev for p in rr), default=0) + k

@@ -116,7 +116,7 @@ def naive_pbm(rows, width):
 
 @pytest.mark.parametrize("k,r,n_rows", [(3, 3, 700), (3, 1, 300)])
 def test_generate_streams_the_formatted_text(tmp_path, capsys, k, r, n_rows):
-    rows = [row.points for row in generate(GenParams(k, r, n_rows))]
+    rows = list(generate(GenParams(k, r, n_rows)))
     width = max(pts[-1] for pts in rows)
     expected = {"rows-csv": format_rows_csv(rows),
                 "matrix-pbm": format_matrix_pbm(rows, width, len(rows))}

@@ -4,6 +4,8 @@ import json
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naivemat import verify
 from naivemat.cli import main
@@ -12,7 +14,6 @@ from naivemat.errors import (InvalidParameterError, PreconditionError,
 from naivemat.geometry import (CanonicalGeometry, IncidenceStructure,
                                build_pg, check_design,
                                check_veblen_young, expected_counts)
-from naivemat.greedy import Row
 from naivemat.nimber import FermatField
 
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
@@ -210,6 +211,72 @@ def test_check_design_single_line():
     assert check_design(s, 3, 3, 1, 1).status == "pass"
 
 
+def dict_check_design(s, v, k, r, lam):
+    """The design conditions counted with a dict keyed by pair, as
+    (name, status, witness) triples; the reference for check_design."""
+    checks = []
+
+    def add(name, witness):
+        checks.append((name, "pass" if witness is None else "fail", witness))
+
+    b = len(s.lines)
+    add("b*k = v*r", None if b * k == v * r else {"b": b, "k": k, "v": v, "r": r})
+    bad = next((i for i, line in enumerate(s.lines) if line[-1] > v or line[0] < 1), None)
+    add("lines stay within [1, v]", None if bad is None else {"line": bad + 1, "points": list(s.lines[bad])})
+    bad = next((i for i, line in enumerate(s.lines) if len(line) != k), None)
+    add("every line has k points", None if bad is None else {"line": bad + 1, "size": len(s.lines[bad])})
+    deg = {}
+    pairs = {}
+    for line in s.lines:
+        for p in line:
+            deg[p] = deg.get(p, 0) + 1
+        for pair in combinations(line, 2):
+            pairs[pair] = pairs.get(pair, 0) + 1
+    add("every point has degree r",
+        next(({"point": p, "degree": deg.get(p, 0)} for p in range(1, v + 1) if deg.get(p, 0) != r), None))
+    add(f"every point pair is covered exactly {lam} time(s)",
+        next(({"pair": list(pair), "count": pairs.get(pair, 0)}
+              for pair in combinations(range(1, v + 1), 2) if pairs.get(pair, 0) != lam), None))
+    return checks
+
+
+def assert_design_matches_dict(s, v, k, r, lam):
+    rep = check_design(s, v, k, r, lam)
+    got = [(c.name, c.status, c.witness) for c in rep.checks]
+    assert got == dict_check_design(s, v, k, r, lam)
+    return got
+
+
+ALL_TRIPLES_OF_4 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))  # a 2-(4,3,2) design, r = 3
+
+
+@pytest.mark.parametrize("lines,window,v,k,r,lam,failing", [
+    (FANO_TRIPLES, 7, 7, 3, 3, 1, None),
+    (FANO_TRIPLES[:-1], 7, 7, 3, 3, 1, "missing pair"),
+    (FANO_TRIPLES + ((1, 2, 4),), 7, 7, 3, 3, 1, "doubled pair"),
+    (FANO_TRIPLES[:-1] + ((3, 5, 8),), 8, 7, 3, 3, 1, "point outside the window"),
+    (FANO_TRIPLES[:-1] + ((3, 5), (6, 9)), 9, 7, 3, 3, 1, "mixed line sizes"),
+    (ALL_TRIPLES_OF_4, 4, 4, 3, 3, 2, None),
+    (ALL_TRIPLES_OF_4[:-1], 4, 4, 3, 3, 2, "lam = 2, missing line"),
+    (ALL_TRIPLES_OF_4 + ((1, 2),), 4, 4, 3, 3, 2, "lam = 2, doubled pair"),
+    (((1, 2, 3, 4, 5),), 6, 6, 5, 1, 1, "uncovered last point"),
+])
+def test_check_design_matches_dict_oracle(lines, window, v, k, r, lam, failing):
+    got = assert_design_matches_dict(IncidenceStructure(window, lines), v, k, r, lam)
+    assert all(status == "pass" for _, status, _ in got) == (failing is None)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 12).flatmap(lambda w: st.tuples(
+    st.just(w),
+    st.sets(st.frozensets(st.integers(1, w), min_size=1, max_size=min(w, 5)), max_size=25),
+    st.integers(1, w + 2), st.integers(1, 5), st.integers(1, 6), st.integers(1, 3))))
+def test_check_design_matches_dict_oracle_random(case):
+    window, lines, v, k, r, lam = case
+    s = IncidenceStructure(window, tuple(tuple(sorted(line)) for line in lines))
+    assert_design_matches_dict(s, v, k, r, lam)
+
+
 def test_check_design_wrong_line_size():
     s = IncidenceStructure(4, ((1, 2, 3), (1, 4)))
     rep = check_design(s, 4, 3, 2, 1)
@@ -293,8 +360,7 @@ def test_pasch_switch_not_isomorphic_to_pg32(monkeypatch, capsys):
     # the first changed line, and the failed Pasch closure, an isomorphism
     # invariant that PG(3,2) has, shows no relabelling matches either
     lines = sorted(pasch_switched_sts15().lines)
-    monkeypatch.setattr(verify, "generate",
-                        lambda params: [Row(i + 1, line) for i, line in enumerate(lines)])
+    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
     rep = verify.verify_general_q(0, 3)
     assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}

@@ -1,4 +1,4 @@
-"""Greedy generation: frozen row lists, family detection, state queries,
+"""Greedy generation: streamed rows, family detection, state queries,
 and the brute-force lexicographic-minimum oracle."""
 
 import tracemalloc
@@ -64,35 +64,33 @@ def test_gen_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_fano_rows_exact():
-    rows = generate(GenParams(k=3, r=3, max_rows=7))
-    assert [row.points for row in rows] == FANO_ROWS
-    assert [row.index for row in rows] == list(range(1, 8))
+    assert list(generate(GenParams(k=3, r=3, max_rows=7))) == FANO_ROWS
 
 
 def test_matching_families():
-    assert [r.points for r in generate(GenParams(3, 1, 3))] == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
-    assert [r.points for r in generate(GenParams(2, 1, 2))] == [(1, 2), (3, 4)]
+    assert list(generate(GenParams(3, 1, 3))) == [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    assert list(generate(GenParams(2, 1, 2))) == [(1, 2), (3, 4)]
 
 
 def test_next_row_mid_state():
     gen = NaiveMatrixGenerator(GenParams(k=3, r=3, max_rows=7))
     for want in FANO_ROWS[:4]:
-        assert gen.next_row().points == want
+        assert gen.next_row() == want
     # j=5 pairs freely with 2; 6 is blocked by the pair (2,6); 7 is admissible
     assert gen.peek_next_row() == (2, 5, 7)
-    assert gen.next_row().points == (2, 5, 7)
+    assert gen.next_row() == (2, 5, 7)
 
 
 def test_peek_does_not_commit():
     gen = NaiveMatrixGenerator(GenParams(k=3, r=3, max_rows=7))
     assert gen.peek_next_row() == (1, 2, 3)
     assert gen.peek_next_row() == (1, 2, 3)
-    assert gen.rows == []
-    assert gen.next_row().points == (1, 2, 3)
+    assert gen.emitted == 0
+    assert gen.next_row() == (1, 2, 3)
 
 
 def test_peek_is_kept_until_committed():
-    want = [row.points for row in generate(GenParams(k=3, r=7, max_rows=300))]
+    want = list(generate(GenParams(k=3, r=7, max_rows=300)))
     gen = NaiveMatrixGenerator(GenParams(k=3, r=7, max_rows=300))
     scans = 0
     scan = gen._scan
@@ -106,8 +104,8 @@ def test_peek_is_kept_until_committed():
     for i, points in enumerate(want):
         assert gen.peek_next_row() == points
         assert gen.peek_next_row() == points
-        assert gen.next_row() == Row(i + 1, points)
-    assert [row.points for row in gen.rows] == want
+        assert gen.next_row() == points
+    assert gen.emitted == i + 1
     assert scans == len(want)  # one scan per row, however often it is peeked
 
 
@@ -120,12 +118,12 @@ def test_max_rows_is_enforced():
 
 def test_determinism():
     p = GenParams(k=4, r=3, max_rows=20)
-    assert generate(p) == generate(p)
+    assert list(generate(p)) == list(generate(p))
 
 
 def test_column_cap_raises_row_incomplete():
     with pytest.raises(RowIncompleteError):
-        generate(GenParams(k=3, r=1, max_rows=2, column_cap=3))
+        list(generate(GenParams(k=3, r=1, max_rows=2, column_cap=3)))
 
 
 def test_is_complete_and_connectable():
@@ -165,7 +163,7 @@ def test_connectable_mask_matches_pairs():
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 5), st.integers(1, 5), st.integers(1, 15))
 def test_linear_space_and_degree_invariants(k, r, n_rows):
-    rows = [row.points for row in generate(GenParams(k, r, n_rows))]
+    rows = list(generate(GenParams(k, r, n_rows)))
     deg = {}
     for row in rows:
         assert len(row) == k
@@ -180,7 +178,7 @@ def test_linear_space_and_degree_invariants(k, r, n_rows):
 
 @pytest.mark.parametrize("k,r", [(3, 1), (3, 2), (3, 3), (4, 2)])
 def test_element_greedy_equals_lexmin_oracle(k, r):
-    rows = [row.points for row in generate(GenParams(k, r, 10))]
+    rows = list(generate(GenParams(k, r, 10)))
     prev = []
     for row in rows:
         bound = max((p for rr in prev for p in rr), default=0) + k
@@ -189,16 +187,16 @@ def test_element_greedy_equals_lexmin_oracle(k, r):
 
 
 def test_rows_strictly_lex_increasing():
-    rows = [row.points for row in generate(GenParams(3, 7, 35))]
+    rows = list(generate(GenParams(3, 7, 35)))
     assert rows == sorted(rows)
 
 
 def test_window_growth_past_initial_bound():
     # r=1 consumes three fresh columns per row, crossing the 64-column
     # window mid-row around row 22
-    rows = [row.points for row in generate(GenParams(3, 1, 30))]
+    rows = list(generate(GenParams(3, 1, 30)))
     assert rows == [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(30)]
-    rows = [row.points for row in generate(GenParams(5, 1, 20))]
+    rows = list(generate(GenParams(5, 1, 20)))
     assert rows == [tuple(range(5 * i + 1, 5 * i + 6)) for i in range(20)]
 
 
@@ -208,21 +206,21 @@ def test_window_growth_past_initial_bound():
 def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
     """Every state query, saturated columns included, agrees with the rows:
     degrees and masks of every column after every row, and connectable for
-    every pair that involves a column of the new row."""
+    every pair that involves a column of the new row.  The regenerated
+    `rows` property lists exactly the rows emitted."""
     params = GenParams(k, r, n_rows, column_cap=max(cap, k)) if cap else GenParams(k, r, n_rows)
     gen = NaiveMatrixGenerator(params)
     deg, partners = {}, {}
+    prev = []
     for m in range(n_rows):
-        prev = [row.points for row in gen.rows]
         try:
-            row = gen.next_row().points
+            row = gen.next_row()
         except RowIncompleteError:
             # the greedy row needs a column beyond the cap
             bound = max((p for rr in prev for p in rr), default=0) + k
             assert cap is not None
             assert lexmin_admissible_row(prev, k, r, bound)[-1] > params.column_cap
-            return
-        assert [x.points for x in gen.rows] == prev + [row]
+            break
         if m < 10:
             bound = max((p for rr in prev for p in rr), default=0) + k
             assert row == lexmin_admissible_row(prev, k, r, bound)
@@ -241,12 +239,16 @@ def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
                     want = bool(partners[x] >> y & 1)
                     assert gen.connectable(x, y) == want
                     assert gen.connectable(y, x) == want
+        prev.append(row)
+    assert gen.emitted == len(prev)
+    assert gen.rows == [Row(i, row) for i, row in enumerate(prev, 1)]
 
 
 def _generate_peak_bytes(k, r, rows):
     tracemalloc.start()
     try:
-        generate(GenParams(k, r, rows))
+        for _ in generate(GenParams(k, r, rows)):
+            pass
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -314,6 +314,68 @@ def test_field_check_sampled_q_2_32():
     assert rep.counts == {"q": 1 << 32, "mode": "sampled", "triples": 10 ** 5}
 
 
+def _field_check_peak_bytes(samples):
+    tracemalloc.start()
+    try:
+        assert field_check(65536, mode="sampled", samples=samples).status == "pass"
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_check_sampled_memory_does_not_grow_with_samples():
+    # the samples are drawn and checked in fixed-size chunks: 10x the
+    # samples, about the same peak (the whole arrays took ~10x)
+    assert _field_check_peak_bytes(10 ** 6) <= 1.25 * _field_check_peak_bytes(10 ** 5)
+
+
+def test_field_check_sampled_witness_is_first_in_draw_order(monkeypatch):
+    # inverses made to fail on two sampled elements first drawn in the
+    # second and the third chunk: the witness is the one drawn first
+    chunk, q = nimber._SAMPLE_CHUNK, 65536
+    samples = 3 * chunk
+    rng = np.random.default_rng(0)
+    drawn = np.concatenate([rng.integers(0, q, size=(3, chunk), dtype=np.uint64)[0]
+                            for _ in range(3)])  # the elements, in draw order
+    first_draw = {}
+    for i, x in enumerate(drawn.tolist()):
+        first_draw.setdefault(x, i)
+    second = next(x for x, i in first_draw.items() if x and chunk <= i < 2 * chunk)
+    third = next(x for x, i in first_draw.items() if x and i >= 2 * chunk)
+    real = nimber._inverse
+    monkeypatch.setattr(nimber, "_inverse", lambda x, q: np.where(
+        np.isin(x, [second, third]), np.uint64(0), real(x, q)))
+    rep = field_check(q, mode="sampled", samples=samples)
+    assert rep.checks[-1].name == "sampled nonzero elements have inverses"
+    assert rep.checks[-1].witness == {"element": second}
+    assert [c.status for c in rep.checks[:-1]] == ["pass"] * 5
+
+
+def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
+    # products with one sampled element, drawn in the second chunk, made
+    # wrong: associativity and distributivity fail there first, and a
+    # later chunk that passes must not hide it
+    chunk = nimber._SAMPLE_CHUNK
+    rng = np.random.default_rng(0)
+    a, b, c = np.concatenate([rng.integers(0, 1 << 32, size=(3, chunk), dtype=np.uint64)
+                              for _ in range(3)], axis=1)
+    at = chunk + 5
+    bad = a[at]
+    assert np.count_nonzero(a == bad) == 1
+    real = nimber._mul
+
+    def broken(x, y, bits, table=None, table_bits=nimber._TABLE_BITS):
+        out = real(x, y, bits, table, table_bits)
+        return out if table is not None else out ^ (np.asarray(x) == bad)  # top level only
+
+    monkeypatch.setattr(nimber, "_mul", broken)
+    samples = 3 * chunk
+    by_name = {c.name: c for c in field_check(1 << 32, mode="sampled", samples=samples).checks}
+    want = {"triple": [int(a[at]), int(b[at]), int(c[at])]}
+    assert by_name[f"associativity ({samples} sampled)"].witness == want
+    assert by_name[f"distributivity ({samples} sampled)"].witness == want
+
+
 def test_field_check_names_its_witnesses(monkeypatch):
     # xor in place of the nim product: closed, commutative and associative,
     # but 1 is no identity and the product does not distribute

@@ -1,13 +1,14 @@
 """Verification harnesses and the report type."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from naivemat import verify
 from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from naivemat.geometry import build_pg
-from naivemat.greedy import GenParams, NaiveMatrixGenerator, Row, generate
+from naivemat.greedy import GenParams, NaiveMatrixGenerator, generate
 from naivemat.report import Check, VerificationReport
 from naivemat.verify import (lemma_exhaustive, verify_general_q, verify_proof_invariants,
                              verify_theorem_q2, verify_zero_blocks_and_periodicity)
@@ -76,8 +77,7 @@ def test_theorem_moved_row_names_its_line(monkeypatch):
     # and the same set, but no longer the lines of PG(2,2) in order
     lines = list(build_pg(2, 2).lines)
     lines.append(lines.pop(2))
-    monkeypatch.setattr(verify, "generate",
-                        lambda params: [Row(i + 1, line) for i, line in enumerate(lines)])
+    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
     rep = verify_theorem_q2(2)
     assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}
@@ -102,8 +102,8 @@ def test_periodicity_n1_two_blocks():
     rep = verify_zero_blocks_and_periodicity(1, 2)
     assert rep.status == "pass"
     # explicit shift: row 2 is row 1 moved by s=3
-    rows = generate(GenParams(3, 1, 2))
-    assert rows[1].points == tuple(p + 3 for p in rows[0].points)
+    rows = list(generate(GenParams(3, 1, 2)))
+    assert rows[1] == tuple(p + 3 for p in rows[0])
 
 
 @pytest.mark.parametrize("n,blocks", [(2, 3), (3, 2), (4, 3)])
@@ -116,6 +116,39 @@ def test_periodicity_families(n, blocks):
 def test_periodicity_guards():
     with pytest.raises(InvalidParameterError):
         verify_zero_blocks_and_periodicity(2, 0)
+
+
+def periodic_rows(n, blocks):
+    """The rows the periodicity claim predicts: PG(n,2)'s lines, block t
+    shifted by t*s."""
+    s = (1 << (n + 1)) - 1
+    return [tuple(p + t * s for p in line) for t in range(blocks) for line in build_pg(n, 2).lines]
+
+
+def test_periodicity_row_leaving_its_window(monkeypatch):
+    rows = periodic_rows(2, 3)
+    rows[9] = (8, 13, 15)  # row 10, block 1 = columns 8..14; should be (8, 13, 14)
+    monkeypatch.setattr(verify, "generate", lambda params: iter(rows))
+    rep = verify_zero_blocks_and_periodicity(2, 3)
+    assert [(c.name, c.status, c.witness) for c in rep.checks] == [
+        ("each block of d rows stays in its s-column window", "fail",
+         {"row": 10, "points": [8, 13, 15], "window": [8, 14]}),
+        ("row i+d equals row i shifted by s", "fail",
+         {"row": 10, "points": [8, 13, 15], "expected": [8, 13, 14]})]
+    assert rep.counts["rows"] == 21
+
+
+def test_periodicity_broken_shift_in_block_2(monkeypatch):
+    # rows 17 and 18 swapped: block 2 stays in its window, but row 17 is
+    # no longer row 10 shifted by s = 7
+    rows = periodic_rows(2, 3)
+    rows[16], rows[17] = rows[17], rows[16]
+    monkeypatch.setattr(verify, "generate", lambda params: iter(rows))
+    rep = verify_zero_blocks_and_periodicity(2, 3)
+    assert [(c.name, c.status, c.witness) for c in rep.checks] == [
+        ("each block of d rows stays in its s-column window", "pass", None),
+        ("row i+d equals row i shifted by s", "fail",
+         {"row": 17, "points": [16, 18, 20], "expected": [15, 20, 21]})]
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +267,28 @@ def test_proof_invariants_hidden_partner_matches_rescan(monkeypatch, n, point, p
 
 
 # ---------------------------------------------------------------------------
+# memory: the q = 2 harnesses keep no rows
+# ---------------------------------------------------------------------------
+
+def _peak_bytes(harness, n):
+    tracemalloc.start()
+    try:
+        assert harness(n).status == "pass"
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("harness", [verify_theorem_q2, verify_proof_invariants])
+def test_q2_harness_memory_is_not_per_row(harness):
+    # d grows 16x from n = 6 to n = 8 (2667 -> 43435 rows).  A stored row
+    # costs about 280 bytes; the generator's pair masks, about s^2/8 bytes
+    # (0.75 byte per row), are all that should grow.
+    d6, d8 = verify.expected_counts(6, 2).d, verify.expected_counts(8, 2).d
+    assert _peak_bytes(harness, 8) - _peak_bytes(harness, 6) < 8 * (d8 - d6)
+
+
+# ---------------------------------------------------------------------------
 # general-q harness
 # ---------------------------------------------------------------------------
 
@@ -286,8 +341,7 @@ def test_general_q_moved_point_names_its_row(monkeypatch):
     row = lines[9]
     moved = next(x for x in range(1, 22) if x not in row)
     lines[9] = tuple(sorted(row[:-1] + (moved,)))
-    monkeypatch.setattr(verify, "generate",
-                        lambda params: [Row(i + 1, line) for i, line in enumerate(lines)])
+    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
     rep = verify_general_q(1, 2)
     assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}
