@@ -6,10 +6,9 @@ fields, builds canonical PG(n, q) models, and verifies that the generated
 rows reproduce their point-line designs.
 """
 
-from .errors import (InputRangeError, InvalidParameterError, PreconditionError,
-                     ResourceLimitError, RowIncompleteError)
+from .errors import InputRangeError, InvalidParameterError, ResourceLimitError, RowIncompleteError
 from .geometry import (CanonicalGeometry, IncidenceStructure, PgCounts, build_pg,
-                       check_design, check_veblen_young, expected_counts, pg_lines)
+                       check_design, check_design_lines, expected_counts, pg_lines)
 from .greedy import GenParams, NaiveMatrixGenerator, generate
 from .nimber import (FermatField, field_check, greediness_lemma_holds,
                      is_fermat_two_power, nim_add, nim_mul, nim_mul_table)
@@ -29,13 +28,12 @@ __all__ = [
     "InvalidParameterError",
     "NaiveMatrixGenerator",
     "PgCounts",
-    "PreconditionError",
     "ResourceLimitError",
     "RowIncompleteError",
     "VerificationReport",
     "build_pg",
     "check_design",
-    "check_veblen_young",
+    "check_design_lines",
     "expected_counts",
     "field_check",
     "generate",

@@ -19,7 +19,3 @@ class RowIncompleteError(RuntimeError):
 
 class OutputError(RuntimeError):
     """An artifact could not be written to its destination."""
-
-
-class PreconditionError(ValueError):
-    """A checker was handed a structure that violates its stated precondition."""

@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import itertools
 import time
+from array import array
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, PreconditionError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .nimber import is_fermat_two_power, nim_mul
 from .report import VerificationReport
 
 DEFAULT_POINT_BOUND = 10_000
-_PAIR_CHUNK = 1 << 21  # pair ranks counted per bincount in check_design
+_CHUNK = 1 << 21  # points times line size (about twice the pairs) held by check_design_lines
 
 PgCounts = namedtuple("PgCounts", "v b r k d")
 
@@ -67,19 +68,6 @@ class IncidenceStructure:
             raise InvalidParameterError("repeated lines are not allowed")
         self.lines = tuple(norm)
 
-    @property
-    def num_lines(self) -> int:
-        return len(self.lines)
-
-    def line_masks(self) -> list[int]:
-        masks = []
-        for line in self.lines:
-            m = 0
-            for p in line:
-                m |= 1 << p
-            masks.append(m)
-        return masks
-
 
 @dataclass(frozen=True)
 class CanonicalGeometry:
@@ -97,9 +85,6 @@ class CanonicalGeometry:
     @property
     def b(self) -> int:
         return len(self.lines)
-
-    def as_incidence(self) -> IncidenceStructure:
-        return IncidenceStructure(point_window=self.v, lines=self.lines)
 
 
 def pg_lines(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Iterator[tuple[int, ...]]:
@@ -147,7 +132,7 @@ def _ranked_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
                 for mid in range(q ** (m - low_len - 1)):  # between the pivots
                     head = first[m] + (mid << (w * (low_len + 1)))
                     for low in range(q ** low_len):
-                        yield (p2,) + tuple(head + hi + (low ^ s) for hi, s in cols)
+                        yield (p2, *[head + hi + (low ^ s) for hi, s in cols])
 
 
 def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> CanonicalGeometry:
@@ -165,69 +150,74 @@ def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Canonica
 
 
 # ---------------------------------------------------------------------------
-# design and Pasch checks
+# design check
 # ---------------------------------------------------------------------------
 
 def check_design(s: IncidenceStructure, v: int, k: int, r: int, lam: int = 1,
                  subject: str | None = None) -> VerificationReport:
-    """Verify the 2-(v, k, lam) conditions with per-point degree r.
+    """check_design_lines on the lines of s."""
+    return check_design_lines(s.lines, v, k, r, lam, subject)
+
+
+def check_design_lines(lines: Iterable[tuple[int, ...]], v: int, k: int, r: int, lam: int = 1,
+                       subject: str | None = None) -> VerificationReport:
+    """Verify the 2-(v, k, lam) conditions with per-point degree r on
+    nonempty lines of ascending points, read once.
 
     All conditions are evaluated (a failing count identity does not hide an
-    uncovered pair); each failing check carries its smallest witness.
+    uncovered pair); each failing check carries its smallest witness.  The
+    lines are counted a bounded chunk at a time and none is kept, so they
+    may come from a generator.
     """
     start = time.perf_counter()
     report = VerificationReport(subject=subject or f"design 2-({v},{k},{lam}) with r={r}")
-    b = s.num_lines
+    deg = np.zeros(v + 1, dtype=np.int64)
+    cover = np.zeros(v * (v - 1) // 2, dtype=np.int64)  # by pair rank
+    pending: dict[int, array] = {}  # points of the uncounted lines of each size
+    b = 0
+    bad_window = bad_size = None
+    for b, line in enumerate(lines, 1):
+        size = len(line)
+        if bad_window is None and (line[-1] > v or line[0] < 1):
+            bad_window = {"line": b, "points": list(line)}
+        if bad_size is None and size != k:
+            bad_size = {"line": b, "size": size}
+        flat = pending.get(size)
+        if flat is None:
+            flat = pending[size] = array("q")
+        flat.extend(line)
+        if len(flat) * size >= _CHUNK:
+            _count(flat, size, v, deg, cover)
+            del flat[:]
+    for size, flat in pending.items():
+        _count(flat, size, v, deg, cover)
+
     report.add("b*k = v*r", b * k == v * r, {"b": b, "k": k, "v": v, "r": r})
-
-    bad_window = next((i for i, line in enumerate(s.lines) if line[-1] > v or line[0] < 1), None)
-    report.add("lines stay within [1, v]", bad_window is None,
-               None if bad_window is None else {"line": bad_window + 1,
-                                                "points": list(s.lines[bad_window])})
-
-    bad_size = next((i for i, line in enumerate(s.lines) if len(line) != k), None)
-    report.add("every line has k points", bad_size is None,
-               None if bad_size is None else {"line": bad_size + 1,
-                                              "size": len(s.lines[bad_size])})
-
-    deg, cover = _cover_counts(s.lines, max(s.point_window, v), v)
-    bad = np.flatnonzero(deg[1:v + 1] != r)
+    report.add("lines stay within [1, v]", bad_window is None, bad_window)
+    report.add("every line has k points", bad_size is None, bad_size)
+    bad = np.flatnonzero(deg[1:] != r)
     report.add("every point has degree r", not bad.size,
                bad.size and {"point": int(bad[0]) + 1, "degree": int(deg[bad[0] + 1])})
-
     bad = np.flatnonzero(cover != lam)
     report.add(f"every point pair is covered exactly {lam} time(s)", not bad.size,
                bad.size and {"pair": _unrank_pair(int(bad[0]), v), "count": int(cover[bad[0]])})
-
     report.counts = {"v": v, "k": k, "r": r, "lambda": lam, "lines": b}
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def _cover_counts(lines, top: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree of every point 0..top, and how many lines hold each pair
-    x < y of points in [1, v], indexed by the pair's rank in lex order.
-
-    Lines are grouped by size and turned into arrays a bounded chunk at a
-    time; pairs with a point above v are not counted.
-    """
-    deg = np.zeros(top + 1, dtype=np.int64)
-    cover = np.zeros(v * (v - 1) // 2, dtype=np.int64)
-    by_size: dict[int, list] = {}
-    for line in lines:
-        by_size.setdefault(len(line), []).append(line)
-    for size, group in by_size.items():
-        i, j = np.triu_indices(size, 1)
-        step = max(1, _PAIR_CHUNK // max(1, len(i)))
-        for at in range(0, len(group), step):
-            pts = np.array(group[at:at + step], dtype=np.int64)
-            deg += np.bincount(pts.ravel(), minlength=top + 1)
-            x, y = pts[:, i].ravel(), pts[:, j].ravel()  # lines are sorted: x < y
-            keep = y <= v
-            x, y = x[keep], y[keep]
-            cover += np.bincount((x - 1) * v - (x - 1) * x // 2 + (y - x - 1),
-                                 minlength=len(cover))
-    return deg, cover
+def _count(flat: array, size: int, v: int, deg: np.ndarray, cover: np.ndarray) -> None:
+    """Add the degree of every point in [1, v], and the cover count of every
+    pair x < y of such points by its rank in lex order, over the lines of
+    this size whose points flat holds one after another."""
+    pts = np.frombuffer(flat, dtype=np.int64).reshape(-1, size)
+    flat_pts = pts.ravel()
+    np.add.at(deg, flat_pts[(flat_pts >= 1) & (flat_pts <= v)], 1)
+    i, j = np.triu_indices(size, 1)
+    x, y = pts[:, i].ravel(), pts[:, j].ravel()
+    keep = (x >= 1) & (x < y) & (y <= v)
+    x, y = x[keep], y[keep]
+    np.add.at(cover, (x - 1) * (2 * v - x) // 2 + (y - x - 1), 1)
 
 
 def _unrank_pair(rank: int, v: int) -> list[int]:
@@ -237,88 +227,3 @@ def _unrank_pair(rank: int, v: int) -> list[int]:
         rank -= v - x
         x += 1
     return [x, x + 1 + rank]
-
-
-def check_veblen_young(s: IncidenceStructure) -> VerificationReport:
-    """Pasch closure: a line meeting two sides of a triangle away from its
-    vertices must meet the third side.
-
-    Requires a partial linear space (no pair on two lines).  If every pair
-    of lines already meets, as in any projective plane, the axiom holds
-    outright and the triangle scan is skipped.
-    """
-    start = time.perf_counter()
-    v = s.point_window
-    pair_to_line: dict[tuple[int, int], int] = {}
-    for idx, line in enumerate(s.lines):
-        for pair in itertools.combinations(line, 2):
-            if pair in pair_to_line:
-                raise PreconditionError(
-                    f"pair {pair} lies on two lines; Pasch closure needs a partial linear space")
-            pair_to_line[pair] = idx
-
-    masks = s.line_masks()
-    report = VerificationReport(subject="veblen-young (pasch closure)")
-
-    all_meet = True
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if not mi & masks[j]:
-                all_meet = False
-                break
-        if not all_meet:
-            break
-    if all_meet:
-        report.add("pasch closure", True)
-        report.counts = {"points": v, "lines": s.num_lines, "triangles": 0,
-                         "transversals": 0, "all_line_pairs_meet": 1}
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return report
-
-    triangles = 0
-    transversals = 0
-    witness = None
-    lines = s.lines
-    for abc in itertools.combinations(range(1, v + 1), 3):
-        pa, pb, pc = abc
-        ab = pair_to_line.get((pa, pb))
-        ac = pair_to_line.get((pa, pc))
-        bc = pair_to_line.get((pb, pc))
-        if ab is None or ac is None or bc is None:
-            continue
-        if (masks[ab] >> pc) & 1:  # collinear
-            continue
-        triangles += 1
-        for apex, u, w, l1, l2, side in ((pa, pb, pc, ab, ac, bc),
-                                         (pb, pa, pc, ab, bc, ac),
-                                         (pc, pa, pb, ac, bc, ab)):
-            side_mask = masks[side]
-            for p in lines[l1]:
-                if p == apex or p == u:
-                    continue
-                for qq in lines[l2]:
-                    if qq == apex or qq == w:
-                        continue
-                    t = pair_to_line.get((p, qq) if p < qq else (qq, p))
-                    if t is None:
-                        continue
-                    transversals += 1
-                    if not masks[t] & side_mask:
-                        witness = {"triangle": list(abc), "apex": apex,
-                                   "meet_ab": p, "meet_ac": qq,
-                                   "transversal": list(lines[t]),
-                                   "side": list(lines[side])}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-
-    report.add("pasch closure", witness is None, witness)
-    report.counts = {"points": v, "lines": s.num_lines, "triangles": triangles,
-                     "transversals": transversals, "all_line_pairs_meet": 0}
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report

@@ -8,99 +8,128 @@ name the smallest offending row, point, or triple.
 from __future__ import annotations
 
 import time
+from collections import deque
+from collections.abc import Iterator
 
 import numpy as np
 
 from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
-from .geometry import (DEFAULT_POINT_BOUND, IncidenceStructure, check_design,
-                       check_veblen_young, expected_counts, pg_lines)
+from .geometry import DEFAULT_POINT_BOUND, check_design_lines, expected_counts, pg_lines
 from .greedy import GenParams, NaiveMatrixGenerator, generate
 from .nimber import VALUE_BITS, greediness_lemma_holds
-from .report import INDETERMINATE, PASS, Check, VerificationReport
+from .report import INDETERMINATE, Check, VerificationReport
 
-DEFAULT_MAX_N = 10
 LEMMA_BOUND_CAP = 512
-
-
-def _guard_n(n: int, max_n: int) -> None:
-    if not 1 <= n <= max_n:
-        raise InvalidParameterError(f"n must be in [1, {max_n}], got {n}")
 
 
 def _identity(n: int, q: int) -> str:
     return f"rows equal the lines of PG({n},{q})"
 
 
-def _line_witness(i: int, row: tuple[int, ...], line: tuple[int, ...]) -> dict:
-    return {"line": i, "row": list(row), "expected": list(line)}
+def _over_point_bound(report: VerificationReport, v: int, names) -> bool:
+    """Above the point bound, report each named check indeterminate, so that
+    nothing is generated; say whether v is above it."""
+    if v <= DEFAULT_POINT_BOUND:
+        return False
+    reason = {"reason": f"{v} points exceed the point bound {DEFAULT_POINT_BOUND}"}
+    report.checks.extend(Check(name, INDETERMINATE, reason) for name in names)
+    return True
 
 
-def verify_theorem_q2(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
+def _checked_rows(n: int, q: int, blocks: int, first: dict) -> Iterator[tuple[int, ...]]:
+    """Yield the first blocks*b greedy rows at (k, r) = (q+1, (q^n-1)/(q-1))
+    one at a time, and set first[check] to the witness of the check's first
+    failure (None while it holds) for these checks on row i = t*b + j + 1,
+    row j of block t:
+
+    - window: its points lie in (t*v, (t+1)*v];
+    - line (block 0): it is line j of pg_lines(n, q);
+    - shift (blocks after 0): it is row j of block 0 shifted by t*v;
+    - xor (q = 2, block 0): it is a triple a < b < a^b <= v.
+
+    While every earlier row is the one b rows before it shifted by v, row
+    i+b is row i shifted by v exactly when it is row j of block 0 shifted
+    by t*v, so the shift check finds the first row that breaks the period.
+    Block 0 is kept only where it differs from the model, so a passing run
+    stores no rows.  Each block reads pg_lines afresh and zips it first: zip
+    stops at the model's end without drawing a row from the shared stream.
+
+    A row equal to its line or shifted row (`want`) needs no window test:
+    every line lies in [1, v], and a block-0 row off its line that leaves
+    the window is an earlier failure of the row that it shifts.  So the
+    window is tested on the other rows only, and finds the same first row.
+    """
+    first.update(window=None, line=None, shift=None, xor=None)
+    v, b, r, k, _ = expected_counts(n, q)
+    rows = generate(GenParams(k=k, r=r, max_rows=blocks * b))
+    off_model: dict[int, tuple[int, ...]] = {}  # block 0's rows that are not its line
+    xor_open = q == 2
+    for t in range(blocks):
+        lo = t * v
+        for j, (line, row) in enumerate(zip(pg_lines(n, q), rows)):
+            want = tuple(map(lo.__add__, off_model.get(j, line))) if t else line
+            if row != want:
+                i = t * b + j + 1
+                if first["window"] is None and not lo < min(row) <= max(row) <= lo + v:
+                    first["window"] = {"row": i, "points": list(row), "window": [lo + 1, lo + v]}
+                if t == 0:
+                    off_model[j] = row
+                    if first["line"] is None:
+                        first["line"] = {"line": i, "row": list(row), "expected": list(line)}
+                elif first["shift"] is None:
+                    first["shift"] = {"row": i, "points": list(row), "expected": list(want)}
+            if xor_open and t == 0:
+                a, b_, c = row
+                if not (a < b_ < c and c == (a ^ b_) and c <= v):
+                    first["xor"] = {"row": j + 1, "points": list(row)}
+                    xor_open = False
+            yield row
+
+
+def _add(report: VerificationReport, name: str, witness: dict | None) -> None:
+    report.add(name, witness is None, witness)
+
+
+def verify_theorem_q2(n: int) -> VerificationReport:
     """Generate the first d rows at (k, r) = (3, 2^n - 1) and check they are
     xor-closed triples below 2^(n+1) and, in order, the lines of PG(n, 2):
     at q = 2 pg_lines' ranked labelling is the nim-triple model.  Both
     checks read each row as it is generated; no row is kept."""
-    _guard_n(n, max_n)
     start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
-    bad_xor = bad_line = None
-    rows = generate(GenParams(k=3, r=r, max_rows=d))
-    for i, (row, line) in enumerate(zip(rows, pg_lines(n, 2)), 1):
-        a, b, c = row
-        if bad_xor is None and not (a < b < c and c == (a ^ b) and c <= s):
-            bad_xor = {"row": i, "points": list(row)}
-        if bad_line is None and row != line:
-            bad_line = _line_witness(i, row, line)
-
     report = VerificationReport(subject=f"theorem q=2 n={n}",
                                 counts={"n": n, "k": 3, "r": r, "d": d, "s": s})
-    report.add("rows are xor-closed triples below 2^(n+1)", bad_xor is None, bad_xor)
-    report.add(_identity(n, 2), bad_line is None, bad_line)
+    xor = "rows are xor-closed triples below 2^(n+1)"
+    if not _over_point_bound(report, s, (xor, _identity(n, 2))):
+        first: dict = {}
+        deque(_checked_rows(n, 2, 1, first), 0)
+        _add(report, xor, first["xor"])
+        _add(report, _identity(n, 2), first["line"])
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def verify_zero_blocks_and_periodicity(n: int, blocks: int,
-                                       max_n: int = DEFAULT_MAX_N) -> VerificationReport:
+def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationReport:
     """Check block t uses only columns in (t*s, (t+1)*s] and that row i+d is
-    row i shifted by s.
-
-    One pass over the rows, keeping block 0 only: while every earlier row
-    is its predecessor shifted by s, row i+d is row i shifted by s exactly
-    when row t*d + j is row j of block 0 shifted by t*s, so the first
-    failure and its witness are the same.
-    """
-    _guard_n(n, max_n)
+    row i shifted by s, in one pass over the rows that keeps none of them
+    when both hold."""
     if blocks < 1:
         raise InvalidParameterError(f"blocks must be at least 1, got {blocks}")
     start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
-
-    block0: list[tuple[int, ...]] = []
-    bad_window = bad_shift = None
-    count = 0
-    for count, row in enumerate(generate(GenParams(k=3, r=r, max_rows=blocks * d)), 1):
-        block, j = divmod(count - 1, d)
-        lo, hi = block * s, (block + 1) * s  # lo is also the block's shift
-        if bad_window is None and not lo < min(row) <= max(row) <= hi:
-            bad_window = {"row": count, "points": list(row), "window": [lo + 1, hi]}
-        if block == 0:
-            block0.append(row)
-        elif bad_shift is None:
-            want = tuple(p + lo for p in block0[j])
-            if row != want:
-                bad_shift = {"row": count, "points": list(row), "expected": list(want)}
-
-    report = VerificationReport(
-        subject=f"zero blocks and periodicity n={n} blocks={blocks}",
-        counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": count})
-    report.add("each block of d rows stays in its s-column window", bad_window is None, bad_window)
-    report.add("row i+d equals row i shifted by s", bad_shift is None, bad_shift)
+    report = VerificationReport(subject=f"zero blocks and periodicity n={n} blocks={blocks}",
+                                counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": 0})
+    names = ("each block of d rows stays in its s-column window", "row i+d equals row i shifted by s")
+    if not _over_point_bound(report, s, names):
+        first: dict = {}
+        report.counts["rows"] = sum(1 for _ in _checked_rows(n, 2, blocks, first))
+        _add(report, names[0], first["window"])
+        _add(report, names[1], first["shift"])
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
-def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
+def verify_proof_invariants(n: int) -> VerificationReport:
     """Replay generation and assert the membership and connectability
     claims over the initial window, at every step m with state = the first
     m rows.
@@ -117,9 +146,25 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
     counts["complete_points"] is the number of points so checked; on a pass
     it is s.
     """
-    _guard_n(n, max_n)
     start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
+    report = VerificationReport(subject=f"proof invariants n={n}",
+                                counts={"n": n, "d": d, "s": s, "steps": d, "complete_points": 0})
+    names = ("next-row points stay in the initial window",
+             "complete window points are connectable to all others",
+             "window points below c are connectable to a or b",
+             "window points below b are connectable to a")
+    if not _over_point_bound(report, s, names):
+        first, report.counts["complete_points"] = _replay_invariants(s, r, d)
+        for name, witness in zip(names, first.values()):
+            _add(report, name, witness)
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return report
+
+
+def _replay_invariants(s: int, r: int, d: int) -> tuple[dict, int]:
+    """The first witness against each invariant, in the order the report
+    lists them, and the number of complete points checked."""
     window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
     gen = NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
 
@@ -153,15 +198,7 @@ def verify_proof_invariants(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
                                            "not_connectable_to": (missing & -missing).bit_length() - 1}
                         break
 
-    report = VerificationReport(subject=f"proof invariants n={n}",
-                                counts={"n": n, "d": d, "s": s, "steps": d,
-                                        "complete_points": checked})
-    report.add("next-row points stay in the initial window", first["member"] is None, first["member"])
-    report.add("complete window points are connectable to all others", first["claim1"] is None, first["claim1"])
-    report.add("window points below c are connectable to a or b", first["claim2"] is None, first["claim2"])
-    report.add("window points below b are connectable to a", first["claim3"] is None, first["claim3"])
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
+    return first, checked
 
 
 def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
@@ -170,16 +207,12 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     them.
 
     The window and design checks are independent evidence on the rows
-    alone.  Pasch closure runs only when the identity fails on a design, to
-    say whether the rows form a projective space under some other
-    labelling (a failed design is none under any labelling).  Above
-    the point bound nothing is generated and the identity is
-    reported as indeterminate.
+    alone; the rows go from the generator through the identity and window
+    checks into the design count, and none is kept.  Above the point bound
+    nothing is generated and the identity is reported as indeterminate.
     """
     if a_exponent < 0:
         raise InvalidParameterError(f"a must be nonnegative, got {a_exponent}")
-    if n < 1:
-        raise InvalidParameterError(f"n must be at least 1, got {n}")
     if (1 << a_exponent) > VALUE_BITS:
         raise InputRangeError(f"q = 2^(2^{a_exponent}) exceeds the {VALUE_BITS}-bit nim value domain")
     q = 1 << (1 << a_exponent)
@@ -187,29 +220,12 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     start = time.perf_counter()
     report = VerificationReport(subject=f"general q={q} n={n}",
                                 counts={"q": q, "n": n, "v": v, "b": b, "k": k, "r": r})
-    if v > DEFAULT_POINT_BOUND:
-        report.checks.append(Check(_identity(n, q), INDETERMINATE, {
-            "reason": f"{v} points exceed the point bound {DEFAULT_POINT_BOUND}"}))
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return report
-
-    rows = list(generate(GenParams(k=k, r=r, max_rows=b)))
-    max_col = max(pts[-1] for pts in rows)
-    report.add("rows stay within the point window", max_col <= v,
-               {"max_column": max_col, "window": v})
-
-    s = IncidenceStructure(point_window=max(v, max_col), lines=tuple(rows))
-    design = check_design(s, v, k, r, 1)
-    for c in design.checks:
-        report.checks.append(Check("design: " + c.name, c.status, c.witness))
-
-    bad_line = next((_line_witness(i, row, line) for i, (row, line)
-                     in enumerate(zip(rows, pg_lines(n, q)), 1) if row != line), None)
-    report.add(_identity(n, q), bad_line is None, bad_line)
-    if bad_line is not None and design.status == PASS:
-        for c in check_veblen_young(s).checks:
-            report.checks.append(Check("veblen-young: " + c.name, c.status, c.witness))
-
+    if not _over_point_bound(report, v, (_identity(n, q),)):
+        first: dict = {}
+        design = check_design_lines(_checked_rows(n, q, 1, first), v, k, r, 1)
+        _add(report, "rows stay within the point window", first["window"])
+        report.checks.extend(Check("design: " + c.name, c.status, c.witness) for c in design.checks)
+        _add(report, _identity(n, q), first["line"])
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 

@@ -2,12 +2,13 @@
 
 perfbench/trace_worker.py calls into naivemat's modules directly, so a
 change to the generator or geometry API can break the traced benchmark
-without breaking any CLI test.  This runs case 0 of every workload through
-the worker in a subprocess and applies the benchmark's own known-answer
-check.  It reads perfbench/ and writes only to a temporary directory.
+without breaking any CLI test.  This runs case 0 of every workload, and
+fermat-design's `general` cases, through the worker in a subprocess and
+applies the benchmark's own known-answer check.  It reads perfbench/ and writes only to a temporary directory.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -34,14 +35,14 @@ def _load_cases():
 cases = _load_cases()
 
 
-@pytest.mark.parametrize("workload", sorted(cases.WORKLOADS))
-def test_trace_worker_runs_case_0(tmp_path, workload):
-    case = cases.WORKLOADS[workload][0]
+def run_traced(tmp_path, workload, index):
+    """Run one case through the worker; return its spans file's contents."""
+    case = cases.WORKLOADS[workload][index]
     out = tmp_path / "stdout"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
                **dict(case.env))
     with open(out, "w") as fh:
-        proc = subprocess.run([sys.executable, str(BENCH / "trace_worker.py"), workload, "0",
+        proc = subprocess.run([sys.executable, str(BENCH / "trace_worker.py"), workload, str(index),
                                str(tmp_path / "spans.json")],
                               stdout=fh, stderr=subprocess.PIPE, text=True, env=env,
                               timeout=120)
@@ -49,4 +50,19 @@ def test_trace_worker_runs_case_0(tmp_path, workload):
     assert proc.returncode == cases.EXIT_PASS, proc.stderr
     assert "Traceback" not in proc.stderr
     assert cases.check_output(case, out) is None
-    assert (tmp_path / "spans.json").exists()
+    return json.loads((tmp_path / "spans.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(cases.WORKLOADS))
+def test_trace_worker_runs_case_0(tmp_path, workload):
+    run_traced(tmp_path, workload, 0)
+
+
+@pytest.mark.parametrize("index", [2, 3, 4])
+def test_trace_worker_replays_general_design_check(tmp_path, index):
+    # fermat-design's case 0 is export-pg; its `general` cases replay the
+    # rows through IncidenceStructure into check_design
+    assert cases.WORKLOADS["fermat-design"][index].command == "general"
+    traced = run_traced(tmp_path, "fermat-design", index)
+    names = {span["name"] for span in traced["spans"]}
+    assert {"geometry.IncidenceStructure", "geometry.check_design"} <= names

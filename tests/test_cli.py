@@ -191,11 +191,18 @@ def test_verify_general_with_iso(capsys):
     assert json.loads(plain)["checks"] == doc["checks"]
 
 
-def test_verify_general_above_point_bound_is_indeterminate(capsys):
+def test_verify_general_above_point_bound_is_indeterminate(capsys, monkeypatch):
     # q = 256 has 65793 points: a size bound, reported as undecided, not refused
     code, out, err = run_cli(capsys, "verify", "general", "--a", "3", "--n", "2")
     assert code == EXIT_INDETERMINATE and err == ""
     assert json.loads(out)["status"] == "indeterminate"
+    # the q = 2 commands share that bound: PG(13,2) has 16383 points
+    def no_rows(params):
+        raise AssertionError("generated rows above the point bound")
+
+    monkeypatch.setattr("naivemat.verify.generate", no_rows)
+    code, out, err = run_cli(capsys, "verify", "theorem", "--n", "13")
+    assert code == EXIT_INDETERMINATE and err == ""
 
 
 def test_verify_report_out_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Projective models, their reference construction, and design/Pasch checks."""
+"""Projective models, their reference construction, and the design check."""
 
 import json
 from itertools import combinations, product
@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naivemat import verify
+from naivemat import geometry, verify
 from naivemat.cli import main
-from naivemat.errors import (InvalidParameterError, PreconditionError,
-                             ResourceLimitError)
-from naivemat.geometry import (CanonicalGeometry, IncidenceStructure,
-                               build_pg, check_design,
-                               check_veblen_young, expected_counts)
+from naivemat.errors import InvalidParameterError, ResourceLimitError
+from naivemat.geometry import (IncidenceStructure, build_pg, check_design,
+                               check_design_lines, expected_counts)
 from naivemat.nimber import FermatField
 
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
@@ -123,13 +121,13 @@ def test_build_pg_points_are_canonical():
     assert len(set(g.points)) == g.v
 
 
-def test_build_pg_satisfies_design_and_pasch():
+def test_build_pg_satisfies_design():
     for n, q in [(1, 2), (2, 2), (3, 2), (2, 4)]:
         g = build_pg(n, q)
         v, b, r, k, _ = expected_counts(n, q)
-        s = g.as_incidence()
-        assert check_design(s, v, k, r, 1).status == "pass"
-        assert check_veblen_young(s).status == "pass"
+        assert check_design(IncidenceStructure(g.v, g.lines), v, k, r, 1).status == "pass"
+        rep = check_design_lines(iter(g.lines), v, k, r, 1)  # read once
+        assert rep.status == "pass" and rep.counts["lines"] == b
 
 
 def test_build_pg_errors():
@@ -261,9 +259,12 @@ ALL_TRIPLES_OF_4 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))  # a 2-(4,3,2) d
     (ALL_TRIPLES_OF_4 + ((1, 2),), 4, 4, 3, 3, 2, "lam = 2, doubled pair"),
     (((1, 2, 3, 4, 5),), 6, 6, 5, 1, 1, "uncovered last point"),
 ])
-def test_check_design_matches_dict_oracle(lines, window, v, k, r, lam, failing):
-    got = assert_design_matches_dict(IncidenceStructure(window, lines), v, k, r, lam)
+def test_check_design_matches_dict_oracle(monkeypatch, lines, window, v, k, r, lam, failing):
+    s = IncidenceStructure(window, lines)
+    got = assert_design_matches_dict(s, v, k, r, lam)
     assert all(status == "pass" for _, status, _ in got) == (failing is None)
+    monkeypatch.setattr(geometry, "_CHUNK", 6)  # counted a line or two at a time
+    assert_design_matches_dict(s, v, k, r, lam)
 
 
 @settings(deadline=None, max_examples=150)
@@ -286,46 +287,6 @@ def test_check_design_wrong_line_size():
 
 
 # ---------------------------------------------------------------------------
-# Pasch closure
-# ---------------------------------------------------------------------------
-
-def test_veblen_young_fano_passes_by_line_pair_meet():
-    rep = check_veblen_young(IncidenceStructure(7, FANO_TRIPLES))
-    assert rep.status == "pass"
-    assert rep.counts["all_line_pairs_meet"] == 1
-
-
-def test_veblen_young_single_line_vacuous():
-    assert check_veblen_young(IncidenceStructure(3, ((1, 2, 3),))).status == "pass"
-
-
-def test_veblen_young_triangle_scan_on_pg32():
-    rep = check_veblen_young(build_pg(3, 2).as_incidence())
-    assert rep.status == "pass"
-    assert rep.counts["all_line_pairs_meet"] == 0
-    assert rep.counts["triangles"] > 0
-
-
-def test_veblen_young_broken_fano_fails():
-    # replacing {3,5,6} with {3,5} keeps pairs covered at most once but opens
-    # a Pasch configuration; the first one in scan order was worked by hand
-    broken = IncidenceStructure(7, FANO_TRIPLES[:-1] + ((3, 5),))
-    rep = check_veblen_young(broken)
-    assert rep.status == "fail"
-    w = rep.checks[0].witness
-    assert w == {"triangle": [1, 2, 4], "apex": 1, "meet_ab": 3, "meet_ac": 5,
-                 "transversal": [3, 5], "side": [2, 4, 6]}
-    # the witness is a genuine violation: transversal meets sides 1-2 and 1-4
-    # away from the vertices yet misses the side through 2 and 4
-    assert set(w["transversal"]) & set(w["side"]) == set()
-
-
-def test_veblen_young_precondition():
-    with pytest.raises(PreconditionError):
-        check_veblen_young(IncidenceStructure(4, ((1, 2, 3), (1, 2, 4))))
-
-
-# ---------------------------------------------------------------------------
 # a Steiner system that is not a projective space
 # ---------------------------------------------------------------------------
 
@@ -344,21 +305,9 @@ def test_pasch_switch_is_still_a_design():
     assert check_design(pasch_switched_sts15(), 15, 3, 7, 1).status == "pass"
 
 
-def test_pasch_switch_fails_veblen_young():
-    rep = check_veblen_young(pasch_switched_sts15())
-    assert rep.status == "fail"
-    w = rep.checks[0].witness
-    # frozen first witness: line(1,2)={1,2,4} now, line(1,8)={1,8,9}, and the
-    # transversal through 4 and 9 misses the side through 2 and 8
-    assert w == {"triangle": [1, 2, 8], "apex": 1, "meet_ab": 4, "meet_ac": 9,
-                 "transversal": [4, 9, 13], "side": [2, 8, 10]}
-    assert set(w["transversal"]) & set(w["side"]) == set()
-
-
-def test_pasch_switch_not_isomorphic_to_pg32(monkeypatch, capsys):
-    # fed to the general harness as the rows for PG(3,2): the identity names
-    # the first changed line, and the failed Pasch closure, an isomorphism
-    # invariant that PG(3,2) has, shows no relabelling matches either
+def test_pasch_switch_fails_the_pg32_identity(monkeypatch, capsys):
+    # fed to the general harness as the rows for PG(3,2): every design check
+    # passes, and the identity names the first changed line
     lines = sorted(pasch_switched_sts15().lines)
     monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
     rep = verify.verify_general_q(0, 3)
@@ -368,7 +317,6 @@ def test_pasch_switch_not_isomorphic_to_pg32(monkeypatch, capsys):
     assert by_name["rows equal the lines of PG(3,2)"].witness == {
         "line": 1, "row": [1, 2, 4], "expected": [1, 2, 3]}
     assert all(c.status == "pass" for name, c in by_name.items() if name.startswith("design: "))
-    assert by_name["veblen-young: pasch closure"].status == "fail"
 
     assert main(["verify", "general", "--a", "0", "--n", "3"]) == 1
     assert json.loads(capsys.readouterr().out)["status"] == "fail"

@@ -2,10 +2,12 @@
 
 import json
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
 from naivemat import verify
+from naivemat.cli import main
 from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from naivemat.geometry import build_pg
 from naivemat.greedy import GenParams, NaiveMatrixGenerator, generate
@@ -86,12 +88,26 @@ def test_theorem_moved_row_names_its_line(monkeypatch):
         "line": 3, "row": [2, 4, 6], "expected": [1, 6, 7]}
 
 
-def test_theorem_guards():
+def no_rows(*args, **kwargs):
+    raise AssertionError("generated rows above the point bound")
+
+
+def test_theorem_guards(monkeypatch):
     with pytest.raises(InvalidParameterError):
         verify_theorem_q2(0)
-    with pytest.raises(InvalidParameterError):
-        verify_theorem_q2(11)
-    assert verify_theorem_q2(3, max_n=3).status == "pass"
+    # n = 13: s = 16383 columns, above the point bound that every harness
+    # over greedy rows shares; decided before any row is generated
+    monkeypatch.setattr(verify, "generate", no_rows)
+    monkeypatch.setattr(verify, "NaiveMatrixGenerator", no_rows)
+    reason = {"reason": "16383 points exceed the point bound 10000"}
+    for rep in (verify_theorem_q2(13), verify_zero_blocks_and_periodicity(13, 3),
+                verify_proof_invariants(13), verify_general_q(0, 13)):
+        assert rep.status == "indeterminate"
+        assert rep.counts["n"] == 13
+        assert {c.status for c in rep.checks} == {"indeterminate"}
+        assert all(c.witness == reason for c in rep.checks)
+    assert [c.name for c in verify_theorem_q2(13).checks] == [
+        "rows are xor-closed triples below 2^(n+1)", IDENTITY.format(13, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +287,7 @@ def test_proof_invariants_hidden_partner_matches_rescan(monkeypatch, n, point, p
 # ---------------------------------------------------------------------------
 
 def _peak_bytes(harness, n):
+    harness(1)  # one-time tables (the nim multiplier's) are built outside the measurement
     tracemalloc.start()
     try:
         assert harness(n).status == "pass"
@@ -279,11 +296,16 @@ def _peak_bytes(harness, n):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("harness", [verify_theorem_q2, verify_proof_invariants])
+def verify_periodicity(n):
+    return verify_zero_blocks_and_periodicity(n, 3)
+
+
+@pytest.mark.parametrize("harness", [verify_theorem_q2, verify_proof_invariants, verify_periodicity])
 def test_q2_harness_memory_is_not_per_row(harness):
     # d grows 16x from n = 6 to n = 8 (2667 -> 43435 rows).  A stored row
     # costs about 280 bytes; the generator's pair masks, about s^2/8 bytes
-    # (0.75 byte per row), are all that should grow.
+    # (0.75 byte per row), are all that should grow.  The periodicity
+    # harness reads 3d rows and keeps no block.
     d6, d8 = verify.expected_counts(6, 2).d, verify.expected_counts(8, 2).d
     assert _peak_bytes(harness, 8) - _peak_bytes(harness, 6) < 8 * (d8 - d6)
 
@@ -325,9 +347,6 @@ def test_general_q4_n4_passes():
 
 def test_general_q_point_budget_indeterminate(monkeypatch):
     # q = 256: the point bound is checked before any row is generated
-    def no_rows(params):
-        raise AssertionError("generated rows above the point bound")
-
     monkeypatch.setattr(verify, "generate", no_rows)
     rep = verify_general_q(3, 2)
     assert rep.status == "indeterminate"
@@ -348,8 +367,36 @@ def test_general_q_moved_point_names_its_row(monkeypatch):
     assert by_name[IDENTITY.format(2, 4)].witness == {
         "line": 10, "row": list(lines[9]), "expected": list(row)}
     assert by_name["design: every point pair is covered exactly 1 time(s)"].status == "fail"
-    # not a design, so no projective space under any labelling: Pasch is skipped
-    assert not any(name.startswith("veblen-young") for name in by_name)
+
+
+def test_general_q_repeated_row_fails_the_design(monkeypatch, capsys):
+    # row 10 repeats row 9, so line 10 is missing: a failed verdict, with
+    # the smallest pair covered other than once, not a refused input
+    lines = list(build_pg(2, 4).lines)
+    lines[9] = lines[8]
+    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
+    rep = verify_general_q(1, 2)
+    assert rep.status == "fail"
+    by_name = {c.name: c for c in rep.checks}
+    covers = {}
+    for line in lines:
+        for pair in combinations(line, 2):
+            covers[pair] = covers.get(pair, 0) + 1
+    pair = min(p for p in combinations(range(1, 22), 2) if covers.get(p, 0) != 1)
+    assert by_name["design: every point pair is covered exactly 1 time(s)"].witness == {
+        "pair": list(pair), "count": covers.get(pair, 0)}
+    assert by_name[IDENTITY.format(2, 4)].witness["line"] == 10
+    assert main(["verify", "general", "--a", "1", "--n", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
+def test_general_q_row_leaving_the_window_names_the_row(monkeypatch):
+    lines = list(build_pg(2, 4).lines)
+    lines[20] = lines[20][:-1] + (22,)  # PG(2,4) has 21 points
+    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
+    rep = verify_general_q(1, 2)
+    assert rep.checks[0].name == "rows stay within the point window"
+    assert rep.checks[0].witness == {"row": 21, "points": list(lines[20]), "window": [1, 21]}
 
 
 def test_general_q_guards():
