@@ -14,8 +14,6 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError, ResourceLimitError
 from .nimber import is_fermat_two_power, nim_mul
 from .report import VerificationReport
@@ -169,6 +167,8 @@ def check_design_lines(lines: Iterable[tuple[int, ...]], v: int, k: int, r: int,
     lines are counted a bounded chunk at a time and none is kept, so they
     may come from a generator.
     """
+    import numpy as np
+
     start = time.perf_counter()
     report = VerificationReport(subject=subject or f"design 2-({v},{k},{lam}) with r={r}")
     deg = np.zeros(v + 1, dtype=np.int64)
@@ -210,6 +210,8 @@ def _count(flat: array, size: int, v: int, deg: np.ndarray, cover: np.ndarray) -
     """Add the degree of every point in [1, v], and the cover count of every
     pair x < y of such points by its rank in lex order, over the lines of
     this size whose points flat holds one after another."""
+    import numpy as np
+
     pts = np.frombuffer(flat, dtype=np.int64).reshape(-1, size)
     flat_pts = pts.ravel()
     np.add.at(deg, flat_pts[(flat_pts >= 1) & (flat_pts <= v)], 1)

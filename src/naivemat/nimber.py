@@ -6,10 +6,14 @@ bitwise xor.  Nim multiplication is Conway's recursive product
     a (x) b = mex { a' (x) b  ^  a (x) b'  ^  a' (x) b'  :  a' < a, b' < b }
 
 which turns [0, 2^(2^a)) into a field for every Fermat 2-power 2^(2^a).
-One multiplier serves every caller: the Fermat splitting rule, applied
-down to a GF(256) product table that the same rule builds from GF(2) on
-first use.  It runs unchanged on ints and on uint64 arrays and keeps no
-memo, so its memory does not grow with use.  The mex recursion itself
+One multiplier serves every caller: the Fermat splitting rule, which
+halves the width down to GF(2), where the product is x & y; from width 8
+up it stops instead at a GF(256) product table that the same rule builds
+on first use.  So products in GF(2), GF(4) and GF(16) read no table, and
+numpy is imported only where arrays are built: that table, the mex
+reference and the field check.  The multiplier runs unchanged on ints
+and on uint64 arrays and keeps no memo, so its memory does not grow with
+use.  The mex recursion itself
 survives only as nim_mul_table, the reference the multiplier is checked
 against.  Values are capped at 63 bits so all arithmetic stays in native
 machine words.
@@ -22,8 +26,6 @@ from __future__ import annotations
 
 import functools
 import time
-
-import numpy as np
 
 from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from .report import VerificationReport
@@ -61,8 +63,8 @@ _table: np.ndarray | None = None  # GF(256) products, built on first use
 
 
 def _bits(top: int) -> int:
-    """The least Fermat width 2^m >= 8 with top < 2^(2^m)."""
-    bits = _TABLE_BITS
+    """The least Fermat width 2^m >= 1 with top < 2^(2^m)."""
+    bits = 1
     while top >> bits:
         bits *= 2
     return bits
@@ -72,11 +74,11 @@ def _gf256() -> np.ndarray:
     """The 256x256 nim product table, built by the splitting rule from GF(2)."""
     global _table
     if _table is None:
-        t, bits = np.array([[0, 0], [0, 1]], dtype=np.uint8), 1
-        while bits < _TABLE_BITS:
-            xs = np.arange(1 << (2 * bits), dtype=np.uint8)
-            t = _mul(xs[:, None], xs[None, :], 2 * bits, t, bits)
-            bits *= 2
+        import numpy as np
+
+        xs = np.arange(1 << _TABLE_BITS, dtype=np.uint8)
+        # a table width above 8 makes the recursion run down to GF(2)
+        t = _mul(xs[:, None], xs[None, :], _TABLE_BITS, table_bits=2 * _TABLE_BITS)
         t = t.astype(np.uint64)  # products above GF(256) need 64 bits
         t.setflags(write=False)
         _table = t
@@ -84,20 +86,23 @@ def _gf256() -> np.ndarray:
 
 
 def _mul(x, y, bits: int, table=None, table_bits: int = _TABLE_BITS):
-    """x (x) y for x, y below 2^bits, a Fermat width >= table_bits.
+    """x (x) y for x, y below 2^bits, a Fermat width.
 
-    x and y are ints or uint64 arrays (broadcast together); the result is
-    uint64, since products of 63-bit values can reach 2^64.  With
+    x and y are ints or uint64 arrays (broadcast together); an array
+    result is uint64, since products of 63-bit values can reach 2^64.  With
     F = 2^(bits/2), x = x1*F + x0 and y = y1*F + y0, the field identity
     F (x) F = F + F/2 gives, Karatsuba-style,
 
         x (x) y = (mid + lo)*F + lo + hi (x) F/2
 
     where lo = x0 (x) y0, hi = x1 (x) y1, mid = (x0 + x1) (x) (y0 + y1) and
-    + is xor; the recursion ends in `table`, the products of
-    GF(2^table_bits).
+    + is xor.  The recursion ends in GF(2), where the product is x & y, or,
+    from width table_bits up, in `table`, the products of GF(2^table_bits),
+    which the top-level call fetches and passes down.
     """
-    if table is None:
+    if bits == 1:
+        return x & y
+    if bits >= table_bits and table is None:
         table = _gf256()
     if bits == table_bits:
         return table[x, y]
@@ -136,6 +141,8 @@ def nim_mul_table(n: int) -> np.ndarray:
     """
     if n < 1 or n > MEX_INPUT_BOUND:
         raise InputRangeError(f"table size must be in [1, {MEX_INPUT_BOUND}], got {n}")
+    import numpy as np
+
     t = np.zeros((n, n), dtype=np.int32)
     if n > 1:
         t[1, :] = np.arange(n)
@@ -224,6 +231,8 @@ def _bad(ok: np.ndarray, *values) -> list[int] | None:
     shape) where it first fails."""
     if ok.all():
         return None
+    import numpy as np
+
     at = np.unravel_index(np.argmin(ok), ok.shape)
     return [int(np.broadcast_to(v, ok.shape)[at]) for v in values]
 
@@ -261,6 +270,8 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000,
         raise ResourceLimitError(f"exhaustive field check is capped at q <= {EXHAUSTIVE_FIELD_CAP}")
     if mode == "sampled" and samples < 1:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
+
+    import numpy as np
 
     start = time.perf_counter()
     report = VerificationReport(subject=f"nim field q={q}")

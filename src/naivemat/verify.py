@@ -11,8 +11,6 @@ import time
 from collections import deque
 from collections.abc import Iterator
 
-import numpy as np
-
 from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from .geometry import DEFAULT_POINT_BOUND, check_design_lines, expected_counts, pg_lines
 from .greedy import GenParams, NaiveMatrixGenerator, generate
@@ -242,6 +240,8 @@ def lemma_exhaustive(bound: int) -> VerificationReport:
         raise InvalidParameterError(f"bound must be at least 1, got {bound}")
     if bound > LEMMA_BOUND_CAP:
         raise ResourceLimitError(f"bound {bound} exceeds the cubic-scan cap {LEMMA_BOUND_CAP}")
+    import numpy as np
+
     start = time.perf_counter()
     xs = np.arange(bound, dtype=np.int64)
     witness = None

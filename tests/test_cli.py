@@ -327,3 +327,40 @@ def test_closed_stdout_pipe_is_not_a_traceback():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+# numpy is imported by the code that builds arrays and by nothing else: the
+# design count, the field laws, the lemma scan and the GF(256) product table
+_COLD_START = """
+import json, sys
+from naivemat.cli import main  # imports the whole package
+code = main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    ([], False),  # the import alone
+    (["--help"], False),
+    (["generate", "--k", "3", "--r", "3", "--rows", "7", "--out"], False),
+    (["verify", "theorem", "--n", "3", "--out"], False),
+    (["verify", "periodicity", "--n", "3", "--blocks", "2", "--out"], False),
+    (["verify", "invariants", "--n", "3", "--out"], False),
+    (["export-pg", "--n", "2", "--q", "2", "--out"], False),
+    (["export-pg", "--n", "2", "--q", "4", "--out"], False),
+    (["export-pg", "--n", "2", "--q", "16", "--out"], False),
+    (["verify", "general", "--a", "1", "--n", "2", "--out"], True),
+    (["verify", "field", "--q", "16", "--out"], True),
+    (["verify", "lemma", "--bound", "8", "--out"], True),
+    (["export-pg", "--n", "1", "--q", "256", "--out"], True),  # a width-8 product
+], ids=lambda x: (" ".join(x) or "import") if isinstance(x, list) else
+                 ("numpy" if x else "no-numpy"))
+def test_numpy_is_loaded_only_by_array_commands(tmp_path, argv, loads_numpy):
+    if argv[-1:] == ["--out"]:
+        argv = argv + [str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code in (None, EXIT_PASS)
+    assert loaded == loads_numpy

@@ -117,6 +117,17 @@ def test_nim_mul_table_matches_scalar_mex():
 def test_base_table_equals_mex_reference():
     # the GF(256) table the splitting rule builds from GF(2)
     assert (_gf256() == nim_mul_table(256)).all()
+    # widths 1, 2 and 4 end in GF(2), x & y, and read no table: every pair
+    # as uint64 arrays (as field_check passes them), and every inverse
+    ref = nim_mul_table(16)
+    for bits in (1, 2, 4):
+        xs = np.arange(1 << bits, dtype=np.uint64)
+        p = _mul(xs[:, None], xs[None, :], bits)
+        assert p.dtype == np.uint64
+        assert (p == ref[:1 << bits, :1 << bits]).all()
+    for q in (4, 16):
+        gf = FermatField(q)
+        assert [gf.inv(x) for x in range(1, q)] == np.argmax(ref[1:q, :q] == 1, axis=1).tolist()
 
 
 def test_array_products_match_scalar():
@@ -137,7 +148,7 @@ def test_nim_mul_memory_is_bounded():
     # no memo: 10^5 distinct 32-bit products leave nothing behind
     rng = random.Random(3)
     pairs = [(rng.getrandbits(32), rng.getrandbits(32)) for _ in range(10 ** 5)]
-    nim_mul(3, 5)  # the GF(256) table is built once, on first use
+    nim_mul(256, 3)  # a width-8 product builds the GF(256) table, once
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
