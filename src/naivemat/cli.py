@@ -10,7 +10,8 @@ generation writes nothing; an unwritable --out exits 1 with an error line.
 PG(n, q); `--iso` is accepted and ignored, since the identity already
 compares the rows with the model.
 
-Environment: COLUMN_CAP overrides the generator safety cap.
+`generate` exits 1 and writes nothing when a row would need a column
+above greedy.COLUMN_CAP (2^20).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from .errors import (InputRangeError, InvalidParameterError, OutputError,
                      ResourceLimitError, RowIncompleteError)
 from .geometry import build_pg, expected_counts
-from .greedy import DEFAULT_COLUMN_CAP, GenParams, generate
+from .greedy import GenParams, generate
 from .nimber import field_check
 from .report import FAIL, INDETERMINATE, PASS
 from .verify import (lemma_exhaustive, verify_general_q, verify_proof_invariants,
@@ -66,10 +67,6 @@ def format_rows_csv(rows) -> str:
     return "".join(_csv_lines(rows))
 
 
-def format_rows_json(k: int, r: int, rows) -> str:
-    return "".join(_json_chunks(k, r, rows))
-
-
 def format_matrix_pbm(rows, width: int, height: int) -> str:
     return "".join(_pbm_lines(rows, width, height))
 
@@ -100,16 +97,6 @@ def _write(lines, out: str | None) -> None:
         raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="naivemat",
@@ -122,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--rows", type=int, required=True, help="number of rows to generate")
     g.add_argument("--format", choices=_FORMATS, default="rows-csv")
     g.add_argument("--out", help="output file (default: stdout)")
-    g.add_argument("--column-cap", type=int, default=None,
-                   help="safety cap on the column scan (default: env COLUMN_CAP or 2^20)")
 
     vf = sub.add_parser("verify", help="run a verification harness, emit a JSON report")
     vsub = vf.add_subparsers(dest="check", required=True)
@@ -168,10 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    cap = args.column_cap
-    if cap is None:
-        cap = _env_int("COLUMN_CAP", DEFAULT_COLUMN_CAP)
-    params = GenParams(k=args.k, r=args.r, max_rows=args.rows, column_cap=cap)
+    params = GenParams(k=args.k, r=args.r, max_rows=args.rows)
     rows = list(generate(params))  # all rows before any output
     width = max(pts[-1] for pts in rows)
     _write(_format_lines(args.format, rows, args.k, args.r, width), args.out)

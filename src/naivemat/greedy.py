@@ -28,18 +28,17 @@ from dataclasses import dataclass
 
 from .errors import InputRangeError, InvalidParameterError, RowIncompleteError
 
-DEFAULT_COLUMN_CAP = 1 << 20
+COLUMN_CAP = 1 << 20  # safety net: no row may use a column above it
 _INITIAL_WINDOW = 64
 
 
 @dataclass(frozen=True)
 class GenParams:
-    """Generation request: row weight k, column weight r, row count, safety cap."""
+    """Generation request: row weight k, column weight r, row count."""
 
     k: int
     r: int
     max_rows: int
-    column_cap: int = DEFAULT_COLUMN_CAP
 
     def __post_init__(self):
         if self.k < 2:
@@ -48,9 +47,8 @@ class GenParams:
             raise InvalidParameterError(f"r must be at least 1, got {self.r}")
         if self.max_rows < 1:
             raise InvalidParameterError(f"max_rows must be at least 1, got {self.max_rows}")
-        if self.column_cap < self.k:
-            raise InvalidParameterError(
-                f"column_cap must be at least k={self.k}, got {self.column_cap}")
+        if self.k > COLUMN_CAP:
+            raise InvalidParameterError(f"k must be at most the column cap {COLUMN_CAP}, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ class NaiveMatrixGenerator:
     stands for column anchor + i.  `_active` marks the columns above the
     floor whose degree is below r, bit i standing for column floor + i.  The
     window of materialised columns grows on demand by its live width
-    (window - floor), up to params.column_cap.  The public queries answer in
+    (window - floor), up to COLUMN_CAP.  The public queries answer in
     absolute column numbers for every column, saturated ones included.
 
     No row history is kept: next_row hands each row to the caller, and
@@ -86,22 +84,20 @@ class NaiveMatrixGenerator:
         self.params = params
         self.emitted = 0
         self.max_used_column = 0
-        w = min(max(_INITIAL_WINDOW, 2 * params.k), params.column_cap)
+        w = min(max(_INITIAL_WINDOW, 2 * params.k), COLUMN_CAP)
         self._window = w
         self._floor = 0
         self._degree = [0] * (w + 1)
         self._pair = [0] * (w + 1)
         self._anchor = [0] * (w + 1)
         self._active = ((1 << w) - 1) << 1  # columns 1..w
-        self._peeked: tuple[int, ...] | None = None  # next row, until committed
 
     def _grow_window(self) -> None:
-        cap = self.params.column_cap
-        if self._window >= cap:
+        if self._window >= COLUMN_CAP:
             raise RowIncompleteError(
-                f"no admissible column below the cap {cap} while building row {self.emitted + 1}")
+                f"no admissible column below the cap {COLUMN_CAP} while building row {self.emitted + 1}")
         live = self._window - self._floor
-        grown = min(max(live, _INITIAL_WINDOW), cap - self._window)
+        grown = min(max(live, _INITIAL_WINDOW), COLUMN_CAP - self._window)
         self._active |= ((1 << grown) - 1) << (live + 1)
         self._degree.extend([0] * grown)
         self._pair.extend([0] * grown)
@@ -130,22 +126,16 @@ class NaiveMatrixGenerator:
             cand ^= low
 
     def peek_next_row(self) -> tuple[int, ...]:
-        """Columns the next row will use, without committing it.
-
-        The row is kept until next_row commits it, so peeking and then
-        committing scans once.  May enlarge the internal column window,
-        which has no observable effect on generation.
-        """
+        """Columns the next row will use, without committing it.  May
+        enlarge the internal column window, which has no observable effect
+        on generation."""
         if self.emitted >= self.params.max_rows:
             raise InvalidParameterError(f"all {self.params.max_rows} requested rows already emitted")
-        if self._peeked is None:
-            self._peeked = self._scan()
-        return self._peeked
+        return self._scan()
 
     def next_row(self) -> tuple[int, ...]:
         """Commit the next row and return its columns, in ascending order."""
-        points = self._peeked or self.peek_next_row()
-        self._peeked = None
+        points = self.peek_next_row()
         r, floor, active = self.params.r, self._floor, self._active
         degree, pair, anchor = self._degree, self._pair, self._anchor
         row_bits = 0  # bit i stands for column floor + i
@@ -188,17 +178,6 @@ class NaiveMatrixGenerator:
     def is_complete(self, x: int) -> bool:
         """Whether column x has reached degree r in the emitted rows."""
         return self.column_degree(x) >= self.params.r
-
-    def connectable(self, x: int, y: int) -> bool:
-        """Whether some emitted row contains both x and y."""
-        if x == y:
-            raise InvalidParameterError("a column is not connectable to itself")
-        if x < 1 or y < 1:
-            raise InputRangeError("columns are 1-based")
-        if x > self._window or y > self._window:
-            return False
-        offset = y - self._anchor[x]
-        return offset > 0 and bool((self._pair[x] >> offset) & 1)
 
     def connectable_mask(self, x: int) -> int:
         """Bitmask of all columns sharing an emitted row with x (bit y for column y)."""

@@ -42,11 +42,6 @@ def _check_value(x: int, what: str = "value") -> int:
     return x
 
 
-def nim_add(a: int, b: int) -> int:
-    """Nim sum: coefficientwise mod-2 addition of binary expansions (xor)."""
-    return _check_value(a, "a") ^ _check_value(b, "b")
-
-
 def nim_mul(a: int, b: int) -> int:
     """Nim product by the Fermat splitting rule."""
     a = _check_value(a, "a")

@@ -43,12 +43,6 @@ class VerificationReport:
     def add(self, name: str, ok: bool, witness: object = None) -> None:
         self.checks.append(Check(name, PASS if ok else FAIL, None if ok else witness))
 
-    def first_failure(self) -> Check | None:
-        for check in self.checks:
-            if check.status != PASS:
-                return check
-        return None
-
     def to_dict(self) -> dict:
         return {
             "subject": self.subject,

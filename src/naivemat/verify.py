@@ -11,6 +11,7 @@ import time
 from collections import deque
 from collections.abc import Iterator
 
+from . import greedy
 from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from .geometry import DEFAULT_POINT_BOUND, check_design_lines, expected_counts, pg_lines
 from .greedy import GenParams, NaiveMatrixGenerator, generate
@@ -24,13 +25,17 @@ def _identity(n: int, q: int) -> str:
     return f"rows equal the lines of PG({n},{q})"
 
 
-def _over_point_bound(report: VerificationReport, v: int, names) -> bool:
-    """Above the point bound, report each named check indeterminate, so that
-    nothing is generated; say whether v is above it."""
-    if v <= DEFAULT_POINT_BOUND:
+def _over_bound(report: VerificationReport, v: int, names, columns: int = 0) -> bool:
+    """Above the point bound, or with more columns than the generator's cap,
+    report each named check indeterminate, so that nothing is generated;
+    say whether a bound is exceeded."""
+    if v > DEFAULT_POINT_BOUND:
+        reason = f"{v} points exceed the point bound {DEFAULT_POINT_BOUND}"
+    elif columns > greedy.COLUMN_CAP:
+        reason = f"{columns} columns exceed the column cap {greedy.COLUMN_CAP}"
+    else:
         return False
-    reason = {"reason": f"{v} points exceed the point bound {DEFAULT_POINT_BOUND}"}
-    report.checks.extend(Check(name, INDETERMINATE, reason) for name in names)
+    report.checks.extend(Check(name, INDETERMINATE, {"reason": reason}) for name in names)
     return True
 
 
@@ -98,7 +103,7 @@ def verify_theorem_q2(n: int) -> VerificationReport:
     report = VerificationReport(subject=f"theorem q=2 n={n}",
                                 counts={"n": n, "k": 3, "r": r, "d": d, "s": s})
     xor = "rows are xor-closed triples below 2^(n+1)"
-    if not _over_point_bound(report, s, (xor, _identity(n, 2))):
+    if not _over_bound(report, s, (xor, _identity(n, 2))):
         first: dict = {}
         deque(_checked_rows(n, 2, 1, first), 0)
         _add(report, xor, first["xor"])
@@ -110,7 +115,8 @@ def verify_theorem_q2(n: int) -> VerificationReport:
 def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationReport:
     """Check block t uses only columns in (t*s, (t+1)*s] and that row i+d is
     row i shifted by s, in one pass over the rows that keeps none of them
-    when both hold."""
+    when both hold.  The blocks span blocks*s columns; above the
+    generator's column cap nothing is generated."""
     if blocks < 1:
         raise InvalidParameterError(f"blocks must be at least 1, got {blocks}")
     start = time.perf_counter()
@@ -118,7 +124,7 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationRepor
     report = VerificationReport(subject=f"zero blocks and periodicity n={n} blocks={blocks}",
                                 counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": 0})
     names = ("each block of d rows stays in its s-column window", "row i+d equals row i shifted by s")
-    if not _over_point_bound(report, s, names):
+    if not _over_bound(report, s, names, blocks * s):
         first: dict = {}
         report.counts["rows"] = sum(1 for _ in _checked_rows(n, 2, blocks, first))
         _add(report, names[0], first["window"])
@@ -152,7 +158,7 @@ def verify_proof_invariants(n: int) -> VerificationReport:
              "complete window points are connectable to all others",
              "window points below c are connectable to a or b",
              "window points below b are connectable to a")
-    if not _over_point_bound(report, s, names):
+    if not _over_bound(report, s, names):
         first, report.counts["complete_points"] = _replay_invariants(s, r, d)
         for name, witness in zip(names, first.values()):
             _add(report, name, witness)
@@ -170,7 +176,9 @@ def _replay_invariants(s: int, r: int, d: int) -> tuple[dict, int]:
                                      "claim2": None, "claim3": None}
     checked = 0
     for m in range(d):
-        a, b, c = gen.peek_next_row()
+        # Claims 2 and 3 are read after the row is committed: it adds only
+        # a, b and c to the masks of a and b, and neither need mask holds them
+        a, b, c = gen.next_row()
         if first["member"] is None and not 1 <= a < b < c <= s:
             first["member"] = {"step": m, "points": [a, b, c]}
         if first["claim2"] is None:
@@ -185,7 +193,6 @@ def _replay_invariants(s: int, r: int, d: int) -> tuple[dict, int]:
             if missing:
                 first["claim3"] = {"step": m, "next_row": [a, b, c],
                                    "point": (missing & -missing).bit_length() - 1}
-        gen.next_row()
         if first["claim1"] is None:
             for x in (a, b, c):
                 if x <= s and gen.is_complete(x):
@@ -218,7 +225,7 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     start = time.perf_counter()
     report = VerificationReport(subject=f"general q={q} n={n}",
                                 counts={"q": q, "n": n, "v": v, "b": b, "k": k, "r": r})
-    if not _over_point_bound(report, v, (_identity(n, q),)):
+    if not _over_bound(report, v, (_identity(n, q),)):
         first: dict = {}
         design = check_design_lines(_checked_rows(n, q, 1, first), v, k, r, 1)
         _add(report, "rows stay within the point window", first["window"])

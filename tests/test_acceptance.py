@@ -92,7 +92,7 @@ def test_criterion_7_general_q_experiments():
         ok = ok and rep.status == "pass" and elapsed < 30.0
         details.append(f"q={rep.counts['q']} n={n}: {rep.status} {elapsed:.2f} s")
         if rep.status != "pass":
-            print("  finding:", json.dumps(rep.first_failure().__dict__))
+            print("  findings:", json.dumps([c.__dict__ for c in rep.checks if c.status != "pass"]))
     _criterion(7, "general-q experimental confirmation", ok, "; ".join(details))
 
 

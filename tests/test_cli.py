@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import naivemat
+from naivemat import greedy
 from naivemat.cli import (EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE,
-                          format_matrix_pbm, format_rows_csv, format_rows_json, main)
+                          format_matrix_pbm, format_rows_csv, main)
 from naivemat.greedy import GenParams, generate
 
 FANO_CSV = "1,2,3\n1,4,5\n1,6,7\n2,4,6\n2,5,7\n3,4,7\n3,5,6\n"
@@ -47,7 +48,7 @@ def test_rows_json_round_trip_is_byte_identical(capsys):
     _, out, _ = run_cli(capsys, "generate", "--k", "4", "--r", "3", "--rows", "9",
                         "--format", "rows-json")
     doc = json.loads(out)
-    assert format_rows_json(doc["k"], doc["r"], doc["rows"]) == out
+    assert json.dumps(doc, separators=(",", ":")) + "\n" == out
 
 
 def test_generate_matrix_pbm(capsys):
@@ -75,26 +76,23 @@ def test_generate_missing_flag_is_usage_error(capsys):
     assert main(["generate", "--k", "3", "--r", "3"]) == EXIT_USAGE
 
 
-def test_generate_cap_failure_is_runtime_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2",
-                             "--column-cap", "3")
+def test_generate_cap_failure_is_runtime_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(greedy, "COLUMN_CAP", 3)
+    code, out, err = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2")
     assert code == EXIT_FAIL
     assert "cap" in err
     assert out == ""
     target = tmp_path / "rows.csv"
     code, _, _ = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2",
-                         "--column-cap", "3", "--out", str(target))
+                         "--out", str(target))
     assert code == EXIT_FAIL
     assert not target.exists()
 
 
-def test_generate_column_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("COLUMN_CAP", "3")
-    code, _, _ = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2")
-    assert code == EXIT_FAIL
-    monkeypatch.setenv("COLUMN_CAP", "64")
-    code, out, _ = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2")
-    assert code == EXIT_PASS and out == "1,2,3\n4,5,6\n"
+def test_generate_column_cap_flag_is_gone(capsys):
+    code, out, _ = run_cli(capsys, "generate", "--k", "3", "--r", "1", "--rows", "2",
+                           "--column-cap", "3")
+    assert code == EXIT_USAGE and out == ""
 
 
 def test_generate_out_file(tmp_path, capsys):

@@ -3,11 +3,13 @@ and the brute-force lexicographic-minimum oracle."""
 
 import tracemalloc
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naivemat import greedy
 from naivemat.errors import (InputRangeError, InvalidParameterError,
                              RowIncompleteError)
 from naivemat.greedy import GenParams, NaiveMatrixGenerator, Row, generate
@@ -56,7 +58,7 @@ def test_gen_params_validation():
     with pytest.raises(InvalidParameterError):
         GenParams(k=3, r=1, max_rows=0)
     with pytest.raises(InvalidParameterError):
-        GenParams(k=3, r=1, max_rows=1, column_cap=2)
+        GenParams(k=greedy.COLUMN_CAP + 1, r=1, max_rows=1)
 
 
 # ---------------------------------------------------------------------------
@@ -89,26 +91,6 @@ def test_peek_does_not_commit():
     assert gen.next_row() == (1, 2, 3)
 
 
-def test_peek_is_kept_until_committed():
-    want = list(generate(GenParams(k=3, r=7, max_rows=300)))
-    gen = NaiveMatrixGenerator(GenParams(k=3, r=7, max_rows=300))
-    scans = 0
-    scan = gen._scan
-
-    def counted_scan():
-        nonlocal scans
-        scans += 1
-        return scan()
-
-    gen._scan = counted_scan
-    for i, points in enumerate(want):
-        assert gen.peek_next_row() == points
-        assert gen.peek_next_row() == points
-        assert gen.next_row() == points
-    assert gen.emitted == i + 1
-    assert scans == len(want)  # one scan per row, however often it is peeked
-
-
 def test_max_rows_is_enforced():
     gen = NaiveMatrixGenerator(GenParams(k=2, r=1, max_rows=1))
     gen.next_row()
@@ -121,39 +103,37 @@ def test_determinism():
     assert list(generate(p)) == list(generate(p))
 
 
-def test_column_cap_raises_row_incomplete():
+def test_column_cap_raises_row_incomplete(monkeypatch):
+    monkeypatch.setattr(greedy, "COLUMN_CAP", 3)
     with pytest.raises(RowIncompleteError):
-        list(generate(GenParams(k=3, r=1, max_rows=2, column_cap=3)))
+        list(generate(GenParams(k=3, r=1, max_rows=2)))
 
 
 def test_is_complete_and_connectable():
     gen = NaiveMatrixGenerator(GenParams(k=3, r=3, max_rows=7))
     gen.next_row()  # {1,2,3}
     assert not gen.is_complete(1)
-    assert gen.connectable(1, 2)
-    assert not gen.connectable(1, 4)
+    assert gen.connectable_mask(1) >> 2 & 1
+    assert not gen.connectable_mask(1) >> 4 & 1
     gen.next_row()  # {1,4,5}
-    assert gen.connectable(4, 5)
+    assert gen.connectable_mask(4) >> 5 & 1
     for _ in range(5):
         gen.next_row()
     assert gen.is_complete(1)      # rows 1, 2, 3 contain point 1
     assert not gen.is_complete(9)  # never used
-    assert gen.connectable(4, 5)   # row 2 = {1,4,5}
-    with pytest.raises(InvalidParameterError):
-        gen.connectable(2, 2)
+    assert gen.connectable_mask(4) >> 5 & 1   # row 2 = {1,4,5}
     with pytest.raises(InputRangeError):
-        gen.connectable(0, 2)
+        gen.connectable_mask(0)
 
 
 def test_connectable_mask_matches_pairs():
     gen = NaiveMatrixGenerator(GenParams(k=3, r=3, max_rows=4))
-    for _ in range(4):
-        gen.next_row()
+    rows = [gen.next_row() for _ in range(4)]
     for x in range(1, 8):
         mask = gen.connectable_mask(x)
         for y in range(1, 10):
             if y != x:
-                assert bool((mask >> y) & 1) == gen.connectable(x, y)
+                assert bool((mask >> y) & 1) == any(x in row and y in row for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -205,43 +185,43 @@ def test_window_growth_past_initial_bound():
        st.one_of(st.none(), st.integers(2, 30)))
 def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
     """Every state query, saturated columns included, agrees with the rows:
-    degrees and masks of every column after every row, and connectable for
-    every pair that involves a column of the new row.  The regenerated
+    degrees and masks of every column after every row, and connectability
+    for every pair that involves a column of the new row.  The regenerated
     `rows` property lists exactly the rows emitted."""
-    params = GenParams(k, r, n_rows, column_cap=max(cap, k)) if cap else GenParams(k, r, n_rows)
-    gen = NaiveMatrixGenerator(params)
-    deg, partners = {}, {}
-    prev = []
-    for m in range(n_rows):
-        try:
-            row = gen.next_row()
-        except RowIncompleteError:
-            # the greedy row needs a column beyond the cap
-            bound = max((p for rr in prev for p in rr), default=0) + k
-            assert cap is not None
-            assert lexmin_admissible_row(prev, k, r, bound)[-1] > params.column_cap
-            break
-        if m < 10:
-            bound = max((p for rr in prev for p in rr), default=0) + k
-            assert row == lexmin_admissible_row(prev, k, r, bound)
-        row_bits = sum(1 << x for x in row)
-        for x in row:
-            deg[x] = deg.get(x, 0) + 1
-            partners[x] = partners.get(x, 0) | (row_bits ^ (1 << x))
-        top = gen.max_used_column + 2
-        for x in range(1, top + 1):
-            assert gen.column_degree(x) == deg.get(x, 0)
-            assert gen.is_complete(x) == (deg.get(x, 0) == r)
-            assert gen.connectable_mask(x) == partners.get(x, 0)
-        for x in row:
-            for y in range(1, top + 1):
-                if y != x:
-                    want = bool(partners[x] >> y & 1)
-                    assert gen.connectable(x, y) == want
-                    assert gen.connectable(y, x) == want
-        prev.append(row)
-    assert gen.emitted == len(prev)
-    assert gen.rows == [Row(i, row) for i, row in enumerate(prev, 1)]
+    with patch.object(greedy, "COLUMN_CAP", max(cap, k) if cap else greedy.COLUMN_CAP):
+        gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
+        deg, partners = {}, {}
+        prev = []
+        for m in range(n_rows):
+            try:
+                row = gen.next_row()
+            except RowIncompleteError:
+                # the greedy row needs a column beyond the cap
+                bound = max((p for rr in prev for p in rr), default=0) + k
+                assert cap is not None
+                assert lexmin_admissible_row(prev, k, r, bound)[-1] > greedy.COLUMN_CAP
+                break
+            if m < 10:
+                bound = max((p for rr in prev for p in rr), default=0) + k
+                assert row == lexmin_admissible_row(prev, k, r, bound)
+            row_bits = sum(1 << x for x in row)
+            for x in row:
+                deg[x] = deg.get(x, 0) + 1
+                partners[x] = partners.get(x, 0) | (row_bits ^ (1 << x))
+            top = gen.max_used_column + 2
+            for x in range(1, top + 1):
+                assert gen.column_degree(x) == deg.get(x, 0)
+                assert gen.is_complete(x) == (deg.get(x, 0) == r)
+                assert gen.connectable_mask(x) == partners.get(x, 0)
+            for x in row:
+                for y in range(1, top + 1):
+                    if y != x:
+                        want = partners[x] >> y & 1
+                        assert gen.connectable_mask(x) >> y & 1 == want
+                        assert gen.connectable_mask(y) >> x & 1 == want
+            prev.append(row)
+        assert gen.emitted == len(prev)
+        assert gen.rows == [Row(i, row) for i, row in enumerate(prev, 1)]
 
 
 def _generate_peak_bytes(k, r, rows):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from naivemat import nimber
 from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from naivemat.nimber import (FermatField, _gf256, _mul, field_check,
-                             greediness_lemma_holds, is_fermat_two_power, nim_add,
-                             nim_mul, nim_mul_table)
+                             greediness_lemma_holds, is_fermat_two_power, nim_mul,
+                             nim_mul_table)
 
 nimbers = st.integers(min_value=0, max_value=(1 << 63) - 1)
 small = st.integers(min_value=0, max_value=(1 << 16) - 1)
@@ -33,8 +33,11 @@ def brute_nim_mul(a, b, _cache={}):
 
 
 # ---------------------------------------------------------------------------
-# nim addition
+# nim addition: the sum of every Fermat field
 # ---------------------------------------------------------------------------
+
+nim_add = FermatField(65536).add  # `small` draws from [0, 2^16)
+
 
 def test_nim_add_spot_values():
     assert nim_add(1, 2) == 3
@@ -70,11 +73,13 @@ def test_binary_expansion_round_trip(x):
 
 
 def test_nim_add_range_errors():
+    # the largest Fermat field within the 63-bit value domain
+    add = FermatField(1 << 32).add
     with pytest.raises(InputRangeError):
-        nim_add(-1, 0)
+        add(-1, 0)
     with pytest.raises(InputRangeError):
-        nim_add(1 << 63, 0)
-    assert nim_add((1 << 63) - 1, 0) == (1 << 63) - 1
+        add(0, 1 << 32)
+    assert add((1 << 32) - 1, 0) == (1 << 32) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,67 @@
+"""Every public name in the package has a caller outside the tests.
+
+A public module-level function or class, or a public method, of
+src/naivemat must be loaded by name somewhere in the package's own
+modules (the package's __init__.py aside) or in perfbench/*.py.  The
+benchmark's trace worker names the functions it calls as "module.name"
+strings (`tr.call("geometry.build_pg", ...)`), so such a string counts as
+a use of `name`.  The check matches names, not types: a use of any
+attribute called `b` covers every public `b`.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import naivemat
+
+PACKAGE = Path(naivemat.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+# FermatField is the field tests/test_geometry.py builds its reference
+# PG(n, q) over, by closing point pairs instead of pg_lines' echelon
+# enumeration.  The package multiplies through nim_mul, so FermatField and
+# its members keep no caller in it.
+ALLOWED = {"FermatField"}
+
+_DOTTED = re.compile(r"(?:cli|geometry|greedy|nimber|report|verify)\.([A-Za-z]\w*)")
+
+
+def _public_definitions():
+    """{qualified name: name} of each public function, class and method."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_")
+                    or node.name in ALLOWED):
+                continue
+            found[f"{path.stem}.{node.name}"] = node.name
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return found
+
+
+def _loaded_names():
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted(PERFBENCH.glob("*.py"))
+    names = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                match = _DOTTED.fullmatch(node.value)
+                if match:
+                    names.add(match.group(1))
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    defined, loaded = _public_definitions(), _loaded_names()
+    # a scan that found no sources would pass vacuously
+    assert "greedy.NaiveMatrixGenerator.next_row" in defined
+    assert "nim_mul_table" in loaded  # only perfbench's "nimber.nim_mul_table" names it
+    assert [qual for qual, name in defined.items() if name not in loaded] == []

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from naivemat import verify
+from naivemat import greedy, verify
 from naivemat.cli import main
 from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
 from naivemat.geometry import build_pg
@@ -31,7 +31,6 @@ def test_report_status_derivation():
     assert rep.status == "indeterminate"
     rep.add("c", False, {"point": 3})
     assert rep.status == "fail"
-    assert rep.first_failure().name == "b"
 
 
 def test_report_json_shape():
@@ -89,7 +88,7 @@ def test_theorem_moved_row_names_its_line(monkeypatch):
 
 
 def no_rows(*args, **kwargs):
-    raise AssertionError("generated rows above the point bound")
+    raise AssertionError("generated rows above a size bound")
 
 
 def test_theorem_guards(monkeypatch):
@@ -113,6 +112,24 @@ def test_theorem_guards(monkeypatch):
 # ---------------------------------------------------------------------------
 # periodicity harness
 # ---------------------------------------------------------------------------
+
+def test_periodicity_above_column_cap_is_indeterminate(monkeypatch):
+    # 400000 blocks of s = 3 columns need columns up to 1,200,000, above the
+    # generator's cap of 2^20: decided before any row is generated, not
+    # reported as a failure when generation reaches the cap
+    monkeypatch.setattr(verify, "generate", no_rows)
+    rep = verify_zero_blocks_and_periodicity(1, 400_000)
+    assert rep.status == "indeterminate"
+    assert rep.counts["rows"] == 0
+    assert [(c.status, c.witness) for c in rep.checks] == 2 * [
+        ("indeterminate", {"reason": "1200000 columns exceed the column cap 1048576"})]
+    # the bound is the generator's cap, read when the harness runs: blocks
+    # that end at the cap exactly are generated
+    monkeypatch.undo()
+    monkeypatch.setattr(greedy, "COLUMN_CAP", 9)
+    assert verify_zero_blocks_and_periodicity(1, 3).status == "pass"
+    assert verify_zero_blocks_and_periodicity(1, 4).status == "indeterminate"
+
 
 def test_periodicity_n1_two_blocks():
     rep = verify_zero_blocks_and_periodicity(1, 2)
