@@ -1,13 +1,13 @@
 """Canonical projective point-line models and incidence-structure checks.
 
 Coordinates over GF(q) are plain integers in [0, q) with nim arithmetic
-(nim_mul), so a projective point is a tuple of ints whose first nonzero
-entry is 1.  Incidence structures carry 1-based point indices throughout.
+(nim_mul).  A projective point is a vector whose first nonzero entry is 1,
+known only by its 1-based rank (see pg_lines); incidence structures carry
+such point indices throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from array import array
 from collections import namedtuple
@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .nimber import is_fermat_two_power, nim_mul
+from .nimber import VALUE_BITS, is_fermat_two_power, nim_mul
 from .report import VerificationReport
 
 DEFAULT_POINT_BOUND = 10_000
@@ -26,17 +26,35 @@ PgCounts = namedtuple("PgCounts", "v b r k d")
 
 def expected_counts(n: int, q: int) -> PgCounts:
     """Point, line, and incidence counts of PG(n, q); d is the identified
-    greedy row count (equal to b)."""
+    greedy row count (equal to b).
+
+    v has n*log2(q) + 1 bits, as q^n <= v < 2q^n.  Past the VALUE_BITS
+    value domain every count but k is None and is never built, so a huge n
+    costs nothing.
+    """
     if n < 1:
         raise InvalidParameterError(f"dimension n must be at least 1, got {n}")
     if not is_fermat_two_power(q):
         raise InvalidParameterError(f"field order must be a Fermat 2-power, got {q}")
+    k = q + 1
+    if (q.bit_length() - 1) * n >= VALUE_BITS:
+        return PgCounts(None, None, None, k, None)
     v = (q ** (n + 1) - 1) // (q - 1)
     r = (q ** n - 1) // (q - 1)
-    k = q + 1
     assert v * r % k == 0
     b = v * r // k
     return PgCounts(v, b, r, k, b)
+
+
+def point_bound_reason(n: int, q: int) -> str | None:
+    """None if PG(n, q) has at most DEFAULT_POINT_BOUND points (read at call
+    time), else why it is too large to build.  The count comes from
+    expected_counts, so it is decided before any huge count is built."""
+    v = expected_counts(n, q).v
+    if v is not None and v <= DEFAULT_POINT_BOUND:
+        return None
+    points = f"at least 2^{VALUE_BITS}" if v is None else v
+    return f"{points} points exceed the point bound {DEFAULT_POINT_BOUND}"
 
 
 # ---------------------------------------------------------------------------
@@ -69,23 +87,18 @@ class IncidenceStructure:
 
 @dataclass(frozen=True)
 class CanonicalGeometry:
-    """PG(n, q) built from normalized coordinate vectors over the nim field."""
+    """PG(n, q) in the ranked labelling of pg_lines: its point count v and
+    its lines, each a tuple of 1-based point ranks."""
 
-    n: int
-    q: int
-    points: tuple[tuple[int, ...], ...]
-    lines: tuple[tuple[int, ...], ...]  # 1-based indices into points
-
-    @property
-    def v(self) -> int:
-        return len(self.points)
+    v: int
+    lines: tuple[tuple[int, ...], ...]
 
     @property
     def b(self) -> int:
         return len(self.lines)
 
 
-def pg_lines(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Iterator[tuple[int, ...]]:
+def pg_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
     """The lines of PG(n, q) with nim-field coordinates, in the ranked
     labelling, yielded one at a time in lex order.
 
@@ -99,12 +112,12 @@ def pg_lines(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> Iterator
     row 1 + lam*row 2 for lam in GF(q), already normalized and already in
     ascending order, and the loops run in lex order of the lines, so the
     enumeration is O(b*k) with no inverse, lookup or sort, and it holds
-    no line once it is yielded.  The parameters and the point bound are
-    checked before this returns.
+    no line once it is yielded.  The parameters and the point bound
+    (point_bound_reason) are checked before this returns.
     """
-    v = expected_counts(n, q).v
-    if v > point_bound:
-        raise ResourceLimitError(f"PG({n},{q}) has {v} points, above the bound {point_bound}")
+    reason = point_bound_reason(n, q)
+    if reason:
+        raise ResourceLimitError(f"PG({n},{q}): {reason}")
     return _ranked_lines(n, q)
 
 
@@ -133,32 +146,28 @@ def _ranked_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
                         yield (p2, *[head + hi + (low ^ s) for hi, s in cols])
 
 
-def build_pg(n: int, q: int, point_bound: int = DEFAULT_POINT_BOUND) -> CanonicalGeometry:
-    """Points and lines of PG(n, q) in the ranked labelling of pg_lines,
-    all held in memory (for export; the harnesses compare against
-    pg_lines as they go)."""
+def build_pg(n: int, q: int) -> CanonicalGeometry:
+    """The lines of pg_lines(n, q) held in memory, for export (the harnesses
+    compare against pg_lines as they go), with v and the line count
+    checked from expected_counts."""
+    lines = tuple(pg_lines(n, q))
     counts = expected_counts(n, q)
-    lines = tuple(pg_lines(n, q, point_bound))
-    points = tuple((0,) * (n - m) + (1,) + tail
-                   for m in range(n + 1)
-                   for tail in itertools.product(range(q), repeat=m))
-    if len(lines) != counts.b or len(points) != counts.v:
+    if len(lines) != counts.b:
         raise RuntimeError(f"PG({n},{q}) construction produced inconsistent counts")
-    return CanonicalGeometry(n=n, q=q, points=points, lines=lines)
+    return CanonicalGeometry(v=counts.v, lines=lines)
 
 
 # ---------------------------------------------------------------------------
 # design check
 # ---------------------------------------------------------------------------
 
-def check_design(s: IncidenceStructure, v: int, k: int, r: int, lam: int = 1,
-                 subject: str | None = None) -> VerificationReport:
+def check_design(s: IncidenceStructure, v: int, k: int, r: int, lam: int = 1) -> VerificationReport:
     """check_design_lines on the lines of s."""
-    return check_design_lines(s.lines, v, k, r, lam, subject)
+    return check_design_lines(s.lines, v, k, r, lam)
 
 
-def check_design_lines(lines: Iterable[tuple[int, ...]], v: int, k: int, r: int, lam: int = 1,
-                       subject: str | None = None) -> VerificationReport:
+def check_design_lines(lines: Iterable[tuple[int, ...]], v: int, k: int, r: int,
+                       lam: int = 1) -> VerificationReport:
     """Verify the 2-(v, k, lam) conditions with per-point degree r on
     nonempty lines of ascending points, read once.
 
@@ -170,7 +179,7 @@ def check_design_lines(lines: Iterable[tuple[int, ...]], v: int, k: int, r: int,
     import numpy as np
 
     start = time.perf_counter()
-    report = VerificationReport(subject=subject or f"design 2-({v},{k},{lam}) with r={r}")
+    report = VerificationReport(subject=f"design 2-({v},{k},{lam}) with r={r}")
     deg = np.zeros(v + 1, dtype=np.int64)
     cover = np.zeros(v * (v - 1) // 2, dtype=np.int64)  # by pair rank
     pending: dict[int, array] = {}  # points of the uncounted lines of each size

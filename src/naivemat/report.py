@@ -55,5 +55,5 @@ class VerificationReport:
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)

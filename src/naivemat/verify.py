@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 from . import greedy
 from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
-from .geometry import DEFAULT_POINT_BOUND, check_design_lines, expected_counts, pg_lines
+from .geometry import check_design_lines, expected_counts, pg_lines, point_bound_reason
 from .greedy import GenParams, NaiveMatrixGenerator, generate
 from .nimber import VALUE_BITS, greediness_lemma_holds
 from .report import INDETERMINATE, Check, VerificationReport
@@ -25,16 +25,17 @@ def _identity(n: int, q: int) -> str:
     return f"rows equal the lines of PG({n},{q})"
 
 
-def _over_bound(report: VerificationReport, v: int, names, columns: int = 0) -> bool:
-    """Above the point bound, or with more columns than the generator's cap,
-    report each named check indeterminate, so that nothing is generated;
-    say whether a bound is exceeded."""
-    if v > DEFAULT_POINT_BOUND:
-        reason = f"{v} points exceed the point bound {DEFAULT_POINT_BOUND}"
-    elif columns > greedy.COLUMN_CAP:
+def _over_bound(report: VerificationReport, n: int, q: int, names, blocks: int = 0) -> bool:
+    """Above the point bound of PG(n, q), or with more columns than the
+    generator's cap in `blocks` point windows (only periodicity passes
+    any), report each named check indeterminate, so that nothing is
+    generated; say whether a bound is exceeded."""
+    reason = point_bound_reason(n, q)
+    if reason is None:
+        columns = blocks * expected_counts(n, q).v
+        if columns <= greedy.COLUMN_CAP:
+            return False
         reason = f"{columns} columns exceed the column cap {greedy.COLUMN_CAP}"
-    else:
-        return False
     report.checks.extend(Check(name, INDETERMINATE, {"reason": reason}) for name in names)
     return True
 
@@ -103,7 +104,7 @@ def verify_theorem_q2(n: int) -> VerificationReport:
     report = VerificationReport(subject=f"theorem q=2 n={n}",
                                 counts={"n": n, "k": 3, "r": r, "d": d, "s": s})
     xor = "rows are xor-closed triples below 2^(n+1)"
-    if not _over_bound(report, s, (xor, _identity(n, 2))):
+    if not _over_bound(report, n, 2, (xor, _identity(n, 2))):
         first: dict = {}
         deque(_checked_rows(n, 2, 1, first), 0)
         _add(report, xor, first["xor"])
@@ -124,7 +125,7 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationRepor
     report = VerificationReport(subject=f"zero blocks and periodicity n={n} blocks={blocks}",
                                 counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": 0})
     names = ("each block of d rows stays in its s-column window", "row i+d equals row i shifted by s")
-    if not _over_bound(report, s, names, blocks * s):
+    if not _over_bound(report, n, 2, names, blocks):
         first: dict = {}
         report.counts["rows"] = sum(1 for _ in _checked_rows(n, 2, blocks, first))
         _add(report, names[0], first["window"])
@@ -158,7 +159,7 @@ def verify_proof_invariants(n: int) -> VerificationReport:
              "complete window points are connectable to all others",
              "window points below c are connectable to a or b",
              "window points below b are connectable to a")
-    if not _over_bound(report, s, names):
+    if not _over_bound(report, n, 2, names):
         first, report.counts["complete_points"] = _replay_invariants(s, r, d)
         for name, witness in zip(names, first.values()):
             _add(report, name, witness)
@@ -218,14 +219,14 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     """
     if a_exponent < 0:
         raise InvalidParameterError(f"a must be nonnegative, got {a_exponent}")
-    if (1 << a_exponent) > VALUE_BITS:
+    if a_exponent >= VALUE_BITS.bit_length():  # 1 << a_exponent > VALUE_BITS
         raise InputRangeError(f"q = 2^(2^{a_exponent}) exceeds the {VALUE_BITS}-bit nim value domain")
     q = 1 << (1 << a_exponent)
     v, b, r, k, _ = expected_counts(n, q)
     start = time.perf_counter()
     report = VerificationReport(subject=f"general q={q} n={n}",
                                 counts={"q": q, "n": n, "v": v, "b": b, "k": k, "r": r})
-    if not _over_bound(report, v, (_identity(n, q),)):
+    if not _over_bound(report, n, q, (_identity(n, q),)):
         first: dict = {}
         design = check_design_lines(_checked_rows(n, q, 1, first), v, k, r, 1)
         _add(report, "rows stay within the point window", first["window"])

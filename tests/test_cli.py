@@ -203,6 +203,28 @@ def test_verify_general_above_point_bound_is_indeterminate(capsys, monkeypatch):
     assert code == EXIT_INDETERMINATE and err == ""
 
 
+@pytest.mark.parametrize("argv,code", [
+    ("verify theorem --n 14283", EXIT_INDETERMINATE),
+    ("verify periodicity --n 14284 --blocks 1", EXIT_INDETERMINATE),
+    ("verify invariants --n 14284", EXIT_INDETERMINATE),
+    ("verify general --a 1 --n 7200", EXIT_INDETERMINATE),
+    ("export-pg --n 20000 --q 2", EXIT_USAGE),
+    ("verify general --a 100000000000000000000 --n 2", EXIT_USAGE),
+])
+def test_huge_arguments_are_refused_without_a_traceback(capsys, argv, code):
+    # the point counts have over 4300 digits here, more than Python will
+    # print, and q = 2^(2^a) more bits than fit in memory
+    got, out, err = run_cli(capsys, *argv.split())
+    assert got == code
+    if code == EXIT_USAGE:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        doc = json.loads(out)
+        assert doc["status"] == "indeterminate" and err == ""
+        assert doc["checks"][0]["witness"] == {
+            "reason": "at least 2^63 points exceed the point bound 10000"}
+
+
 def test_verify_report_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "theorem", "--n", "1", "--out", str(target))

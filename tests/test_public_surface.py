@@ -18,12 +18,6 @@ import naivemat
 PACKAGE = Path(naivemat.__file__).parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
-# FermatField is the field tests/test_geometry.py builds its reference
-# PG(n, q) over, by closing point pairs instead of pg_lines' echelon
-# enumeration.  The package multiplies through nim_mul, so FermatField and
-# its members keep no caller in it.
-ALLOWED = {"FermatField"}
-
 _DOTTED = re.compile(r"(?:cli|geometry|greedy|nimber|report|verify)\.([A-Za-z]\w*)")
 
 
@@ -32,8 +26,7 @@ def _public_definitions():
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_")
-                    or node.name in ALLOWED):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             found[f"{path.stem}.{node.name}"] = node.name
             for item in node.body if isinstance(node, ast.ClassDef) else ():
