@@ -4,7 +4,8 @@ Exit codes: 0 = pass/success, 1 = verification failure or runtime error,
 2 = usage or invalid parameters, 3 = indeterminate verification.
 Artifacts go to stdout unless --out is given; diagnostics go to stderr.
 Output is written piece by piece once it is fully computed, so a failed
-generation writes nothing; an unwritable --out exits 1 with an error line.
+generation writes nothing; an unwritable --out or stdout exits 1 with an
+error line, and a stdout pipe closed by its reader ends the output quietly.
 
 `verify general` certifies by exact identity with the ranked lines of
 PG(n, q); `--iso` is accepted and ignored, since the identity already
@@ -85,10 +86,13 @@ def _write(lines, out: str | None) -> None:
         try:
             sys.stdout.writelines(lines)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader stopped early (`| head`): drop the rest, and point
-            # stdout at devnull so the flush at exit cannot fail again
+        except OSError as exc:
+            # the reader stopped early (`| head`) or the device is full: drop
+            # the rest, and point stdout at devnull so the flush at exit
+            # cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                raise OutputError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     try:
         with open(out, "w") as fh:
@@ -129,8 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     gq.add_argument("--iso", action="store_true",
                     help="ignored: the identity check always compares with the model")
 
-    lm = vsub.add_parser("lemma", help="exhaustive greediness scan")
-    lm.add_argument("--bound", type=int, required=True)
+    lm = vsub.add_parser("lemma", help="decide the greediness lemma for every width")
+    lm.add_argument("--bound", type=int, required=True,
+                    help="report [0, bound)^3 as the covered scope, up to 2^63")
 
     fd = vsub.add_parser("field", help="field laws of nim arithmetic on [0, q)")
     fd.add_argument("--q", type=int, required=True)

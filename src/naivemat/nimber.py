@@ -158,7 +158,11 @@ def nim_mul_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def greediness_lemma_holds(a: int, b: int, c: int) -> bool:
-    """Whether c < a^b implies a^c < b or b^c < a (vacuously true otherwise)."""
+    """Whether c < a^b implies a^c < b or b^c < a (vacuously true otherwise).
+
+    It must read only the signs of c - a^b, a^c - b and b^c - a:
+    verify.lemma_exhaustive decides it for every width from one triple per
+    sign state."""
     a = _check_value(a, "a")
     b = _check_value(b, "b")
     c = _check_value(c, "c")

@@ -58,10 +58,11 @@ def test_criterion_3_zero_blocks_and_periodicity():
 
 def test_criterion_4_greediness_lemma_exhaustive():
     t0 = time.perf_counter()
-    rep = lemma_exhaustive(128)
+    rep = lemma_exhaustive(512)
     elapsed = time.perf_counter() - t0
-    ok = rep.status == "pass" and rep.counts["triples"] == 2_097_152 and elapsed < 1.0
-    _criterion(4, "greediness scan over [0,128)^3", ok, f"{elapsed:.2f} s")
+    ok = rep.status == "pass" and rep.counts["triples"] == 512 ** 3 and rep.counts["states"] == 5
+    ok = ok and elapsed < 0.1
+    _criterion(4, "greediness lemma decided for every width, bound 512", ok, f"{elapsed:.3f} s")
 
 
 def test_criterion_5_nimber_fields():

@@ -169,7 +169,7 @@ def test_verify_invariants_default_max_n(capsys):
 def test_verify_lemma(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemma", "--bound", "64")
     assert code == EXIT_PASS
-    assert json.loads(out)["counts"]["triples"] == 64 ** 3
+    assert json.loads(out)["counts"] == {"bound": 64, "triples": 64 ** 3, "states": 5}
 
 
 def test_verify_field(capsys):
@@ -240,8 +240,13 @@ def test_verify_unwritable_out_is_clean_error(tmp_path, capsys):
 
 
 def test_verify_bad_bound_is_usage(capsys):
-    code, _, _ = run_cli(capsys, "verify", "lemma", "--bound", "9999")
-    assert code == EXIT_USAGE
+    for bound in (9999, 2 ** 63):
+        code, out, _ = run_cli(capsys, "verify", "lemma", "--bound", str(bound))
+        assert code == EXIT_PASS and json.loads(out)["counts"]["bound"] == bound
+    for bound in (0, 2 ** 63 + 1, 10 ** 1500):  # 10^1500 has more digits than Python prints
+        code, out, err = run_cli(capsys, "verify", "lemma", "--bound", str(bound))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_failing_report_exits_one(capsys, monkeypatch):
@@ -345,12 +350,22 @@ def test_closed_stdout_pipe_is_not_a_traceback():
     assert err == ""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", ["verify theorem --n 3", "generate --k 3 --r 3 --rows 7"])
+def test_full_stdout_is_a_clean_error(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "naivemat", *argv.split()],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    assert proc.returncode == EXIT_FAIL
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
 # numpy is imported by the code that builds arrays and by nothing else: the
-# design count, the field laws, the lemma scan and the GF(256) product table
+# design count, the field laws and the GF(256) product table
 _COLD_START = """
 import json, sys
 from naivemat.cli import main  # imports the whole package
@@ -371,7 +386,7 @@ print(json.dumps([code, "numpy" in sys.modules]))
     (["export-pg", "--n", "2", "--q", "16", "--out"], False),
     (["verify", "general", "--a", "1", "--n", "2", "--out"], True),
     (["verify", "field", "--q", "16", "--out"], True),
-    (["verify", "lemma", "--bound", "8", "--out"], True),
+    (["verify", "lemma", "--bound", "8", "--out"], False),
     (["export-pg", "--n", "1", "--q", "256", "--out"], True),  # a width-8 product
 ], ids=lambda x: (" ".join(x) or "import") if isinstance(x, list) else
                  ("numpy" if x else "no-numpy"))

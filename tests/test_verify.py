@@ -4,11 +4,12 @@ import json
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from naivemat import greedy, verify
 from naivemat.cli import main
-from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
+from naivemat.errors import InputRangeError, InvalidParameterError
 from naivemat.geometry import build_pg
 from naivemat.greedy import GenParams, NaiveMatrixGenerator, generate
 from naivemat.report import Check, VerificationReport
@@ -304,7 +305,9 @@ def test_proof_invariants_hidden_partner_matches_rescan(monkeypatch, n, point, p
 # ---------------------------------------------------------------------------
 
 def _peak_bytes(harness, n):
-    harness(1)  # one-time tables (the nim multiplier's) are built outside the measurement
+    # one-time tables (the nim multiplier's) are built, and the interpreter's
+    # tuple free list is filled (up to 128 KB of 3-tuples), outside the measurement
+    harness(n)
     tracemalloc.start()
     try:
         assert harness(n).status == "pass"
@@ -319,12 +322,12 @@ def verify_periodicity(n):
 
 @pytest.mark.parametrize("harness", [verify_theorem_q2, verify_proof_invariants, verify_periodicity])
 def test_q2_harness_memory_is_not_per_row(harness):
-    # d grows 16x from n = 6 to n = 8 (2667 -> 43435 rows).  A stored row
+    # d grows 16x from n = 5 to n = 7 (651 -> 10795 rows).  A stored row
     # costs about 280 bytes; the generator's pair masks, about s^2/8 bytes
     # (0.75 byte per row), are all that should grow.  The periodicity
     # harness reads 3d rows and keeps no block.
-    d6, d8 = verify.expected_counts(6, 2).d, verify.expected_counts(8, 2).d
-    assert _peak_bytes(harness, 8) - _peak_bytes(harness, 6) < 8 * (d8 - d6)
+    d5, d7 = verify.expected_counts(5, 2).d, verify.expected_counts(7, 2).d
+    assert _peak_bytes(harness, 7) - _peak_bytes(harness, 5) < 8 * (d7 - d5)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +433,75 @@ def test_general_q_guards():
 # lemma harness
 # ---------------------------------------------------------------------------
 
+def _reference_counterexample(bound, holds):
+    """The first triple of [0, bound)^3, in lexicographic order, that holds
+    rejects, by a scan of every triple; holds takes a scalar a and arrays b
+    (a column) and c (a row)."""
+    xs = np.arange(bound, dtype=np.int64)
+    for a in range(bound):
+        ok = holds(a, xs[:, None], xs[None, :])
+        if not ok.all():
+            return [a, *(int(x) for x in np.argwhere(~ok)[0])]
+    return None
+
+
+def _lemma(a, b, c):
+    # the greediness lemma, written apart from nimber.greediness_lemma_holds
+    return (c >= (a ^ b)) | ((a ^ c) < b) | ((b ^ c) < a)
+
+
+def _sign_states(width):
+    """{state: least triple} over [0, 2^width)^3, with state the signs of
+    c - a^b, a^c - b and b^c - a, compared as whole integers."""
+    a, b, c = (x.ravel() for x in np.indices((1 << width,) * 3))
+    signs = np.stack([np.sign(c - (a ^ b)), np.sign((a ^ c) - b), np.sign((b ^ c) - a)], axis=1)
+    least = {}
+    for i, state in enumerate(map(tuple, signs.tolist())):  # lexicographic order
+        least.setdefault(state, (int(a[i]), int(b[i]), int(c[i])))
+    return least
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_lemma_states_are_the_sign_states_of_every_triple(width):
+    walked = verify._lemma_states()
+    assert len(walked) == 5
+    assert _sign_states(width) == walked  # the same states, each with the same least triple
+    for state, (a, b, c) in walked.items():
+        signs = (c - (a ^ b), (a ^ c) - b, (b ^ c) - a)
+        assert tuple((x > 0) - (x < 0) for x in signs) == state
+
+
 def test_lemma_exhaustive_small_bounds():
     assert lemma_exhaustive(1).status == "pass"
     rep = lemma_exhaustive(4)
     assert rep.status == "pass"
-    assert rep.counts == {"bound": 4, "triples": 64}
+    assert rep.counts == {"bound": 4, "triples": 64, "states": 5}
+    assert [c.name for c in rep.checks] == ["no counterexample at any width"]
+
+
+def test_lemma_exhaustive_agrees_with_the_reference_scan():
+    assert _reference_counterexample(64, _lemma) is None
+    assert lemma_exhaustive(64).status == "pass"
+
+
+@pytest.mark.parametrize("mutant, triple", [
+    (lambda a, b, c: (c > (a ^ b)) | ((a ^ c) < b) | ((b ^ c) < a), [0, 0, 0]),
+    (lambda a, b, c: (c >= (a ^ b)) | ((a ^ c) < b), [1, 0, 0]),
+], ids=["premise c <= a^b", "no b^c < a"])
+def test_lemma_exhaustive_fails_on_a_mutated_predicate(monkeypatch, mutant, triple):
+    monkeypatch.setattr(verify, "greediness_lemma_holds", mutant)
+    rep = lemma_exhaustive(512)
+    assert rep.status == "fail"
+    assert rep.checks[0].witness == {"triple": triple}
+    assert not mutant(*triple)
+    assert _reference_counterexample(64, mutant) == triple
 
 
 def test_lemma_exhaustive_guards():
     with pytest.raises(InvalidParameterError):
         lemma_exhaustive(0)
-    with pytest.raises(ResourceLimitError):
-        lemma_exhaustive(513)
+    for bound in (513, 2 ** 63):
+        assert lemma_exhaustive(bound).status == "pass"
+    for bound in (2 ** 63 + 1, 10 ** 1500):
+        with pytest.raises(InputRangeError):
+            lemma_exhaustive(bound)
