@@ -9,7 +9,6 @@ such point indices throughout.
 from __future__ import annotations
 
 import time
-from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from .nimber import VALUE_BITS, is_fermat_two_power, nim_mul
 from .report import VerificationReport
 
 DEFAULT_POINT_BOUND = 10_000
-_CHUNK = 1 << 21  # points times line size (about twice the pairs) held by check_design_lines
 
 PgCounts = namedtuple("PgCounts", "v b r k d")
 
@@ -162,79 +160,72 @@ def build_pg(n: int, q: int) -> CanonicalGeometry:
 # ---------------------------------------------------------------------------
 
 def check_design(s: IncidenceStructure, v: int, k: int, r: int, lam: int = 1) -> VerificationReport:
-    """check_design_lines on the lines of s."""
-    return check_design_lines(s.lines, v, k, r, lam)
+    """check_design_lines on the lines of s; lam must be 1."""
+    if lam != 1:
+        raise InvalidParameterError(f"only lambda = 1 designs are checked, got {lam}")
+    return check_design_lines(s.lines, v, k, r)
 
 
-def check_design_lines(lines: Iterable[tuple[int, ...]], v: int, k: int, r: int,
-                       lam: int = 1) -> VerificationReport:
-    """Verify the 2-(v, k, lam) conditions with per-point degree r on
-    nonempty lines of ascending points, read once.
+def check_design_lines(lines: Iterable[tuple[int, ...]], v: int, k: int, r: int) -> VerificationReport:
+    """Verify the 2-(v, k, 1) conditions with per-point degree r on
+    nonempty lines of strictly ascending points, read once.
 
     All conditions are evaluated (a failing count identity does not hide an
-    uncovered pair); each failing check carries its smallest witness.  The
-    lines are counted a bounded chunk at a time and none is kept, so they
-    may come from a generator.
-    """
-    import numpy as np
+    uncovered pair); each failing check carries its smallest witness.  No
+    line is kept, so they may come from a generator.  Points outside [1, v]
+    are named by the window check and otherwise ignored.
 
+    Bit i of cover[p] means the pair (p, v - i) is covered, so the covers
+    take v^2/16 bytes and no count is kept.  Each line is walked from its
+    top point down, so the mask of the points above p gains one bit per
+    step instead of being cut from a whole-line mask by a shift.  A line that covers a covered pair doubles it;
+    the smallest doubled pair is kept with its running count, which starts
+    at 2 because that minimum only decreases.  After the last line the
+    first cover[p] with a zero bit names the smallest uncovered pair, and
+    the smaller of the two is the witness.
+    """
     start = time.perf_counter()
-    report = VerificationReport(subject=f"design 2-({v},{k},{lam}) with r={r}")
-    deg = np.zeros(v + 1, dtype=np.int64)
-    cover = np.zeros(v * (v - 1) // 2, dtype=np.int64)  # by pair rank
-    pending: dict[int, array] = {}  # points of the uncounted lines of each size
+    report = VerificationReport(subject=f"design 2-({v},{k},1) with r={r}")
+    deg = [0] * (v + 1)
+    cover = [0] * v  # cover[0] is unused, and no pair starts at v
+    doubled, times = None, 0  # the smallest pair covered more than once, and its count
     b = 0
     bad_window = bad_size = None
     for b, line in enumerate(lines, 1):
-        size = len(line)
-        if bad_window is None and (line[-1] > v or line[0] < 1):
-            bad_window = {"line": b, "points": list(line)}
-        if bad_size is None and size != k:
-            bad_size = {"line": b, "size": size}
-        flat = pending.get(size)
-        if flat is None:
-            flat = pending[size] = array("q")
-        flat.extend(line)
-        if len(flat) * size >= _CHUNK:
-            _count(flat, size, v, deg, cover)
-            del flat[:]
-    for size, flat in pending.items():
-        _count(flat, size, v, deg, cover)
+        if bad_size is None and len(line) != k:
+            bad_size = {"line": b, "size": len(line)}
+        if line[0] < 1 or line[-1] > v:
+            if bad_window is None:
+                bad_window = {"line": b, "points": list(line)}
+            line = [p for p in line if 0 < p <= v]
+        m = above = 0  # m: bit v - y for each point y of the line above p
+        for p in reversed(line):
+            deg[p] += 1
+            if above:
+                m |= 1 << (v - above)
+                c = cover[p]
+                hit = c & m
+                if hit:
+                    pair = (p, v + 1 - hit.bit_length())
+                    if doubled is None or pair < doubled:
+                        doubled, times = pair, 2
+                    elif pair == doubled:
+                        times += 1
+                cover[p] = c | m
+            above = p
 
     report.add("b*k = v*r", b * k == v * r, {"b": b, "k": k, "v": v, "r": r})
     report.add("lines stay within [1, v]", bad_window is None, bad_window)
     report.add("every line has k points", bad_size is None, bad_size)
-    bad = np.flatnonzero(deg[1:] != r)
-    report.add("every point has degree r", not bad.size,
-               bad.size and {"point": int(bad[0]) + 1, "degree": int(deg[bad[0] + 1])})
-    bad = np.flatnonzero(cover != lam)
-    report.add(f"every point pair is covered exactly {lam} time(s)", not bad.size,
-               bad.size and {"pair": _unrank_pair(int(bad[0]), v), "count": int(cover[bad[0]])})
-    report.counts = {"v": v, "k": k, "r": r, "lambda": lam, "lines": b}
+    bad = next((p for p in range(1, v + 1) if deg[p] != r), None)
+    report.add("every point has degree r", bad is None, bad and {"point": bad, "degree": deg[bad]})
+    x = next((x for x in range(1, v) if cover[x].bit_count() != v - x), None)
+    if x is not None:
+        uncovered = (x, v + 1 - (((1 << (v - x)) - 1) ^ cover[x]).bit_length())
+        if doubled is None or uncovered < doubled:
+            doubled, times = uncovered, 0
+    report.add("every point pair is covered exactly 1 time(s)", doubled is None,
+               doubled and {"pair": list(doubled), "count": times})
+    report.counts = {"v": v, "k": k, "r": r, "lambda": 1, "lines": b}
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
-
-
-def _count(flat: array, size: int, v: int, deg: np.ndarray, cover: np.ndarray) -> None:
-    """Add the degree of every point in [1, v], and the cover count of every
-    pair x < y of such points by its rank in lex order, over the lines of
-    this size whose points flat holds one after another."""
-    import numpy as np
-
-    pts = np.frombuffer(flat, dtype=np.int64).reshape(-1, size)
-    flat_pts = pts.ravel()
-    np.add.at(deg, flat_pts[(flat_pts >= 1) & (flat_pts <= v)], 1)
-    i, j = np.triu_indices(size, 1)
-    x, y = pts[:, i].ravel(), pts[:, j].ravel()
-    keep = (x >= 1) & (x < y) & (y <= v)
-    x, y = x[keep], y[keep]
-    np.add.at(cover, (x - 1) * (2 * v - x) // 2 + (y - x - 1), 1)
-
-
-def _unrank_pair(rank: int, v: int) -> list[int]:
-    """The pair x < y in [1, v] at this rank in lex order."""
-    x = 1
-    while rank >= v - x:
-        rank -= v - x
-        x += 1
-    return [x, x + 1 + rank]

@@ -227,7 +227,7 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
                                 counts={"q": q, "n": n, "v": v, "b": b, "k": k, "r": r})
     if not _over_bound(report, n, q, (_identity(n, q),)):
         first: dict = {}
-        design = check_design_lines(_checked_rows(n, q, 1, first), v, k, r, 1)
+        design = check_design_lines(_checked_rows(n, q, 1, first), v, k, r)
         _add(report, "rows stay within the point window", first["window"])
         report.checks.extend(Check("design: " + c.name, c.status, c.witness) for c in design.checks)
         _add(report, _identity(n, q), first["line"])

@@ -1,6 +1,7 @@
 """Projective models, their reference construction, and the design check."""
 
 import json
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -121,7 +122,7 @@ def test_build_pg_satisfies_design():
         g = build_pg(n, q)
         v, b, r, k, _ = expected_counts(n, q)
         assert check_design(IncidenceStructure(g.v, g.lines), v, k, r, 1).status == "pass"
-        rep = check_design_lines(iter(g.lines), v, k, r, 1)  # read once
+        rep = check_design_lines(iter(g.lines), v, k, r)  # read once
         assert rep.status == "pass" and rep.counts["lines"] == b
 
 
@@ -205,43 +206,45 @@ def test_check_design_single_line():
     assert check_design(s, 3, 3, 1, 1).status == "pass"
 
 
-def dict_check_design(s, v, k, r, lam):
+def dict_check_design(lines, v, k, r):
     """The design conditions counted with a dict keyed by pair, as
-    (name, status, witness) triples; the reference for check_design."""
+    (name, status, witness) triples; the reference for check_design_lines."""
     checks = []
 
     def add(name, witness):
         checks.append((name, "pass" if witness is None else "fail", witness))
 
-    b = len(s.lines)
+    b = len(lines)
     add("b*k = v*r", None if b * k == v * r else {"b": b, "k": k, "v": v, "r": r})
-    bad = next((i for i, line in enumerate(s.lines) if line[-1] > v or line[0] < 1), None)
-    add("lines stay within [1, v]", None if bad is None else {"line": bad + 1, "points": list(s.lines[bad])})
-    bad = next((i for i, line in enumerate(s.lines) if len(line) != k), None)
-    add("every line has k points", None if bad is None else {"line": bad + 1, "size": len(s.lines[bad])})
+    bad = next((i for i, line in enumerate(lines) if line[-1] > v or line[0] < 1), None)
+    add("lines stay within [1, v]", None if bad is None else {"line": bad + 1, "points": list(lines[bad])})
+    bad = next((i for i, line in enumerate(lines) if len(line) != k), None)
+    add("every line has k points", None if bad is None else {"line": bad + 1, "size": len(lines[bad])})
     deg = {}
     pairs = {}
-    for line in s.lines:
+    for line in lines:
         for p in line:
             deg[p] = deg.get(p, 0) + 1
         for pair in combinations(line, 2):
             pairs[pair] = pairs.get(pair, 0) + 1
     add("every point has degree r",
         next(({"point": p, "degree": deg.get(p, 0)} for p in range(1, v + 1) if deg.get(p, 0) != r), None))
-    add(f"every point pair is covered exactly {lam} time(s)",
+    add("every point pair is covered exactly 1 time(s)",
         next(({"pair": list(pair), "count": pairs.get(pair, 0)}
-              for pair in combinations(range(1, v + 1), 2) if pairs.get(pair, 0) != lam), None))
+              for pair in combinations(range(1, v + 1), 2) if pairs.get(pair, 0) != 1), None))
     return checks
 
 
-def assert_design_matches_dict(s, v, k, r, lam):
-    rep = check_design(s, v, k, r, lam)
-    got = [(c.name, c.status, c.witness) for c in rep.checks]
-    assert got == dict_check_design(s, v, k, r, lam)
-    return got
-
-
-ALL_TRIPLES_OF_4 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))  # a 2-(4,3,2) design, r = 3
+def assert_design_matches_dict(lines, v, k, r):
+    """check_design_lines agrees with the reference on the lines held in a
+    tuple and on a one-shot iterator over them; returns the checks."""
+    want = dict_check_design(lines, v, k, r)
+    for given_lines in (lines, iter(lines)):
+        rep = check_design_lines(given_lines, v, k, r)
+        assert [(c.name, c.status, c.witness) for c in rep.checks] == want
+        assert rep.subject == f"design 2-({v},{k},1) with r={r}"
+        assert rep.counts == {"v": v, "k": k, "r": r, "lambda": 1, "lines": len(lines)}
+    return want
 
 
 @pytest.mark.parametrize("lines,window,v,k,r,lam,failing", [
@@ -250,28 +253,61 @@ ALL_TRIPLES_OF_4 = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))  # a 2-(4,3,2) d
     (FANO_TRIPLES + ((1, 2, 4),), 7, 7, 3, 3, 1, "doubled pair"),
     (FANO_TRIPLES[:-1] + ((3, 5, 8),), 8, 7, 3, 3, 1, "point outside the window"),
     (FANO_TRIPLES[:-1] + ((3, 5), (6, 9)), 9, 7, 3, 3, 1, "mixed line sizes"),
-    (ALL_TRIPLES_OF_4, 4, 4, 3, 3, 2, None),
-    (ALL_TRIPLES_OF_4[:-1], 4, 4, 3, 3, 2, "lam = 2, missing line"),
-    (ALL_TRIPLES_OF_4 + ((1, 2),), 4, 4, 3, 3, 2, "lam = 2, doubled pair"),
+    # (2, 3) is doubled first, then (1, 2) is covered three times: witness count 3
+    (((2, 3, 4), (2, 3, 5), (1, 2, 6), (1, 2, 7), (1, 2, 3)), 7, 7, 3, 3, 1, "tripled below a double"),
+    (((2, 3, 4), (2, 3, 5)), 5, 5, 3, 2, 1, "uncovered (1, 2) below the doubled (2, 3)"),
+    (((1, 2, 3), (1, 2, 4)), 4, 4, 3, 2, 1, "doubled (1, 2) below the uncovered (3, 4)"),
     (((1, 2, 3, 4, 5),), 6, 6, 5, 1, 1, "uncovered last point"),
+    (((2, 3, 4), (3, 4, 5), (1, 2, 5)), 5, 5, 3, 2, 1, "uncovered (1, 3) below the doubled (3, 4)"),
+    (((1, 2, 4), (1, 3, 4), (1, 3, 5)), 5, 5, 3, 2, 1, "doubled (1, 3) below the uncovered (2, 3)"),
+    (((1, 2, 3), (1, 2, 9), (3, 7, 12)), 12, 3, 3, 2, 1, "points above v make no covers"),
+    (build_pg(1, 4).lines, 5, 5, 5, 1, 1, None),
+    (build_pg(1, 16).lines, 17, 17, 17, 1, 1, None),
 ])
-def test_check_design_matches_dict_oracle(monkeypatch, lines, window, v, k, r, lam, failing):
-    s = IncidenceStructure(window, lines)
-    got = assert_design_matches_dict(s, v, k, r, lam)
+def test_check_design_matches_dict_oracle(lines, window, v, k, r, lam, failing):
+    got = assert_design_matches_dict(lines, v, k, r)
     assert all(status == "pass" for _, status, _ in got) == (failing is None)
-    monkeypatch.setattr(geometry, "_CHUNK", 6)  # counted a line or two at a time
-    assert_design_matches_dict(s, v, k, r, lam)
+    rep = check_design(IncidenceStructure(window, lines), v, k, r, lam)
+    assert [(c.name, c.status, c.witness) for c in rep.checks] == got
+
+
+def test_check_design_ignores_points_below_1():
+    # the window check names line 1; the covers and degrees ignore 0 and -1
+    got = assert_design_matches_dict(((0, 1, 2), (1, 2, 3), (-1, 2, 3)), 3, 3, 2)
+    assert got[1][2] == {"line": 1, "points": [0, 1, 2]}
+    assert got[4][2] == {"pair": [1, 2], "count": 2}
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(2, 12).flatmap(lambda w: st.tuples(
-    st.just(w),
     st.sets(st.frozensets(st.integers(1, w), min_size=1, max_size=min(w, 5)), max_size=25),
-    st.integers(1, w + 2), st.integers(1, 5), st.integers(1, 6), st.integers(1, 3))))
+    st.integers(1, w + 2), st.integers(1, 5), st.integers(1, 6))))
 def test_check_design_matches_dict_oracle_random(case):
-    window, lines, v, k, r, lam = case
-    s = IncidenceStructure(window, tuple(tuple(sorted(line)) for line in lines))
-    assert_design_matches_dict(s, v, k, r, lam)
+    lines, v, k, r = case
+    assert_design_matches_dict(tuple(tuple(sorted(line)) for line in lines), v, k, r)
+
+
+def test_check_design_refuses_lambda_2():
+    # every production call checks a 2-(v, k, 1) design; lambda 2 is refused
+    # before any line is read
+    all_triples_of_4 = IncidenceStructure(4, tuple(combinations(range(1, 5), 3)))
+    assert check_design(all_triples_of_4, 4, 3, 3, 1).status == "fail"
+    with pytest.raises(InvalidParameterError):
+        check_design(all_triples_of_4, 4, 3, 3, 2)
+
+
+def test_check_design_lines_memory_is_the_cover_bitset():
+    # PG(8,2): v = 511 points, 43,435 lines.  The covers are v^2/16 bytes
+    # (16 KB) of ints; C(v, 2) counts would be about 1 MB
+    lines = build_pg(8, 2).lines
+    check_design_lines(lines, 511, 3, 255)
+    tracemalloc.start()
+    try:
+        assert check_design_lines(lines, 511, 3, 255).status == "pass"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
 
 
 def test_check_design_wrong_line_size():
