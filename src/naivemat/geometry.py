@@ -91,10 +91,6 @@ class CanonicalGeometry:
     v: int
     lines: tuple[tuple[int, ...], ...]
 
-    @property
-    def b(self) -> int:
-        return len(self.lines)
-
 
 def pg_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
     """The lines of PG(n, q) with nim-field coordinates, in the ranked

@@ -7,7 +7,9 @@ column placed earlier in this row, (b) the row still has fewer than k
 columns, and (c) j appears in fewer than r earlier rows.  Scanning columns
 in ascending order makes each emitted row the lexicographically least
 admissible k-set: an admissible partial row can always be finished with
-fresh columns, which have degree zero and no pair history.
+fresh columns, which have degree zero and no pair history.  Rows leave no
+gaps, so the fresh columns are exactly those above the largest one used,
+and the generator stores nothing for them.
 
 The generator's state is relative to the frontier: `base`, the lowest
 column whose degree is still below r.  Every column under base is saturated
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from .errors import InputRangeError, InvalidParameterError, RowIncompleteError
 
 COLUMN_CAP = 1 << 20  # safety net: no row may use a column above it
-_INITIAL_WINDOW = 64
+_K_CAP = 1 << 15  # one row stores k pair masks of k bits, about k^2/8 bytes
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ class GenParams:
             raise InvalidParameterError(f"r must be at least 1, got {self.r}")
         if self.max_rows < 1:
             raise InvalidParameterError(f"max_rows must be at least 1, got {self.max_rows}")
-        if self.k > COLUMN_CAP:
-            raise InvalidParameterError(f"k must be at most the column cap {COLUMN_CAP}, got {self.k}")
+        if self.k > _K_CAP:
+            raise InvalidParameterError(f"k must be at most {_K_CAP}, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,14 @@ class NaiveMatrixGenerator:
     the lowest column whose degree is below r.  State per column: its degree
     (rows containing it), its anchor (the floor at its first placement), and
     a bitmask of the columns it already shares a row with, where bit i
-    stands for column anchor + i.  `_active` marks the columns above the
-    floor whose degree is below r, bit i standing for column floor + i.  The
-    window of materialised columns grows on demand by its live width
-    (window - floor), up to COLUMN_CAP.  The public queries answer in
-    absolute column numbers for every column, saturated ones included.
+    stands for column anchor + i.  `_active` marks the used columns above
+    the floor whose degree is below r, bit i standing for column floor + i:
+    a column's bit is set on its first use and cleared when it saturates.
+    The per-column lists end at max_used_column; every column above it is
+    fresh, and a row that runs out of active candidates is finished with
+    the fresh columns from max_used_column + 1, none above COLUMN_CAP.  The
+    public queries answer in absolute column numbers for every column,
+    saturated and fresh ones included.
 
     No row history is kept: next_row hands each row to the caller, and
     `emitted` counts them.
@@ -84,37 +89,18 @@ class NaiveMatrixGenerator:
         self.params = params
         self.emitted = 0
         self.max_used_column = 0
-        w = min(max(_INITIAL_WINDOW, 2 * params.k), COLUMN_CAP)
-        self._window = w
         self._floor = 0
-        self._degree = [0] * (w + 1)
-        self._pair = [0] * (w + 1)
-        self._anchor = [0] * (w + 1)
-        self._active = ((1 << w) - 1) << 1  # columns 1..w
-
-    def _grow_window(self) -> None:
-        if self._window >= COLUMN_CAP:
-            raise RowIncompleteError(
-                f"no admissible column below the cap {COLUMN_CAP} while building row {self.emitted + 1}")
-        live = self._window - self._floor
-        grown = min(max(live, _INITIAL_WINDOW), COLUMN_CAP - self._window)
-        self._active |= ((1 << grown) - 1) << (live + 1)
-        self._degree.extend([0] * grown)
-        self._pair.extend([0] * grown)
-        self._anchor.extend([0] * grown)
-        self._window += grown
+        self._degree = [0]
+        self._pair = [0]
+        self._anchor = [0]
+        self._active = 0
 
     def _scan(self) -> tuple[int, ...]:
         k = self.params.k
         floor, pair, anchor = self._floor, self._pair, self._anchor
         placed: list[int] = []
         cand = self._active
-        while True:
-            if cand == 0:
-                live = self._window - floor
-                self._grow_window()  # raises RowIncompleteError at the cap
-                cand |= self._active & (-1 << (live + 1))
-                continue
+        while cand:
             low = cand & -cand
             j = floor + low.bit_length() - 1
             placed.append(j)
@@ -124,11 +110,16 @@ class NaiveMatrixGenerator:
             # so clearing low leaves exactly the admissible columns above j
             cand &= ~(pair[j] >> (floor - anchor[j]))
             cand ^= low
+        first = self.max_used_column + 1
+        last = first + k - len(placed) - 1
+        if last > COLUMN_CAP:
+            raise RowIncompleteError(
+                f"no admissible column below the cap {COLUMN_CAP} while building row {self.emitted + 1}")
+        return (*placed, *range(first, last + 1))
 
     def peek_next_row(self) -> tuple[int, ...]:
-        """Columns the next row will use, without committing it.  May
-        enlarge the internal column window, which has no observable effect
-        on generation."""
+        """Columns the next row will use, without committing it: a pure
+        lookahead that changes no state."""
         if self.emitted >= self.params.max_rows:
             raise InvalidParameterError(f"all {self.params.max_rows} requested rows already emitted")
         return self._scan()
@@ -138,25 +129,31 @@ class NaiveMatrixGenerator:
         points = self.peek_next_row()
         r, floor, active = self.params.r, self._floor, self._active
         degree, pair, anchor = self._degree, self._pair, self._anchor
+        fresh = points[-1] - self.max_used_column
+        if fresh > 0:
+            degree += [0] * fresh
+            pair += [0] * fresh
+            anchor += [0] * fresh
+            self.max_used_column = points[-1]
         row_bits = 0  # bit i stands for column floor + i
         for x in points:
-            row_bits |= 1 << (x - floor)
+            bit = 1 << (x - floor)
+            row_bits |= bit
             d = degree[x] + 1
             degree[x] = d
             if d == 1:
                 anchor[x] = floor
+                active |= bit
             if d == r:
-                active &= ~(1 << (x - floor))
+                active &= ~bit
         for x in points:
             pair[x] |= (row_bits ^ (1 << (x - floor))) << (floor - anchor[x])
         self._active = active
         if not active & 2:  # the base column saturated: retire up to the next live one
-            shift = (active & -active).bit_length() - 2 if active else self._window - floor
+            shift = (active & -active).bit_length() - 2 if active else self.max_used_column - floor
             self._floor = floor + shift
             self._active = active >> shift
         self.emitted += 1
-        if points[-1] > self.max_used_column:
-            self.max_used_column = points[-1]
         return points
 
     @property
@@ -173,7 +170,7 @@ class NaiveMatrixGenerator:
     def column_degree(self, x: int) -> int:
         if x < 1:
             raise InputRangeError(f"columns are 1-based, got {x}")
-        return self._degree[x] if x <= self._window else 0
+        return self._degree[x] if x <= self.max_used_column else 0
 
     def is_complete(self, x: int) -> bool:
         """Whether column x has reached degree r in the emitted rows."""
@@ -183,7 +180,7 @@ class NaiveMatrixGenerator:
         """Bitmask of all columns sharing an emitted row with x (bit y for column y)."""
         if x < 1:
             raise InputRangeError(f"columns are 1-based, got {x}")
-        if x > self._window:
+        if x > self.max_used_column:
             return 0
         shift = self._anchor[x]
         return self._pair[x] << shift if shift else self._pair[x]  # a shift copies even by 0

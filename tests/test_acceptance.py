@@ -143,5 +143,5 @@ def test_criterion_9_parameter_identities():
     for n in range(1, 5):
         d = expected_counts(n, 2).d
         ok = ok and d == count_2d_subspaces(n + 1)
-        ok = ok and d == build_pg(n, 2).b
+        ok = ok and d == len(build_pg(n, 2).lines)
     _criterion(9, "b*k = v*r and d equals the 2-subspace count", ok)

@@ -101,11 +101,11 @@ def test_normalize_point():
 
 def test_build_pg_small():
     g = build_pg(1, 2)
-    assert g.v == 3 and g.b == 1 and g.lines == ((1, 2, 3),)
+    assert g.v == 3 and len(g.lines) == 1 and g.lines == ((1, 2, 3),)
     g = build_pg(2, 2)
-    assert g.v == 7 and g.b == 7
+    assert g.v == 7 and len(g.lines) == 7
     g = build_pg(2, 4)
-    assert g.v == 21 and g.b == 21
+    assert g.v == 21 and len(g.lines) == 21
     assert all(len(line) == 5 for line in g.lines)
 
 
@@ -145,7 +145,7 @@ def test_build_pg2_nim():
     # the nim model of PG(n, 2) is build_pg at q = 2
     assert build_pg(1, 2).lines == ((1, 2, 3),)
     assert build_pg(2, 2).lines == FANO_TRIPLES
-    assert build_pg(3, 2).b == 35
+    assert len(build_pg(3, 2).lines) == 35
     assert build_pg(3, 2).v == 15
     with pytest.raises(InvalidParameterError):
         build_pg(0, 2)

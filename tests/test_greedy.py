@@ -59,6 +59,10 @@ def test_gen_params_validation():
         GenParams(k=3, r=1, max_rows=0)
     with pytest.raises(InvalidParameterError):
         GenParams(k=greedy.COLUMN_CAP + 1, r=1, max_rows=1)
+    # one row of weight k holds about k^2/8 bytes of pair masks
+    assert GenParams(k=1 << 15, r=1, max_rows=1).k == 1 << 15
+    with pytest.raises(InvalidParameterError, match="k must be at most 32768"):
+        GenParams(k=(1 << 15) + 1, r=1, max_rows=1)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,21 @@ def test_column_cap_raises_row_incomplete(monkeypatch):
     monkeypatch.setattr(greedy, "COLUMN_CAP", 3)
     with pytest.raises(RowIncompleteError):
         list(generate(GenParams(k=3, r=1, max_rows=2)))
+
+
+@pytest.mark.parametrize("k,r,cap,rows", [
+    (3, 1, 6, [(1, 2, 3), (4, 5, 6)]),  # every row is a fresh run
+    # rows 2 and 3 start in used columns; row 3, (2, 4, 6), needs cap + 1
+    (3, 2, 5, [(1, 2, 3), (1, 4, 5)]),
+])
+def test_fresh_run_cap_boundary(monkeypatch, k, r, cap, rows):
+    monkeypatch.setattr(greedy, "COLUMN_CAP", cap)
+    gen = NaiveMatrixGenerator(GenParams(k, r, len(rows) + 1))
+    # the last of these rows ends exactly at the cap
+    assert [gen.next_row() for _ in rows] == rows
+    with pytest.raises(RowIncompleteError, match=f"while building row {len(rows) + 1}$"):
+        gen.next_row()
+    assert gen.emitted == len(rows)
 
 
 def test_is_complete_and_connectable():
@@ -172,8 +191,8 @@ def test_rows_strictly_lex_increasing():
 
 
 def test_window_growth_past_initial_bound():
-    # r=1 consumes three fresh columns per row, crossing the 64-column
-    # window mid-row around row 22
+    # r=1 saturates every column it places, so each row is a run of fresh
+    # columns above the last one used
     rows = list(generate(GenParams(3, 1, 30)))
     assert rows == [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(30)]
     rows = list(generate(GenParams(5, 1, 20)))
