@@ -137,9 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     lm.add_argument("--bound", type=int, required=True,
                     help="report [0, bound)^3 as the covered scope, up to 2^63")
 
-    fd = vsub.add_parser("field", help="field laws of nim arithmetic on [0, q)")
-    fd.add_argument("--q", type=int, required=True)
-    fd.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
+    fd = vsub.add_parser("field", help="decide that [0, q) is a field under nim arithmetic")
+    fd.add_argument("--q", type=int, required=True, help="a Fermat 2-power up to 2^32")
+    fd.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
+                    help="the verdict is exact in both; sampled also checks the tower "
+                         "product on --samples random triples")
     fd.add_argument("--samples", type=int, default=1_000_000,
                     help="sampled-mode triple count")
 

@@ -13,10 +13,10 @@ on first use.  So products in GF(2), GF(4) and GF(16) read no table, and
 numpy is imported only where arrays are built: that table, the mex
 reference and the field check.  The multiplier runs unchanged on ints
 and on uint64 arrays and keeps no memo, so its memory does not grow with
-use.  The mex recursion itself
-survives only as nim_mul_table, the reference the multiplier is checked
-against.  Values are capped at 63 bits so all arithmetic stays in native
-machine words.
+use.  The mex recursion survives only as nim_mul_table, the multiplier's
+reference.  field_check decides exactly that GF(q) is a field for every
+Fermat q up to 2^32.  Values are capped at 63 bits so all arithmetic
+stays in native machine words.
 
 Every function is pure; the table is built once and read-only after, so
 calls are safe from concurrent readers.
@@ -27,12 +27,11 @@ from __future__ import annotations
 import functools
 import time
 
-from .errors import InputRangeError, InvalidParameterError, ResourceLimitError
+from .errors import InputRangeError, InvalidParameterError
 from .report import VerificationReport
 
 VALUE_BITS = 63
 MEX_INPUT_BOUND = 1 << 12
-EXHAUSTIVE_FIELD_CAP = 256
 _SAMPLE_CHUNK = 1 << 16  # sampled triples checked per batch in field_check
 
 
@@ -110,18 +109,6 @@ def _mul(x, y, bits: int, table=None, table_bits: int = _TABLE_BITS):
     return ((mid ^ lo) << h) ^ lo ^ _mul(hi, 1 << (h - 1), h, table, table_bits)
 
 
-def _inverse(x, q: int):
-    """x^(q-2) by square and multiply: the inverse of nonzero x in GF(q)."""
-    bits = _bits(q - 1)
-    out, e = 1, q - 2
-    while e:
-        if e & 1:
-            out = _mul(out, x, bits)
-        x = _mul(x, x, bits)
-        e >>= 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # mex reference
 # ---------------------------------------------------------------------------
@@ -196,27 +183,29 @@ def _bad(ok: np.ndarray, *values) -> list[int] | None:
     return [int(np.broadcast_to(v, ok.shape)[at]) for v in values]
 
 
-def _pair_laws(x: np.ndarray, y: np.ndarray, xs: np.ndarray, q: int,
-               bits: int) -> tuple[np.ndarray, list]:
-    """The products x (x) y, and the first failures (or None) of closure
-    and commutativity on the pairs (x, y) and of the identity and the
-    inverses on the elements xs."""
-    xy = _mul(x, y, bits)
-    nonzero = xs[xs != 0]
-    return xy, [_bad(xy < q, x, y, xy),
-                _bad(_mul(1, xs, bits) == xs, xs),
-                _bad(xy == _mul(y, x, bits), x, y),
-                _bad(_mul(nonzero, _inverse(nonzero, q), bits) == 1, nonzero)]
+def _trace(c: int, h: int) -> int:
+    """Tr(c) = c + c^2 + c^4 + ... + c^(2^(h-1)) in GF(2^h), squaring with _mul."""
+    out = 0
+    for _ in range(h):
+        out, c = out ^ c, int(_mul(c, c, h))
+    return out
 
 
 def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> VerificationReport:
-    """Verify that [0, q) under nim arithmetic behaves like a field.
+    """Decide exactly whether [0, q) under nim arithmetic is a field.
 
-    Associativity and distributivity run over every triple in exhaustive
-    mode (capped at q <= 256) and over `samples` seeded triples in sampled
-    mode.  Closure, identity, commutativity and inverses run over all of
-    [0, q) while q <= 256, where the q-by-q table is cheap, and over the
-    sampled elements above it; an inverse is checked as x (x) x^(q-2) = 1.
+    The table laws (closure, identity, commutativity, associativity,
+    distributivity, and inverses: a 1 in every nonzero row) run over all
+    of GF(p), p = min(q, 256), so GF(p) is a field and _mul computes it.
+    Above it, _mul's width-2h step is, term for term, the product in
+    GF(F)[X]/(X^2 + X + c), F = 2^h, where c = F (x) F + F: for c < F a
+    field iff X^2 + X + c has no root in GF(F), i.e. iff Tr(c) = 1.  The
+    level check asks this at each F = 256, 65536 below q and names the
+    first failing level; passing, it makes each [0, F^2) a field in turn.
+    Exhaustive counts state q^3.  Sampled mode adds associativity and
+    distributivity of the tower product on `samples` seeded triples over
+    [0, q), never the verdict: an exact pass implies them, and a failure
+    names its first triple drawn.
     """
     if not is_fermat_two_power(q):
         raise InvalidParameterError(f"field order must be a Fermat 2-power, got {q}")
@@ -224,8 +213,6 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
         raise InputRangeError(f"elements of GF({q}) exceed the {VALUE_BITS}-bit value domain")
     if mode not in ("exhaustive", "sampled"):
         raise InvalidParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-    if mode == "exhaustive" and q > EXHAUSTIVE_FIELD_CAP:
-        raise ResourceLimitError(f"exhaustive field check is capped at q <= {EXHAUSTIVE_FIELD_CAP}")
     if mode == "sampled" and samples < 1:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
 
@@ -233,47 +220,59 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
 
     start = time.perf_counter()
     report = VerificationReport(subject=f"nim field q={q}")
-    bits = _bits(q - 1)
-    # the pair laws cover all of [0, q) while the q-by-q table is cheap,
-    # else the samples; the check names say which
-    whole = q <= EXHAUSTIVE_FIELD_CAP
-    scope = "" if whole else f" ({samples} sampled)"
-    pair_laws, assoc, distrib = [None] * 4, None, None  # first failures
-    if whole:
-        xs = np.arange(q, dtype=np.uint64)
-        x, y = xs[:, None], xs[None, :]
-        xy, pair_laws = _pair_laws(x, y, xs, q, bits)
+    p = min(q, 1 << _TABLE_BITS)
+    bits = _bits(p - 1)
+    xs = np.arange(p, dtype=np.uint64)
+    x, y = xs[:, None], xs[None, :]
+    xy = _mul(x, y, bits)
+    closure = _bad(xy < p, x, y, xy)
+    identity = _bad(_mul(1, xs, bits) == xs, xs)
+    commute = _bad(xy == _mul(y, x, bits), x, y)
+    inverse = _bad((xy[1:] == 1).any(axis=1), xs[1:])
+    t, b_xor_c = xy.astype(np.intp), (x ^ y).astype(np.intp)  # intp gathers fastest
+    assoc = distrib = None  # first failures
+    for i in range(p):  # plane by plane through the table
+        ti = t[i]
+        assoc = assoc or _bad(t[ti] == ti[t], i, x, y)  # (i*b)*c = i*(b*c)
+        distrib = distrib or _bad(ti[b_xor_c] == (ti[:, None] ^ ti[None, :]), i, x, y)
+    del xy, t, ti, b_xor_c  # freed before any sample is drawn (ti views t)
 
-    if mode == "exhaustive":  # plane by plane through the q-by-q table
-        t, b_xor_c = xy.astype(np.intp), (x ^ y).astype(np.intp)  # intp gathers fastest
-        laws = " (exhaustive)"
-        for i in range(q):
-            ti = t[i]
-            assoc = assoc or _bad(t[ti] == ti[t], i, x, y)  # (i*b)*c = i*(b*c)
-            distrib = distrib or _bad(ti[b_xor_c] == (ti[:, None] ^ ti[None, :]), i, x, y)
-    else:  # fixed-size chunks of seeded triples, so memory does not grow with samples
-        laws = f" ({samples} sampled triples)" if whole else scope
+    span, sub = ("[0,q)", "") if q == p else (f"[0,{p})", f" in GF({p})")  # above 256: GF(256)
+    report.add(f"closure of {span} under nim product", closure is None,
+               closure and {"pair": closure[:2], "product": closure[2]})
+    report.add("1 is the multiplicative identity" + sub, identity is None,
+               identity and {"element": identity[0]})
+    report.add("commutativity" + sub, commute is None, {"pair": commute})
+    report.add(f"associativity{sub} (exhaustive)", assoc is None, {"triple": assoc})
+    report.add(f"distributivity{sub} (exhaustive)", distrib is None, {"triple": distrib})
+    report.add("every nonzero element has an inverse" + sub, inverse is None,
+               inverse and {"element": inverse[0]})
+
+    levels, level = [f for f in (1 << 8, 1 << 16) if f < q], None  # q <= 2^32
+    for f in levels:  # the first failing level is the witness
+        h = f.bit_length() - 1
+        c = int(_mul(f, f, 2 * h)) ^ f
+        trace = _trace(c, h) if c < f else None
+        if trace != 1:
+            level = {"F": f, "c": c, "trace": trace}
+            break
+    if levels:
+        report.add("X^2 + X + c irreducible over GF(F), Tr(c) = 1, at tower levels F = "
+                   + ", ".join(map(str, levels)), level is None, level)
+
+    if mode == "sampled":  # fixed-size chunks, so memory does not grow with samples
+        bits = _bits(q - 1)
         rng = np.random.default_rng(0)
+        assoc = distrib = None
         for done in range(0, samples, _SAMPLE_CHUNK):
             a, b, c = rng.integers(0, q, size=(3, min(_SAMPLE_CHUNK, samples - done)),
                                    dtype=np.uint64)
-            if not whole:
-                pair_laws = [old or new for old, new in zip(pair_laws, _pair_laws(a, b, a, q, bits)[1])]
             ab = _mul(a, b, bits)
             assoc = assoc or _bad(_mul(ab, c, bits) == _mul(a, _mul(b, c, bits), bits), a, b, c)
             distrib = distrib or _bad(_mul(a, b ^ c, bits) == ab ^ _mul(a, c, bits), a, b, c)
-
-    closure, identity, commute, inverse = pair_laws
-    report.add("closure of [0,q) under nim product", closure is None,
-               closure and {"pair": closure[:2], "product": closure[2]})
-    report.add("1 is the multiplicative identity", identity is None,
-               identity and {"element": identity[0]})
-    report.add("commutativity" + scope, commute is None, {"pair": commute})
-    report.add("associativity" + laws, assoc is None, {"triple": assoc})
-    report.add("distributivity" + laws, distrib is None, {"triple": distrib})
-    report.add("every nonzero element has an inverse" if whole else
-               "sampled nonzero elements have inverses", inverse is None,
-               inverse and {"element": inverse[0]})
+        for law, bad in (("associativity", assoc), ("distributivity", distrib)):
+            report.add(f"{law} of the tower product ({samples} sampled triples)", bad is None,
+                       {"triple": bad})
     report.counts = {"q": q, "mode": mode, "triples": q ** 3 if mode == "exhaustive" else samples}
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report

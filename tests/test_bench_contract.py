@@ -2,9 +2,10 @@
 
 perfbench/trace_worker.py calls into naivemat's modules directly, so a
 change to the generator or geometry API can break the traced benchmark
-without breaking any CLI test.  This runs case 0 of every workload, and
-fermat-design's `general` cases, through the worker in a subprocess and
-applies the benchmark's own known-answer check.  It reads perfbench/ and writes only to a temporary directory.
+without breaking any CLI test.  This runs case 0 of every workload,
+fermat-design's `general` cases and nim-field's sampled case through the
+worker in a subprocess and applies the benchmark's own known-answer check.
+It reads perfbench/ and writes only to a temporary directory.
 """
 
 import importlib.util
@@ -56,6 +57,13 @@ def run_traced(tmp_path, workload, index):
 @pytest.mark.parametrize("workload", sorted(cases.WORKLOADS))
 def test_trace_worker_runs_case_0(tmp_path, workload):
     run_traced(tmp_path, workload, 0)
+
+
+def test_trace_worker_runs_sampled_field_case(tmp_path):
+    # nim-field's case 2, the sampled report, under the known-answer check:
+    # status pass, every check pass, counts q/mode/triples
+    assert cases.WORKLOADS["nim-field"][2].p["mode"] == "sampled"
+    run_traced(tmp_path, "nim-field", 2)
 
 
 @pytest.mark.parametrize("index", [2, 3, 4])

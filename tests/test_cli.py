@@ -177,6 +177,13 @@ def test_verify_field(capsys):
     assert code == EXIT_PASS
     code, _, err = run_cli(capsys, "verify", "field", "--q", "6")
     assert code == EXIT_USAGE and "Fermat" in err
+    # every Fermat q up to 2^32 is decided exactly, with no sampled check
+    code, out, err = run_cli(capsys, "verify", "field", "--q", "4294967296")
+    doc = json.loads(out)
+    assert code == EXIT_PASS and err == "" and doc["status"] == "pass"
+    assert any("256, 65536" in c["name"] for c in doc["checks"])
+    assert not any("sampled" in c["name"] for c in doc["checks"])
+    assert doc["counts"] == {"q": 4294967296, "mode": "exhaustive", "triples": 2 ** 96}
 
 
 def test_verify_general_with_iso(capsys):

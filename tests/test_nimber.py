@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naivemat import nimber
-from naivemat.errors import InputRangeError, InvalidParameterError, ResourceLimitError
-from naivemat.nimber import (_gf256, _inverse, _mul, field_check,
+from naivemat.errors import InputRangeError, InvalidParameterError
+from naivemat.nimber import (_gf256, _mul, field_check,
                              greediness_lemma_holds, is_fermat_two_power, nim_mul,
                              nim_mul_table)
 
@@ -233,22 +233,31 @@ def test_is_fermat_two_power():
     assert not is_fermat_two_power(8)
 
 
+def _nim_power(x, e):
+    """x^e by square and multiply, with nim_mul."""
+    out = 1
+    while e:
+        if e & 1:
+            out = nim_mul(out, x)
+        x, e = nim_mul(x, x), e >> 1
+    return out
+
+
 def test_fermat_field_inverses():
-    # x^(q-2) against the mex reference: the y with x (x) y = 1, for every
-    # nonzero x, as ints and as the uint64 arrays field_check passes
+    # x^(q-2) is the inverse of nonzero x in GF(q): against the mex reference
     for q in (2, 4, 16, 256):
         want = np.argmax(nim_mul_table(q)[1:] == 1, axis=1)
-        assert [int(_inverse(x, q)) for x in range(1, q)] == want.tolist()
-        assert (_inverse(np.arange(1, q, dtype=np.uint64), q) == want).all()
+        assert [_nim_power(x, q - 2) for x in range(1, q)] == want.tolist()
 
 
 @pytest.mark.parametrize("q", [65536, 1 << 32])
 def test_fermat_field_inverses_large_q(q):
+    # what field_check proves from the tower levels, seen on samples
     rng = random.Random(q)
     for x in [rng.randrange(1, q) for _ in range(200)] + [1, q - 1]:
-        assert nim_mul(x, int(_inverse(x, q))) == 1
+        assert nim_mul(x, _nim_power(x, q - 2)) == 1
     if q == 1 << 32:
-        assert _inverse(577090038, q) == 3739135424
+        assert _nim_power(577090038, q - 2) == 3739135424
 
 
 def test_field_check_passes():
@@ -269,12 +278,17 @@ def test_field_check_sampled():
 
 
 def test_field_check_sampled_large_q():
+    # the exact checks, then the two sampled checks of the tower product
     rep = field_check(65536, mode="sampled", samples=300)
     assert rep.status == "pass"
     assert [c.name for c in rep.checks] == [
-        "closure of [0,q) under nim product", "1 is the multiplicative identity",
-        "commutativity (300 sampled)", "associativity (300 sampled)",
-        "distributivity (300 sampled)", "sampled nonzero elements have inverses"]
+        "closure of [0,256) under nim product", "1 is the multiplicative identity in GF(256)",
+        "commutativity in GF(256)", "associativity in GF(256) (exhaustive)",
+        "distributivity in GF(256) (exhaustive)",
+        "every nonzero element has an inverse in GF(256)",
+        "X^2 + X + c irreducible over GF(F), Tr(c) = 1, at tower levels F = 256",
+        "associativity of the tower product (300 sampled triples)",
+        "distributivity of the tower product (300 sampled triples)"]
 
 
 def test_field_check_sampled_q_2_32():
@@ -298,32 +312,11 @@ def test_field_check_sampled_memory_does_not_grow_with_samples():
     assert _field_check_peak_bytes(10 ** 6) <= 1.25 * _field_check_peak_bytes(10 ** 5)
 
 
-def test_field_check_sampled_witness_is_first_in_draw_order(monkeypatch):
-    # inverses made to fail on two sampled elements first drawn in the
-    # second and the third chunk: the witness is the one drawn first
-    chunk, q = nimber._SAMPLE_CHUNK, 65536
-    samples = 3 * chunk
-    rng = np.random.default_rng(0)
-    drawn = np.concatenate([rng.integers(0, q, size=(3, chunk), dtype=np.uint64)[0]
-                            for _ in range(3)])  # the elements, in draw order
-    first_draw = {}
-    for i, x in enumerate(drawn.tolist()):
-        first_draw.setdefault(x, i)
-    second = next(x for x, i in first_draw.items() if x and chunk <= i < 2 * chunk)
-    third = next(x for x, i in first_draw.items() if x and i >= 2 * chunk)
-    real = nimber._inverse
-    monkeypatch.setattr(nimber, "_inverse", lambda x, q: np.where(
-        np.isin(x, [second, third]), np.uint64(0), real(x, q)))
-    rep = field_check(q, mode="sampled", samples=samples)
-    assert rep.checks[-1].name == "sampled nonzero elements have inverses"
-    assert rep.checks[-1].witness == {"element": second}
-    assert [c.status for c in rep.checks[:-1]] == ["pass"] * 5
-
-
 def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
     # products with one sampled element, drawn in the second chunk, made
     # wrong: associativity and distributivity fail there first, and a
-    # later chunk that passes must not hide it
+    # later chunk that passes must not hide it.  The exact checks never
+    # multiply that element, so they pass: a sampled failure is a triple.
     chunk = nimber._SAMPLE_CHUNK
     rng = np.random.default_rng(0)
     a, b, c = np.concatenate([rng.integers(0, 1 << 32, size=(3, chunk), dtype=np.uint64)
@@ -339,15 +332,20 @@ def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
 
     monkeypatch.setattr(nimber, "_mul", broken)
     samples = 3 * chunk
-    by_name = {c.name: c for c in field_check(1 << 32, mode="sampled", samples=samples).checks}
+    checks = field_check(1 << 32, mode="sampled", samples=samples).checks
     want = {"triple": [int(a[at]), int(b[at]), int(c[at])]}
-    assert by_name[f"associativity ({samples} sampled)"].witness == want
-    assert by_name[f"distributivity ({samples} sampled)"].witness == want
+    assert [c.status for c in checks[:-2]] == ["pass"] * 7
+    assert checks[-2].name == f"associativity of the tower product ({samples} sampled triples)"
+    assert checks[-2].witness == want
+    assert checks[-1].name == f"distributivity of the tower product ({samples} sampled triples)"
+    assert checks[-1].witness == want
 
 
 def test_field_check_names_its_witnesses(monkeypatch):
     # xor in place of the nim product: closed, commutative and associative,
-    # but 1 is no identity and the product does not distribute
+    # but 1 is no identity and the product does not distribute (every row
+    # of the xor table holds a 1, so the inverse law, read off the table,
+    # passes: it means something only where 1 is the identity)
     monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: x ^ y)
     rep = field_check(4)
     by_name = {c.name: c for c in rep.checks}
@@ -355,15 +353,70 @@ def test_field_check_names_its_witnesses(monkeypatch):
     assert by_name["1 is the multiplicative identity"].witness == {"element": 0}
     assert by_name["associativity (exhaustive)"].status == "pass"
     assert by_name["distributivity (exhaustive)"].witness == {"triple": [1, 0, 0]}
-    assert by_name["every nonzero element has an inverse"].witness == {"element": 1}
-    # the integer product leaves [0, q): the sampled witness is a real pair
-    monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: x * y)
+    assert by_name["every nonzero element has an inverse"].status == "pass"
+    # the integer product mod 255 is closed on [0, 256) but does not
+    # distribute over xor: the sampled witness is a real triple
+    monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: (x * y) % 255)
     rep = field_check(65536, mode="sampled", samples=100)
-    w = rep.checks[0].witness
-    assert rep.checks[0].status == "fail"
-    assert w["product"] == w["pair"][0] * w["pair"][1] >= 65536
-    a, b, c = {c.name: c for c in rep.checks}["distributivity (100 sampled)"].witness["triple"]
-    assert a * (b ^ c) != (a * b) ^ (a * c)
+    a, b, c = rep.checks[-1].witness["triple"]
+    assert rep.checks[-1].name == "distributivity of the tower product (100 sampled triples)"
+    assert a * (b ^ c) % 255 != (a * b) % 255 ^ (a * c) % 255
+
+
+def _mul_with_constant_1_at(bad_h):
+    """A test-side copy of nimber._mul whose width-2h step multiplies hi by
+    1, not by 2^(h-1), at h = bad_h: X^2 + X + 1, reducible over GF(2^h)
+    for even h, so [0, 2^(2h)) is a ring with zero divisors there."""
+    def mul(x, y, bits, table=None, table_bits=nimber._TABLE_BITS):
+        if bits == 1:
+            return x & y
+        if bits >= table_bits and table is None:
+            table = nimber._gf256()
+        if bits == table_bits:
+            return table[x, y]
+        h = bits // 2
+        low = (1 << h) - 1
+        x1, x0, y1, y0 = x >> h, x & low, y >> h, y & low
+        lo = mul(x0, y0, h, table, table_bits)
+        hi = mul(x1, y1, h, table, table_bits)
+        mid = mul(x0 ^ x1, y0 ^ y1, h, table, table_bits)
+        c = 1 if h == bad_h else 1 << (h - 1)
+        return ((mid ^ lo) << h) ^ lo ^ mul(hi, c, h, table, table_bits)
+    return mul
+
+
+LEVELS = "X^2 + X + c irreducible over GF(F), Tr(c) = 1, at tower levels F = "
+
+
+def test_field_check_mutated_tower_constant_names_its_level(monkeypatch):
+    monkeypatch.setattr(nimber, "_mul", _mul_with_constant_1_at(16))
+    rep = field_check(1 << 32)
+    assert rep.status == "fail"
+    assert [c.name for c in rep.checks if c.status == "fail"] == [LEVELS + "256, 65536"]
+    assert rep.checks[-1].witness == {"F": 65536, "c": 1, "trace": 0}
+    # the sampled product checks pass on this ring, and the verdict stays fail
+    rep = field_check(1 << 32, mode="sampled", samples=20000)
+    assert rep.status == "fail"
+    assert [c.status for c in rep.checks[-3:]] == ["fail", "pass", "pass"]
+    assert rep.checks[-3].witness == {"F": 65536, "c": 1, "trace": 0}
+    monkeypatch.setattr(nimber, "_mul", _mul_with_constant_1_at(8))
+    for q in (65536, 1 << 32):  # the first failing level is the witness
+        rep = field_check(q)
+        assert [c.status for c in rep.checks] == ["pass"] * 6 + ["fail"]
+        assert rep.checks[-1].witness == {"F": 256, "c": 1, "trace": 0}
+
+
+def test_field_check_mutated_table_fails_a_table_law(monkeypatch):
+    # X^2 + X + 1 over GF(4) has the roots 2 and 3, so X + 2 = 6 has no
+    # inverse; the GF(256) table is built by _mul, so it is rebuilt mutated
+    monkeypatch.setattr(nimber, "_mul", _mul_with_constant_1_at(2))
+    monkeypatch.setattr(nimber, "_table", None)
+    rep = field_check(16)
+    assert [(c.name, c.witness) for c in rep.checks if c.status == "fail"] == [
+        ("every nonzero element has an inverse", {"element": 6})]
+    rep = field_check(65536)
+    assert rep.checks[5].name == "every nonzero element has an inverse in GF(256)"
+    assert rep.checks[5].status == "fail"
 
 
 def test_field_check_errors():
@@ -371,8 +424,7 @@ def test_field_check_errors():
         field_check(6)
     with pytest.raises(InvalidParameterError):
         field_check(16, mode="guess")
-    with pytest.raises(ResourceLimitError):
-        field_check(65536, mode="exhaustive")
+    assert field_check(65536, mode="exhaustive").status == "pass"  # no cap
     for q in (256, 65536):  # no vacuous pass, no numpy traceback
         with pytest.raises(InvalidParameterError):
             field_check(q, mode="sampled", samples=0)
