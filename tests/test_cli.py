@@ -186,6 +186,34 @@ def test_verify_field(capsys):
     assert doc["counts"] == {"q": 4294967296, "mode": "exhaustive", "triples": 2 ** 96}
 
 
+GF_LAWS = ["closure of [0,q) under nim product", "1 is the multiplicative identity",
+           "commutativity", "associativity (exhaustive)", "distributivity (exhaustive)",
+           "every nonzero element has an inverse"]
+TOWER_LAWS = ["closure of [0,256) under nim product",
+              "1 is the multiplicative identity in GF(256)", "commutativity in GF(256)",
+              "associativity in GF(256) (exhaustive)", "distributivity in GF(256) (exhaustive)",
+              "every nonzero element has an inverse in GF(256)",
+              "X^2 + X + c irreducible over GF(F), Tr(c) = 1, at tower levels F = 256, 65536"]
+# (check names, triples) of each passing report, as printed before the laws
+# were decided on the basis
+FIELD_REPORTS = {2: (GF_LAWS, 8), 4: (GF_LAWS, 64), 16: (GF_LAWS, 4096),
+                 256: (GF_LAWS, 16777216),
+                 4294967296: (TOWER_LAWS, 79228162514264337593543950336)}
+
+
+@pytest.mark.parametrize("q", FIELD_REPORTS)
+def test_verify_field_report_is_pinned(capsys, q):
+    code, out, _ = run_cli(capsys, "verify", "field", "--q", str(q))
+    doc = json.loads(out)
+    assert code == EXIT_PASS and list(doc)[-1] == "elapsed_ms"
+    del doc["elapsed_ms"]
+    names, triples = FIELD_REPORTS[q]
+    assert json.dumps(doc) == json.dumps({
+        "subject": f"nim field q={q}", "status": "pass",
+        "checks": [{"name": name, "status": "pass", "witness": None} for name in names],
+        "counts": {"q": q, "mode": "exhaustive", "triples": triples}})
+
+
 def test_verify_general_with_iso(capsys):
     code, out, _ = run_cli(capsys, "verify", "general", "--a", "1", "--n", "2", "--iso")
     assert code == EXIT_PASS

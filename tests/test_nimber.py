@@ -419,6 +419,115 @@ def test_field_check_mutated_table_fails_a_table_law(monkeypatch):
     assert rep.checks[5].status == "fail"
 
 
+def _plane_scan(t):
+    """The exhaustive plane scan field_check ran on every table before it
+    decided the laws on the basis, kept as the reference: the first
+    (a, b, c) in row-major order where (ab)c != a(bc), and where
+    a(b + c) != ab + ac, each None if there is none."""
+    xs = np.arange(len(t))
+    t, b_xor_c = t.astype(np.intp), xs[:, None] ^ xs[None, :]
+
+    def first(ok, a):
+        return None if ok.all() else [a, *map(int, np.unravel_index(np.argmin(ok), ok.shape))]
+
+    assoc = distrib = None
+    for a, ta in enumerate(t):
+        assoc = assoc or first(t[ta] == ta[t], a)
+        distrib = distrib or first(ta[b_xor_c] == (ta[:, None] ^ ta[None, :]), a)
+    return assoc, distrib
+
+
+def _dot_mod_2(x, y, bits):
+    """The parity of x & y (values below 256): symmetric and bilinear over
+    GF(2), but not associative, (2.2).1 = 1 and 2.(2.1) = 0."""
+    v = x & y
+    for s in (4, 2, 1):
+        v = v ^ (v >> s)
+    return v & 1
+
+
+def _flip_2_3(t):
+    """Not commutative."""
+    t[2, 3] ^= 1
+
+
+def _flip_3_3(t):
+    """Commutative, not distributive, associative on the basis triples."""
+    t[3, 3] ^= 1
+
+
+def _last_row_copies_row_1(t):
+    """Every row distributes, not commutative; from q = 16 associative on
+    the basis triples."""
+    t[-1] = t[1]
+
+
+TABLE_MULTIPLIERS = {
+    "nim": _mul,
+    "xor": lambda x, y, bits: x ^ y,
+    "and": lambda x, y, bits: x & y,
+    "product mod 2^bits - 1": lambda x, y, bits: (x * y) % ((1 << bits) - 1),
+    "tower constant 1 at h=2": _mul_with_constant_1_at(2),
+    "tower constant 1 at h=4": _mul_with_constant_1_at(4),
+    "dot product mod 2": _dot_mod_2,
+}
+TABLE_EDITS = [_flip_2_3, _flip_3_3, _last_row_copies_row_1]  # of the nim table
+
+
+@pytest.mark.parametrize("q", [4, 16, 256])
+@pytest.mark.parametrize("mul", [*TABLE_MULTIPLIERS.values(), *TABLE_EDITS],
+                         ids=[*TABLE_MULTIPLIERS, *(f.__name__ for f in TABLE_EDITS)])
+def test_field_check_table_laws_match_the_plane_scan(monkeypatch, mul, q):
+    if mul in TABLE_EDITS:
+        edited = nim_mul_table(q).astype(np.uint64)
+        mul(edited)
+        mul = lambda x, y, bits: edited[x, y]
+    monkeypatch.setattr(nimber, "_mul", mul)
+    monkeypatch.setattr(nimber, "_table", None)  # the GF(256) table is built by _mul
+    xs = np.arange(q, dtype=np.uint64)
+    want = _plane_scan(mul(xs[:, None], xs[None, :], q.bit_length() - 1))
+    checks = {c.name: c for c in field_check(q).checks}
+    for law, triple in zip(("associativity", "distributivity"), want):
+        got = checks[f"{law} (exhaustive)"]
+        assert (got.status, got.witness) == (
+            ("pass", None) if triple is None else ("fail", {"triple": triple}))
+
+
+def test_field_check_mutants_reach_both_laws():
+    # the differential test above compares failures, not only passes
+    xs = np.arange(16, dtype=np.uint64)
+    x, y = xs[:, None], xs[None, :]
+    assert _plane_scan(TABLE_MULTIPLIERS["dot product mod 2"](x, y, 4)) == ([1, 2, 2], None)
+    assert _plane_scan(TABLE_MULTIPLIERS["xor"](x, y, 4)) == (None, [1, 0, 0])
+
+
+def test_field_check_passes_without_the_plane_scan(monkeypatch):
+    # a field is decided on the basis: no passing run reaches the cubic scan
+    def scan(t):
+        raise AssertionError("the plane scan ran")
+
+    monkeypatch.setattr(nimber, "_associativity_scan", scan)
+    for q in (2, 4, 16, 256, 65536, 1 << 32):
+        assert field_check(q).status == "pass"
+        assert field_check(q, mode="sampled", samples=1000).status == "pass"
+
+
+def test_field_check_non_closed_table_names_its_closure_witness(monkeypatch):
+    # the integer product leaves [0, p): closure names its pair, associativity
+    # cannot compose the table and is indeterminate, and distributivity,
+    # which indexes the table by inputs only, still decides
+    monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: x * y)
+    for rep, pair in ((field_check(4), [2, 2]),
+                      (field_check(65536, mode="sampled", samples=1000), [2, 128])):
+        closure, _, _, assoc, distrib = rep.checks[:5]
+        assert rep.status == "fail"
+        assert closure.witness == {"pair": pair, "product": pair[0] * pair[1]}
+        assert assoc.name.startswith("associativity") and assoc.status == "indeterminate"
+        assert "reason" in assoc.witness
+        assert (distrib.status, distrib.witness) == ("fail", {"triple": [3, 1, 2]})
+        assert 3 * (1 ^ 2) != (3 * 1) ^ (3 * 2)
+
+
 def test_field_check_errors():
     with pytest.raises(InvalidParameterError):
         field_check(6)
