@@ -3,9 +3,11 @@
 Exit codes: 0 = pass/success, 1 = verification failure or runtime error,
 2 = usage or invalid parameters, 3 = indeterminate verification.
 Artifacts go to stdout unless --out is given; diagnostics go to stderr.
-Output is written piece by piece once it is fully computed, so a failed
-generation writes nothing; an unwritable --out or stdout exits 1 with an
-error line, and a stdout pipe closed by its reader ends the output quietly.
+Output is written piece by piece: `generate` computes every row first, so
+a failed generation writes nothing, and `export-pg` streams the lines of
+pg_lines after its parameters and point bound are checked.  An unwritable
+--out or stdout exits 1 with an error line, and a stdout pipe closed by
+its reader ends the output quietly.
 
 `verify general` certifies by exact identity with the ranked lines of
 PG(n, q); `--iso` is accepted and ignored, since the identity already
@@ -24,7 +26,7 @@ import sys
 
 from .errors import (InputRangeError, InvalidParameterError, OutputError,
                      ResourceLimitError, RowIncompleteError)
-from .geometry import build_pg, expected_counts
+from .geometry import expected_counts, pg_lines
 from .greedy import GenParams, generate
 from .nimber import field_check
 from .report import FAIL, INDETERMINATE, PASS
@@ -72,12 +74,12 @@ def format_matrix_pbm(rows, width: int, height: int) -> str:
     return "".join(_pbm_lines(rows, width, height))
 
 
-def _format_lines(fmt: str, rows, k: int, r: int, width: int):
+def _format_lines(fmt: str, rows, k: int, r: int, width: int, height: int):
     if fmt == "rows-csv":
         return _csv_lines(rows)
     if fmt == "rows-json":
         return _json_chunks(k, r, rows)
-    return _pbm_lines(rows, width, len(rows))
+    return _pbm_lines(rows, width, height)
 
 
 def _write(lines, out: str | None) -> None:
@@ -122,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("periodicity", help="zero blocks and the d/s shift")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--blocks", type=int, default=3)
+    p.add_argument("--blocks", type=int, default=3,
+                   help="blocks of d rows the report covers; every block is decided "
+                        "from block 0, which is all that is generated")
 
     i = vsub.add_parser("invariants", help="replay the connectability claims")
     i.add_argument("--n", type=int, required=True)
@@ -151,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("export-pg", help="export a canonical projective model")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--q", type=int, required=True)
-    e.add_argument("--model", choices=("canonical", "nim"), default="canonical",
-                   help="nim = xor-closed triples, q=2 only; the same lines as canonical")
     e.add_argument("--format", choices=_FORMATS, default="rows-csv")
     e.add_argument("--out")
 
@@ -163,7 +165,7 @@ def _cmd_generate(args) -> int:
     params = GenParams(k=args.k, r=args.r, max_rows=args.rows)
     rows = list(generate(params))  # all rows before any output
     width = max(pts[-1] for pts in rows)
-    _write(_format_lines(args.format, rows, args.k, args.r, width), args.out)
+    _write(_format_lines(args.format, rows, args.k, args.r, width, len(rows)), args.out)
     return EXIT_PASS
 
 
@@ -185,12 +187,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_pg(args) -> int:
-    # at q = 2 the canonical model is the nim-triple model, point for point
-    if args.model == "nim" and args.q != 2:
-        raise InvalidParameterError("the nim model exists for q=2 only")
-    geom = build_pg(args.n, args.q)
+    # both raise on bad parameters or an oversized model, before any output
     counts = expected_counts(args.n, args.q)
-    _write(_format_lines(args.format, geom.lines, counts.k, counts.r, geom.v), args.out)
+    lines = pg_lines(args.n, args.q)
+    _write(_format_lines(args.format, lines, counts.k, counts.r, counts.v, counts.b), args.out)
     return EXIT_PASS
 
 

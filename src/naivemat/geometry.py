@@ -141,9 +141,9 @@ def _ranked_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
 
 
 def build_pg(n: int, q: int) -> CanonicalGeometry:
-    """The lines of pg_lines(n, q) held in memory, for export (the harnesses
-    compare against pg_lines as they go), with v and the line count
-    checked from expected_counts."""
+    """The lines of pg_lines(n, q) held in memory, with v and the line
+    count checked from expected_counts; only the benchmark's trace worker
+    calls it (export-pg and the harnesses read pg_lines as they go)."""
     lines = tuple(pg_lines(n, q))
     counts = expected_counts(n, q)
     if len(lines) != counts.b:

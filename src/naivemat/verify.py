@@ -12,7 +12,6 @@ from collections import deque
 from collections.abc import Iterator
 from itertools import product
 
-from . import greedy
 from .errors import InputRangeError, InvalidParameterError
 from .geometry import check_design_lines, expected_counts, pg_lines, point_bound_reason
 from .greedy import GenParams, NaiveMatrixGenerator, generate
@@ -24,69 +23,47 @@ def _identity(n: int, q: int) -> str:
     return f"rows equal the lines of PG({n},{q})"
 
 
-def _over_bound(report: VerificationReport, n: int, q: int, names, blocks: int = 0) -> bool:
-    """Above the point bound of PG(n, q), or with more columns than the
-    generator's cap in `blocks` point windows (only periodicity passes
-    any), report each named check indeterminate, so that nothing is
-    generated; say whether a bound is exceeded."""
-    reason = point_bound_reason(n, q)
-    if reason is None:
-        columns = blocks * expected_counts(n, q).v
-        if columns <= greedy.COLUMN_CAP:
-            return False
-        reason = f"{columns} columns exceed the column cap {greedy.COLUMN_CAP}"
+def _undecided(report: VerificationReport, names, reason: str) -> None:
     report.checks.extend(Check(name, INDETERMINATE, {"reason": reason}) for name in names)
-    return True
 
 
-def _checked_rows(n: int, q: int, blocks: int, first: dict) -> Iterator[tuple[int, ...]]:
-    """Yield the first blocks*b greedy rows at (k, r) = (q+1, (q^n-1)/(q-1))
-    one at a time, and set first[check] to the witness of the check's first
-    failure (None while it holds) for these checks on row i = t*b + j + 1,
-    row j of block t:
+def _over_bound(report: VerificationReport, n: int, q: int, names) -> bool:
+    """Above the point bound of PG(n, q), report each named check
+    indeterminate, so that nothing is generated; say whether it is."""
+    reason = point_bound_reason(n, q)
+    if reason is not None:
+        _undecided(report, names, reason)
+    return reason is not None
 
-    - window: its points lie in (t*v, (t+1)*v];
-    - line (block 0): it is line j of pg_lines(n, q);
-    - shift (blocks after 0): it is row j of block 0 shifted by t*v;
-    - xor (q = 2, block 0): it is a triple a < b < a^b <= v.
 
-    While every earlier row is the one b rows before it shifted by v, row
-    i+b is row i shifted by v exactly when it is row j of block 0 shifted
-    by t*v, so the shift check finds the first row that breaks the period.
-    Block 0 is kept only where it differs from the model, so a passing run
-    stores no rows.  Each block reads pg_lines afresh and zips it first: zip
-    stops at the model's end without drawing a row from the shared stream.
+def _checked_rows(n: int, q: int, rows, first: dict) -> Iterator[tuple[int, ...]]:
+    """Yield `rows`, the greedy rows at (k, r) = (q+1, (q^n-1)/(q-1)), one
+    at a time up to the b lines of PG(n, q), and set first[check] to the
+    witness of the check's first failure (None while it holds) for these
+    checks on row i:
 
-    A row equal to its line or shifted row (`want`) needs no window test:
-    every line lies in [1, v], and a block-0 row off its line that leaves
-    the window is an earlier failure of the row that it shifts.  So the
-    window is tested on the other rows only, and finds the same first row.
+    - window: its points lie in [1, v];
+    - line: it is line i of pg_lines(n, q);
+    - xor (q = 2): it is a triple a < b < a^b <= v.
+
+    A row equal to its line needs no window test: every line lies in
+    [1, v].  No row is kept.
     """
-    first.update(window=None, line=None, shift=None, xor=None)
-    v, b, r, k, _ = expected_counts(n, q)
-    rows = generate(GenParams(k=k, r=r, max_rows=blocks * b))
-    off_model: dict[int, tuple[int, ...]] = {}  # block 0's rows that are not its line
+    first.update(window=None, line=None, xor=None)
+    v = expected_counts(n, q).v
     xor_open = q == 2
-    for t in range(blocks):
-        lo = t * v
-        for j, (line, row) in enumerate(zip(pg_lines(n, q), rows)):
-            want = tuple(map(lo.__add__, off_model.get(j, line))) if t else line
-            if row != want:
-                i = t * b + j + 1
-                if first["window"] is None and not lo < min(row) <= max(row) <= lo + v:
-                    first["window"] = {"row": i, "points": list(row), "window": [lo + 1, lo + v]}
-                if t == 0:
-                    off_model[j] = row
-                    if first["line"] is None:
-                        first["line"] = {"line": i, "row": list(row), "expected": list(line)}
-                elif first["shift"] is None:
-                    first["shift"] = {"row": i, "points": list(row), "expected": list(want)}
-            if xor_open and t == 0:
-                a, b_, c = row
-                if not (a < b_ < c and c == (a ^ b_) and c <= v):
-                    first["xor"] = {"row": j + 1, "points": list(row)}
-                    xor_open = False
-            yield row
+    for i, (line, row) in enumerate(zip(pg_lines(n, q), rows), 1):
+        if row != line:
+            if first["window"] is None and not 0 < min(row) <= max(row) <= v:
+                first["window"] = {"row": i, "points": list(row), "window": [1, v]}
+            if first["line"] is None:
+                first["line"] = {"line": i, "row": list(row), "expected": list(line)}
+        if xor_open:
+            a, b, c = row
+            if not (a < b < c and c == (a ^ b) and c <= v):
+                first["xor"] = {"row": i, "points": list(row)}
+                xor_open = False
+        yield row
 
 
 def _add(report: VerificationReport, name: str, witness: dict | None) -> None:
@@ -105,7 +82,7 @@ def verify_theorem_q2(n: int) -> VerificationReport:
     xor = "rows are xor-closed triples below 2^(n+1)"
     if not _over_bound(report, n, 2, (xor, _identity(n, 2))):
         first: dict = {}
-        deque(_checked_rows(n, 2, 1, first), 0)
+        deque(_checked_rows(n, 2, generate(GenParams(k=3, r=r, max_rows=d)), first), 0)
         _add(report, xor, first["xor"])
         _add(report, _identity(n, 2), first["line"])
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -113,22 +90,43 @@ def verify_theorem_q2(n: int) -> VerificationReport:
 
 
 def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationReport:
-    """Check block t uses only columns in (t*s, (t+1)*s] and that row i+d is
-    row i shifted by s, in one pass over the rows that keeps none of them
-    when both hold.  The blocks span blocks*s columns; above the
-    generator's column cap nothing is generated."""
+    """Decide for every block t that it uses only columns in
+    (t*s, (t+1)*s] and that row i+d is row i shifted by s, from block 0
+    alone: `blocks` is the stated scope, and counts["rows"] = blocks*d.
+
+    Block 0's d rows are generated and checked against the window [1, s].
+    They hold 3d = s*r incidences, so if they stay in it every column 1..s
+    reaches degree r: the generator is at its reset, read as
+    max_used_column = s and is_complete(x) for x in 1..s.  A complete
+    column is never placed again, so from row d + 1 the greedy rule sees
+    only fresh columns s+1, s+2, ..., with no degree and no pair: the start
+    state shifted by s.  So block 1 is block 0 shifted by s and ends at the
+    reset shifted by s, and so on for every block.  With no reset after
+    row d, neither claim is decided past block 0.
+    """
     if blocks < 1:
         raise InvalidParameterError(f"blocks must be at least 1, got {blocks}")
     start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
     report = VerificationReport(subject=f"zero blocks and periodicity n={n} blocks={blocks}",
-                                counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": 0})
+                                counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": 0,
+                                        "generated_rows": 0})
     names = ("each block of d rows stays in its s-column window", "row i+d equals row i shifted by s")
-    if not _over_bound(report, n, 2, names, blocks):
+    if not _over_bound(report, n, 2, names):
+        gen = NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
         first: dict = {}
-        report.counts["rows"] = sum(1 for _ in _checked_rows(n, 2, blocks, first))
-        _add(report, names[0], first["window"])
-        _add(report, names[1], first["shift"])
+        deque(_checked_rows(n, 2, (gen.next_row() for _ in range(d)), first), 0)
+        report.counts.update(rows=blocks * d, generated_rows=gen.emitted)
+        incomplete = next((x for x in range(1, s + 1) if not gen.is_complete(x)), None)
+        if first["window"] is not None:
+            _add(report, names[0], first["window"])
+            _undecided(report, names[1:], f"a row of block 0 leaves [1, {s}]: no reset follows row {d}")
+        elif incomplete is not None or gen.max_used_column > s:
+            column = f"{incomplete} is incomplete" if incomplete else f"{gen.max_used_column} is used"
+            _undecided(report, names, f"column {column}: no reset follows row {d}")
+        else:
+            for name in names:
+                _add(report, name, None)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -227,7 +225,8 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
                                 counts={"q": q, "n": n, "v": v, "b": b, "k": k, "r": r})
     if not _over_bound(report, n, q, (_identity(n, q),)):
         first: dict = {}
-        design = check_design_lines(_checked_rows(n, q, 1, first), v, k, r)
+        rows = _checked_rows(n, q, generate(GenParams(k=k, r=r, max_rows=b)), first)
+        design = check_design_lines(rows, v, k, r)
         _add(report, "rows stay within the point window", first["window"])
         report.checks.extend(Check("design: " + c.name, c.status, c.witness) for c in design.checks)
         _add(report, _identity(n, q), first["line"])

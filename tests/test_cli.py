@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import naivemat
 from naivemat import greedy
 from naivemat.cli import (EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE,
                           format_matrix_pbm, format_rows_csv, main)
+from naivemat.geometry import build_pg, expected_counts
 from naivemat.greedy import GenParams, generate
 
 FANO_CSV = "1,2,3\n1,4,5\n1,6,7\n2,4,6\n2,5,7\n3,4,7\n3,5,6\n"
@@ -319,25 +321,45 @@ def test_export_pg_fano_pbm(capsys):
 
 
 def test_export_pg_nim_model(capsys):
-    code, out, _ = run_cli(capsys, "export-pg", "--n", "2", "--q", "2", "--model", "nim")
-    assert code == EXIT_PASS
-    assert out == FANO_CSV
-    code, _, _ = run_cli(capsys, "export-pg", "--n", "2", "--q", "4", "--model", "nim")
-    assert code == EXIT_USAGE
-    # at q = 2 the nim model is the canonical one, byte for byte: the
-    # xor-closed triples {a, b, a^b}, lex-sorted, over points 1..2^(n+1)-1
+    # at q = 2 the canonical model is the nim-triple model: the xor-closed
+    # triples {a, b, a^b}, lex-sorted, over points 1..2^(n+1)-1
     for n in (2, 3, 4):
         top = 1 << (n + 1)
         triples = sorted((a, b, a ^ b) for a in range(1, top)
                          for b in range(a + 1, top) if a ^ b > b)
-        for fmt in ("rows-csv", "rows-json", "matrix-pbm"):
-            args = ("export-pg", "--n", str(n), "--q", "2", "--format", fmt)
-            code, nim, _ = run_cli(capsys, *args, "--model", "nim")
-            assert code == EXIT_PASS
-            assert nim == run_cli(capsys, *args)[1]
-        assert nim.splitlines()[:2] == ["P1", f"{top - 1} {len(triples)}"]
-        code, csv, _ = run_cli(capsys, "export-pg", "--n", str(n), "--q", "2", "--model", "nim")
+        code, csv, _ = run_cli(capsys, "export-pg", "--n", str(n), "--q", "2")
+        assert code == EXIT_PASS
         assert csv == "".join(f"{a},{b},{c}\n" for a, b, c in triples)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 4), (2, 16)])
+def test_export_pg_streams_the_model_lines(capsys, n, q):
+    lines = build_pg(n, q).lines
+    v, b = expected_counts(n, q)[:2]
+    code, csv, _ = run_cli(capsys, "export-pg", "--n", str(n), "--q", str(q))
+    assert code == EXIT_PASS and csv == format_rows_csv(lines)
+    code, pbm, _ = run_cli(capsys, "export-pg", "--n", str(n), "--q", str(q),
+                           "--format", "matrix-pbm")
+    assert code == EXIT_PASS and pbm == format_matrix_pbm(lines, v, b)
+    assert pbm.count("\n") == b + 2
+
+
+def _export_peak_bytes(tmp_path, n):
+    argv = ["export-pg", "--n", str(n), "--q", "2", "--out", str(tmp_path / "lines.csv")]
+    main(argv)  # the multiplier's one-time tables are built outside the measurement
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_PASS
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_pg_memory_is_not_per_line(tmp_path):
+    # b grows 16x from n = 5 to n = 7 (651 -> 10795 lines); a held line
+    # costs about 100 bytes, and the lines go to the file one at a time
+    b5, b7 = expected_counts(5, 2).b, expected_counts(7, 2).b
+    assert _export_peak_bytes(tmp_path, 7) - _export_peak_bytes(tmp_path, 5) < 8 * (b7 - b5)
 
 
 def test_export_pg_invalid_q(capsys):

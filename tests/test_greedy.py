@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from naivemat import greedy
 from naivemat.errors import (InputRangeError, InvalidParameterError,
                              RowIncompleteError)
+from naivemat.geometry import expected_counts
 from naivemat.greedy import GenParams, NaiveMatrixGenerator, Row, generate
 
 # hand-executed from the three blocking conditions; first row is forced
@@ -241,6 +242,36 @@ def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
             prev.append(row)
         assert gen.emitted == len(prev)
         assert gen.rows == [Row(i, row) for i, row in enumerate(prev, 1)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300))
+def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
+    """A complete column is never placed again, so once every used column
+    is complete the greedy rule sees only fresh columns, as at row 1: the
+    rows that follow are rows 1, 2, ... shifted by max_used_column."""
+    gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
+    rows, resets = [], []
+    for m in range(1, n_rows + 1):
+        rows.append(gen.next_row())
+        top = gen.max_used_column
+        if all(gen.is_complete(x) for x in range(1, top + 1)):
+            resets.append((m, top))
+    for m, top in resets:
+        assert rows[m:] == [tuple(x + top for x in row) for row in rows[:n_rows - m]]
+
+
+@pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 8)] + [(2, 4), (3, 4), (2, 16)])
+def test_pg_blocks_repeat_block_0_shifted(n, q):
+    # the reset that `verify periodicity` reads after block 0, and the two
+    # blocks it predicts, on the real generator
+    v, b, r, k, _ = expected_counts(n, q)
+    gen = NaiveMatrixGenerator(GenParams(k, r, 3 * b))
+    block0 = [gen.next_row() for _ in range(b)]
+    for t in (1, 2):
+        assert gen.max_used_column == t * v
+        assert all(gen.is_complete(x) for x in range(1, t * v + 1))
+        assert [gen.next_row() for _ in range(b)] == [tuple(x + t * v for x in row) for row in block0]
 
 
 def _generate_peak_bytes(k, r, rows):

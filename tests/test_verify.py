@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from naivemat import greedy, verify
+from naivemat import verify
 from naivemat.cli import main
 from naivemat.errors import InputRangeError, InvalidParameterError
 from naivemat.geometry import build_pg
@@ -114,22 +114,14 @@ def test_theorem_guards(monkeypatch):
 # periodicity harness
 # ---------------------------------------------------------------------------
 
-def test_periodicity_above_column_cap_is_indeterminate(monkeypatch):
-    # 400000 blocks of s = 3 columns need columns up to 1,200,000, above the
-    # generator's cap of 2^20: decided before any row is generated, not
-    # reported as a failure when generation reaches the cap
-    monkeypatch.setattr(verify, "generate", no_rows)
+def test_periodicity_past_the_column_cap_passes():
+    # 400000 blocks of s = 3 columns reach column 1,200,000, above the
+    # generator's cap of 2^20: block 0's reset decides them all, and it is
+    # the only block generated
     rep = verify_zero_blocks_and_periodicity(1, 400_000)
-    assert rep.status == "indeterminate"
-    assert rep.counts["rows"] == 0
-    assert [(c.status, c.witness) for c in rep.checks] == 2 * [
-        ("indeterminate", {"reason": "1200000 columns exceed the column cap 1048576"})]
-    # the bound is the generator's cap, read when the harness runs: blocks
-    # that end at the cap exactly are generated
-    monkeypatch.undo()
-    monkeypatch.setattr(greedy, "COLUMN_CAP", 9)
-    assert verify_zero_blocks_and_periodicity(1, 3).status == "pass"
-    assert verify_zero_blocks_and_periodicity(1, 4).status == "indeterminate"
+    assert rep.status == "pass"
+    assert rep.counts == {"n": 1, "d": 1, "s": 3, "blocks": 400_000, "rows": 400_000,
+                          "generated_rows": 1}
 
 
 def test_periodicity_n1_two_blocks():
@@ -145,6 +137,7 @@ def test_periodicity_families(n, blocks):
     rep = verify_zero_blocks_and_periodicity(n, blocks)
     assert rep.status == "pass"
     assert rep.counts["rows"] == blocks * rep.counts["d"]
+    assert rep.counts["generated_rows"] == rep.counts["d"]
 
 
 def test_periodicity_guards():
@@ -152,37 +145,48 @@ def test_periodicity_guards():
         verify_zero_blocks_and_periodicity(2, 0)
 
 
-def periodic_rows(n, blocks):
-    """The rows the periodicity claim predicts: PG(n,2)'s lines, block t
-    shifted by t*s."""
-    s = (1 << (n + 1)) - 1
-    return [tuple(p + t * s for p in line) for t in range(blocks) for line in build_pg(n, 2).lines]
+WINDOW = "each block of d rows stays in its s-column window"
+SHIFT = "row i+d equals row i shifted by s"
 
 
 def test_periodicity_row_leaving_its_window(monkeypatch):
-    rows = periodic_rows(2, 3)
-    rows[9] = (8, 13, 15)  # row 10, block 1 = columns 8..14; should be (8, 13, 14)
-    monkeypatch.setattr(verify, "generate", lambda params: iter(rows))
+    class LeavesTheWindow(NaiveMatrixGenerator):
+        def next_row(self):
+            row = super().next_row()
+            return (1, 6, 8) if self.emitted == 3 else row  # row 3 is (1, 6, 7)
+
+    monkeypatch.setattr(verify, "NaiveMatrixGenerator", LeavesTheWindow)
     rep = verify_zero_blocks_and_periodicity(2, 3)
     assert [(c.name, c.status, c.witness) for c in rep.checks] == [
-        ("each block of d rows stays in its s-column window", "fail",
-         {"row": 10, "points": [8, 13, 15], "window": [8, 14]}),
-        ("row i+d equals row i shifted by s", "fail",
-         {"row": 10, "points": [8, 13, 15], "expected": [8, 13, 14]})]
-    assert rep.counts["rows"] == 21
+        (WINDOW, "fail", {"row": 3, "points": [1, 6, 8], "window": [1, 7]}),
+        (SHIFT, "indeterminate", {"reason": "a row of block 0 leaves [1, 7]: no reset follows row 7"})]
+    assert rep.counts["rows"] == 21 and rep.counts["generated_rows"] == 7
 
 
-def test_periodicity_broken_shift_in_block_2(monkeypatch):
-    # rows 17 and 18 swapped: block 2 stays in its window, but row 17 is
-    # no longer row 10 shifted by s = 7
-    rows = periodic_rows(2, 3)
-    rows[16], rows[17] = rows[17], rows[16]
-    monkeypatch.setattr(verify, "generate", lambda params: iter(rows))
+class LeavesColumn5Open(NaiveMatrixGenerator):
+    def is_complete(self, x):
+        return x != 5 and super().is_complete(x)
+
+
+class UsesColumn8(NaiveMatrixGenerator):
+    def next_row(self):
+        row = super().next_row()
+        if self.emitted == self.params.max_rows:
+            self.max_used_column = 8  # the rows stay in [1, 7], the state does not
+        return row
+
+
+@pytest.mark.parametrize("broken, reason", [
+    (LeavesColumn5Open, "column 5 is incomplete: no reset follows row 7"),
+    (UsesColumn8, "column 8 is used: no reset follows row 7"),
+], ids=["incomplete-column", "column-above-s"])
+def test_periodicity_without_reset_is_indeterminate(monkeypatch, broken, reason):
+    # block 0 is right, but the generator is not at its reset after it:
+    # nothing is decided past block 0
+    monkeypatch.setattr(verify, "NaiveMatrixGenerator", broken)
     rep = verify_zero_blocks_and_periodicity(2, 3)
     assert [(c.name, c.status, c.witness) for c in rep.checks] == [
-        ("each block of d rows stays in its s-column window", "pass", None),
-        ("row i+d equals row i shifted by s", "fail",
-         {"row": 17, "points": [16, 18, 20], "expected": [15, 20, 21]})]
+        (WINDOW, "indeterminate", {"reason": reason}), (SHIFT, "indeterminate", {"reason": reason})]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +329,7 @@ def test_q2_harness_memory_is_not_per_row(harness):
     # d grows 16x from n = 5 to n = 7 (651 -> 10795 rows).  A stored row
     # costs about 280 bytes; the generator's pair masks, about s^2/8 bytes
     # (0.75 byte per row), are all that should grow.  The periodicity
-    # harness reads 3d rows and keeps no block.
+    # harness generates block 0's d rows for its 3 blocks and keeps none.
     d5, d7 = verify.expected_counts(5, 2).d, verify.expected_counts(7, 2).d
     assert _peak_bytes(harness, 7) - _peak_bytes(harness, 5) < 8 * (d7 - d5)
 
