@@ -3,11 +3,13 @@
 Exit codes: 0 = pass/success, 1 = verification failure or runtime error,
 2 = usage or invalid parameters, 3 = indeterminate verification.
 Artifacts go to stdout unless --out is given; diagnostics go to stderr.
-Output is written piece by piece: `generate` computes every row first, so
-a failed generation writes nothing, and `export-pg` streams the lines of
-pg_lines after its parameters and point bound are checked.  An unwritable
---out or stdout exits 1 with an error line, and a stdout pipe closed by
-its reader ends the output quietly.
+Output is written piece by piece.  `generate` writes each row as it is
+generated; a first pass, which keeps no row, runs only for matrix-pbm
+(whose header needs the width) or when a row could reach the column cap
+(greedy.cap_reachable), so a failed generation writes nothing.
+`export-pg` streams the lines of pg_lines after its parameters and point
+bound are checked.  An unwritable --out or stdout exits 1 with an error
+line, and a stdout pipe closed by its reader ends the output quietly.
 
 `verify general` certifies by exact identity with the ranked lines of
 PG(n, q); `--iso` is accepted and ignored, since the identity already
@@ -27,7 +29,7 @@ import sys
 from .errors import (InputRangeError, InvalidParameterError, OutputError,
                      ResourceLimitError, RowIncompleteError)
 from .geometry import expected_counts, pg_lines
-from .greedy import GenParams, generate
+from .greedy import GenParams, cap_reachable, generate
 from .nimber import field_check
 from .report import FAIL, INDETERMINATE, PASS
 from .verify import (lemma_exhaustive, verify_general_q, verify_proof_invariants,
@@ -163,9 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     params = GenParams(k=args.k, r=args.r, max_rows=args.rows)
-    rows = list(generate(params))  # all rows before any output
-    width = max(pts[-1] for pts in rows)
-    _write(_format_lines(args.format, rows, args.k, args.r, width, len(rows)), args.out)
+    width = 0
+    if args.format == "matrix-pbm" or cap_reachable(params):
+        # a first pass gives the PBM width and meets any cap failure
+        # before output starts; no row is kept
+        width = max(pts[-1] for pts in generate(params))
+    _write(_format_lines(args.format, generate(params), args.k, args.r, width, args.rows),
+           args.out)
     return EXIT_PASS
 
 

@@ -186,6 +186,17 @@ class NaiveMatrixGenerator:
         return self._pair[x] << shift if shift else self._pair[x]  # a shift copies even by 0
 
 
+def cap_reachable(params: GenParams) -> bool:
+    """Whether some row of params could need a column above COLUMN_CAP.
+
+    Rows leave no gaps: every fresh column a row takes is the next one
+    above max_used_column, so m rows of k columns use at most columns
+    1..k·m.  When k·max_rows <= COLUMN_CAP no row can fail the cap.  The
+    cap is read on each call, so a patched COLUMN_CAP is honoured.
+    """
+    return params.k * params.max_rows > COLUMN_CAP
+
+
 def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
     """The first params.max_rows rows, as point tuples, one at a time;
     deterministic for fixed params.  Nothing is kept: a caller that needs

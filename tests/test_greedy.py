@@ -221,6 +221,8 @@ def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
                 assert cap is not None
                 assert lexmin_admissible_row(prev, k, r, bound)[-1] > greedy.COLUMN_CAP
                 break
+            # rows leave no gaps, so generate's cap test k * rows is sound
+            assert gen.max_used_column <= k * gen.emitted
             if m < 10:
                 bound = max((p for rr in prev for p in rr), default=0) + k
                 assert row == lexmin_admissible_row(prev, k, r, bound)
