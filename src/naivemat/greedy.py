@@ -21,6 +21,16 @@ above that.  Building a row therefore costs a handful of big-int operations
 on masks as wide as the frontier, not as wide as the largest column, and a
 column's stored mask spans only its partners.  Before any column saturates
 the prefix is empty and every mask is absolute.
+
+The per-column state follows the frontier too: it is kept only for the
+columns above the saturated prefix.  The columns a row adds to the prefix
+are dropped at the start of the next commit, one row late, so that their
+masks can still be read right after the row that completes them.  The
+masks are shifted by this dropped prefix, which trails the saturated one
+by at most one row.  A run
+therefore holds about one frontier of masks, however many rows it emits:
+one row's k masks of k bits at r = 1, and the masks of the unsaturated
+used columns, up to v - 1 of them, for the lines of PG(n, q).
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 from .errors import InputRangeError, InvalidParameterError, RowIncompleteError
 
 COLUMN_CAP = 1 << 20  # safety net: no row may use a column above it
-_K_CAP = 1 << 15  # one row stores k pair masks of k bits, about k^2/8 bytes
+_K_CAP = 1 << 15  # a run holds about one frontier of masks: k^2/8 bytes at r = 1
 
 
 @dataclass(frozen=True)
@@ -69,17 +79,22 @@ class NaiveMatrixGenerator:
     """Streams rows of the greedy matrix while tracking column state.
 
     `_floor` is the length of the saturated prefix, so base = floor + 1 is
-    the lowest column whose degree is below r.  State per column: its degree
-    (rows containing it), its anchor (the floor at its first placement), and
-    a bitmask of the columns it already shares a row with, where bit i
-    stands for column anchor + i.  `_active` marks the used columns above
-    the floor whose degree is below r, bit i standing for column floor + i:
-    a column's bit is set on its first use and cleared when it saturates.
-    The per-column lists end at max_used_column; every column above it is
-    fresh, and a row that runs out of active candidates is finished with
-    the fresh columns from max_used_column + 1, none above COLUMN_CAP.  The
-    public queries answer in absolute column numbers for every column,
-    saturated and fresh ones included.
+    the lowest column whose degree is below r.  `_held` <= floor is the
+    length of the prefix whose state is dropped, and the rest of the state
+    is relative to it.  The per-column lists hold the columns from `_held`
+    to max_used_column, index i standing for column _held + i (slot 0 is a
+    retired column whose state is never read).  State per held column: its
+    degree (rows containing it), its anchor (the prefix dropped at its
+    first placement), and a bitmask of the columns it already shares a row
+    with, where bit i stands for column anchor + i.  `_active` marks the
+    used columns whose degree is below r, bit i standing for column
+    _held + i: a column's bit is set on its first use and cleared when it
+    saturates.  next_row moves the floor past the columns a row saturates,
+    and the next commit starts by dropping them, so a commit always runs
+    with _held = floor.  Every column above max_used_column is fresh, and a
+    row that runs out of active candidates is finished with the fresh
+    columns from max_used_column + 1, none above COLUMN_CAP.  The public
+    queries answer in absolute column numbers.
 
     No row history is kept: next_row hands each row to the caller, and
     `emitted` counts them.
@@ -90,25 +105,30 @@ class NaiveMatrixGenerator:
         self.emitted = 0
         self.max_used_column = 0
         self._floor = 0
+        self._held = 0  # columns 1.._held are retired and dropped
         self._degree = [0]
         self._pair = [0]
         self._anchor = [0]
         self._active = 0
 
-    def _scan(self) -> tuple[int, ...]:
+    def peek_next_row(self) -> tuple[int, ...]:
+        """Columns the next row will use, without committing it: a pure
+        lookahead that changes no state."""
+        if self.emitted >= self.params.max_rows:
+            raise InvalidParameterError(f"all {self.params.max_rows} requested rows already emitted")
         k = self.params.k
-        floor, pair, anchor = self._floor, self._pair, self._anchor
+        held, pair, anchor = self._held, self._pair, self._anchor
         placed: list[int] = []
         cand = self._active
         while cand:
             low = cand & -cand
-            j = floor + low.bit_length() - 1
-            placed.append(j)
+            i = low.bit_length() - 1
+            placed.append(held + i)
             if len(placed) == k:
                 return tuple(placed)
             # no bit lies below low, and no pair mask holds its own column,
-            # so clearing low leaves exactly the admissible columns above j
-            cand &= ~(pair[j] >> (floor - anchor[j]))
+            # so clearing low leaves exactly the admissible columns above it
+            cand &= ~(pair[i] >> (held - anchor[i]))
             cand ^= low
         first = self.max_used_column + 1
         last = first + k - len(placed) - 1
@@ -117,42 +137,42 @@ class NaiveMatrixGenerator:
                 f"no admissible column below the cap {COLUMN_CAP} while building row {self.emitted + 1}")
         return (*placed, *range(first, last + 1))
 
-    def peek_next_row(self) -> tuple[int, ...]:
-        """Columns the next row will use, without committing it: a pure
-        lookahead that changes no state."""
-        if self.emitted >= self.params.max_rows:
-            raise InvalidParameterError(f"all {self.params.max_rows} requested rows already emitted")
-        return self._scan()
-
     def next_row(self) -> tuple[int, ...]:
         """Commit the next row and return its columns, in ascending order."""
         points = self.peek_next_row()
         r, floor, active = self.params.r, self._floor, self._active
         degree, pair, anchor = self._degree, self._pair, self._anchor
+        if floor != self._held:  # the last row moved the floor: drop what it retired, one row late
+            cut = floor - self._held  # slot 0 becomes column floor
+            del degree[:cut], pair[:cut], anchor[:cut]
+            active >>= cut
+            self._held = floor
         fresh = points[-1] - self.max_used_column
         if fresh > 0:
-            degree += [0] * fresh
-            pair += [0] * fresh
-            anchor += [0] * fresh
+            zeros = [0] * fresh
+            degree += zeros
+            pair += zeros
+            anchor += zeros
             self.max_used_column = points[-1]
-        row_bits = 0  # bit i stands for column floor + i
+        row_bits = 0  # bit i and index i stand for column floor + i
         for x in points:
-            bit = 1 << (x - floor)
+            i = x - floor
+            bit = 1 << i
             row_bits |= bit
-            d = degree[x] + 1
-            degree[x] = d
+            d = degree[i] + 1
+            degree[i] = d
             if d == 1:
-                anchor[x] = floor
+                anchor[i] = floor
                 active |= bit
             if d == r:
                 active &= ~bit
         for x in points:
-            pair[x] |= (row_bits ^ (1 << (x - floor))) << (floor - anchor[x])
+            i = x - floor
+            pair[i] |= (row_bits ^ (1 << i)) << (floor - anchor[i])
         self._active = active
         if not active & 2:  # the base column saturated: retire up to the next live one
             shift = (active & -active).bit_length() - 2 if active else self.max_used_column - floor
             self._floor = floor + shift
-            self._active = active >> shift
         self.emitted += 1
         return points
 
@@ -168,22 +188,32 @@ class NaiveMatrixGenerator:
         return [Row(i, again.next_row()) for i in range(1, self.emitted + 1)]
 
     def column_degree(self, x: int) -> int:
-        if x < 1:
-            raise InputRangeError(f"columns are 1-based, got {x}")
-        return self._degree[x] if x <= self.max_used_column else 0
+        """Rows containing column x: r for every column under the floor."""
+        i = x - self._held
+        if i < 1:  # dropped, or no column
+            if x < 1:
+                raise InputRangeError(f"columns are 1-based, got {x}")
+            return self.params.r
+        return self._degree[i] if x <= self.max_used_column else 0
 
     def is_complete(self, x: int) -> bool:
         """Whether column x has reached degree r in the emitted rows."""
         return self.column_degree(x) >= self.params.r
 
     def connectable_mask(self, x: int) -> int:
-        """Bitmask of all columns sharing an emitted row with x (bit y for column y)."""
-        if x < 1:
-            raise InputRangeError(f"columns are 1-based, got {x}")
+        """Bitmask of all columns sharing an emitted row with x (bit y for
+        column y).  Exact for the columns above the floor and those the last
+        row retired; 0 for the columns retired before it, whose state is
+        dropped."""
+        i = x - self._held
+        if i < 1:  # dropped, or no column
+            if x < 1:
+                raise InputRangeError(f"columns are 1-based, got {x}")
+            return 0
         if x > self.max_used_column:
             return 0
-        shift = self._anchor[x]
-        return self._pair[x] << shift if shift else self._pair[x]  # a shift copies even by 0
+        shift = self._anchor[i]
+        return self._pair[i] << shift if shift else self._pair[i]  # a shift copies even by 0
 
 
 def cap_reachable(params: GenParams) -> bool:

@@ -114,12 +114,15 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationRepor
     names = ("each block of d rows stays in its s-column window", "row i+d equals row i shifted by s")
     if not _over_bound(report, n, 2, names):
         gen = NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
-        first: dict = {}
-        deque(_checked_rows(n, 2, (gen.next_row() for _ in range(d)), first), 0)
+        window = None
+        for i in range(1, d + 1):
+            row = gen.next_row()
+            if window is None and not 0 < min(row) <= max(row) <= s:
+                window = {"row": i, "points": list(row), "window": [1, s]}
         report.counts.update(rows=blocks * d, generated_rows=gen.emitted)
         incomplete = next((x for x in range(1, s + 1) if not gen.is_complete(x)), None)
-        if first["window"] is not None:
-            _add(report, names[0], first["window"])
+        if window is not None:
+            _add(report, names[0], window)
             _undecided(report, names[1:], f"a row of block 0 leaves [1, {s}]: no reset follows row {d}")
         elif incomplete is not None or gen.max_used_column > s:
             column = f"{incomplete} is incomplete" if incomplete else f"{gen.max_used_column} is used"

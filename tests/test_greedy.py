@@ -141,7 +141,8 @@ def test_is_complete_and_connectable():
         gen.next_row()
     assert gen.is_complete(1)      # rows 1, 2, 3 contain point 1
     assert not gen.is_complete(9)  # never used
-    assert gen.connectable_mask(4) >> 5 & 1   # row 2 = {1,4,5}
+    assert gen.connectable_mask(4) >> 5 & 1   # row 2 = {1,4,5}; row 7 retired 4
+    assert gen.connectable_mask(1) == 0  # retired by row 3, dropped at row 4
     with pytest.raises(InputRangeError):
         gen.connectable_mask(0)
 
@@ -149,7 +150,9 @@ def test_is_complete_and_connectable():
 def test_connectable_mask_matches_pairs():
     gen = NaiveMatrixGenerator(GenParams(k=3, r=3, max_rows=4))
     rows = [gen.next_row() for _ in range(4)]
-    for x in range(1, 8):
+    # column 1 saturated at row 3 and was dropped at row 4
+    assert gen.column_degree(1) == 3 and gen.connectable_mask(1) == 0
+    for x in range(2, 8):
         mask = gen.connectable_mask(x)
         for y in range(1, 10):
             if y != x:
@@ -204,10 +207,14 @@ def test_window_growth_past_initial_bound():
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300),
        st.one_of(st.none(), st.integers(2, 30)))
 def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
-    """Every state query, saturated columns included, agrees with the rows:
-    degrees and masks of every column after every row, and connectability
-    for every pair that involves a column of the new row.  The regenerated
-    `rows` property lists exactly the rows emitted."""
+    """Every state query agrees with the rows after every row: the degree
+    of every column, saturated ones included; the mask of every column
+    above the floor the last row started from, and mask 0 for the columns
+    under it, which were retired before the last row; connectability for
+    every pair that involves a column of the new row, read from both ends
+    where the other end is above that floor.  The floor is the length of
+    the saturated prefix.  The regenerated `rows` property lists exactly
+    the rows emitted."""
     with patch.object(greedy, "COLUMN_CAP", max(cap, k) if cap else greedy.COLUMN_CAP):
         gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
         deg, partners = {}, {}
@@ -226,6 +233,7 @@ def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
             if m < 10:
                 bound = max((p for rr in prev for p in rr), default=0) + k
                 assert row == lexmin_admissible_row(prev, k, r, bound)
+            floor = next(x for x in range(1, gen.max_used_column + 2) if deg.get(x, 0) < r) - 1
             row_bits = sum(1 << x for x in row)
             for x in row:
                 deg[x] = deg.get(x, 0) + 1
@@ -234,13 +242,14 @@ def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
             for x in range(1, top + 1):
                 assert gen.column_degree(x) == deg.get(x, 0)
                 assert gen.is_complete(x) == (deg.get(x, 0) == r)
-                assert gen.connectable_mask(x) == partners.get(x, 0)
+                assert gen.connectable_mask(x) == (partners.get(x, 0) if x > floor else 0)
             for x in row:
                 for y in range(1, top + 1):
                     if y != x:
                         want = partners[x] >> y & 1
                         assert gen.connectable_mask(x) >> y & 1 == want
-                        assert gen.connectable_mask(y) >> x & 1 == want
+                        if y > floor:
+                            assert gen.connectable_mask(y) >> x & 1 == want
             prev.append(row)
         assert gen.emitted == len(prev)
         assert gen.rows == [Row(i, row) for i, row in enumerate(prev, 1)]
@@ -291,3 +300,104 @@ def test_generate_memory_is_linear_in_rows():
     # blocks.  Pair masks kept at absolute width grow 11-14x here.
     assert _generate_peak_bytes(3, 1, 4000) <= 5 * _generate_peak_bytes(3, 1, 1000)
     assert _generate_peak_bytes(3, 7, 11200) <= 5 * _generate_peak_bytes(3, 7, 2800)
+
+
+def test_generate_memory_is_flat_at_r1():
+    # at r = 1 every row retires its k columns, and the next commit drops
+    # them: a run holds one row's k masks of k bits, about k^2/8 bytes,
+    # where keeping every used column's mask would add that much per row
+    # (about 200 KB at k = 1024)
+    assert _generate_peak_bytes(1024, 1, 40) < _generate_peak_bytes(1024, 1, 10) + 16 * 1024
+
+
+class KeepEveryColumn:
+    """The same greedy rule over per-column lists indexed by column number,
+    which keep the state of every column ever used: the reference for the
+    differential test below.  `_floor`, `_active` and the anchored pair
+    masks are as in NaiveMatrixGenerator; nothing is ever dropped."""
+
+    def __init__(self, k, r):
+        self.k, self.r = k, r
+        self.max_used_column = 0
+        self._floor = 0
+        self._degree, self._pair, self._anchor = [0], [0], [0]
+        self._active = 0
+
+    def next_row(self):
+        k, r, floor = self.k, self.r, self._floor
+        degree, pair, anchor = self._degree, self._pair, self._anchor
+        placed, cand = [], self._active
+        while cand and len(placed) < k:
+            low = cand & -cand
+            j = floor + low.bit_length() - 1
+            placed.append(j)
+            cand &= ~(pair[j] >> (floor - anchor[j]))
+            cand ^= low
+        first = self.max_used_column + 1
+        points = (*placed, *range(first, first + k - len(placed)))
+        fresh = points[-1] - self.max_used_column
+        if fresh > 0:
+            degree += [0] * fresh
+            pair += [0] * fresh
+            anchor += [0] * fresh
+            self.max_used_column = points[-1]
+        active, row_bits = self._active, 0
+        for x in points:
+            bit = 1 << (x - floor)
+            row_bits |= bit
+            degree[x] += 1
+            if degree[x] == 1:
+                anchor[x] = floor
+                active |= bit
+            if degree[x] == r:
+                active &= ~bit
+        for x in points:
+            pair[x] |= (row_bits ^ (1 << (x - floor))) << (floor - anchor[x])
+        if not active & 2:
+            shift = (active & -active).bit_length() - 2 if active else self.max_used_column - floor
+            self._floor = floor + shift
+            active >>= shift
+        self._active = active
+        return points
+
+    def column_degree(self, x):
+        return self._degree[x] if x <= self.max_used_column else 0
+
+    def connectable_mask(self, x):
+        return self._pair[x] << self._anchor[x] if x <= self.max_used_column else 0
+
+
+def assert_matches_every_column_kept(k, r, n_rows):
+    """Equal rows, and after every row equal state for each column that can
+    have changed: the row's columns, the columns it retires (exact masks)
+    and the columns the row before retired (mask 0, now dropped); at the
+    end, every column.  A column's state changes only at those moments."""
+    gen, ref = NaiveMatrixGenerator(GenParams(k, r, n_rows)), KeepEveryColumn(k, r)
+
+    def same_state(x, floor):  # the columns under floor were retired before the last row
+        assert gen.column_degree(x) == ref.column_degree(x)
+        assert gen.connectable_mask(x) == (ref.connectable_mask(x) if x > floor else 0)
+
+    last_floor = 0
+    for _ in range(n_rows):
+        floor = ref._floor
+        row = ref.next_row()
+        assert gen.next_row() == row
+        assert gen.max_used_column == ref.max_used_column
+        for x in (*row, *range(last_floor + 1, ref._floor + 1)):
+            same_state(x, floor)
+        last_floor = floor
+    for x in range(1, ref.max_used_column + 2):
+        same_state(x, last_floor)
+
+
+@pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 8)] + [(2, 4), (3, 4), (2, 16)])
+def test_pg_rows_and_state_match_every_column_kept(n, q):
+    v, b, r, k, _ = expected_counts(n, q)
+    assert_matches_every_column_kept(k, r, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300))
+def test_rows_and_state_match_every_column_kept(k, r, n_rows):
+    assert_matches_every_column_kept(k, r, n_rows)

@@ -202,12 +202,17 @@ def rescan_invariants(n):
     gen = verify.NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
 
     first = {"member": None, "claim1": None, "claim2": None, "claim3": None}
+    # a complete point's partners never change, but its mask reads 0 once
+    # the generator drops it, a row after the row that retires it: Claim 1
+    # reads the union of every mask read so far
+    seen = {}
     for m in range(d + 1):
         if first["claim1"] is None:
             for x in range(1, s + 1):
                 if gen.column_degree(x) == r:
                     want = window_mask & ~(1 << x)
-                    missing = want & ~gen.connectable_mask(x)
+                    seen[x] = seen.get(x, 0) | gen.connectable_mask(x)
+                    missing = want & ~seen[x]
                     if missing:
                         first["claim1"] = {"step": m, "complete_point": x,
                                            "not_connectable_to": (missing & -missing).bit_length() - 1}
