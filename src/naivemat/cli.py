@@ -4,9 +4,10 @@ Exit codes: 0 = pass/success, 1 = verification failure or runtime error,
 2 = usage or invalid parameters, 3 = indeterminate verification.
 Artifacts go to stdout unless --out is given; diagnostics go to stderr.
 Output is written piece by piece.  `generate` writes each row as it is
-generated; a first pass, which keeps no row, runs only for matrix-pbm
-(whose header needs the width) or when a row could reach the column cap
-(greedy.cap_reachable), so a failed generation writes nothing.
+generated; for matrix-pbm a first pass, which keeps no row, finds the
+width the header needs.  A PBM line costs about 2 bytes a column, so that
+pass refuses a row past column 2^20 with exit 1 before anything is
+written; the other formats have no width bound.
 `export-pg` streams the lines of pg_lines after its parameters and point
 bound are checked.  An unwritable --out or stdout exits 1 with an error
 line, and a stdout pipe closed by its reader ends the output quietly.
@@ -14,9 +15,6 @@ line, and a stdout pipe closed by its reader ends the output quietly.
 `verify general` certifies by exact identity with the ranked lines of
 PG(n, q); `--iso` is accepted and ignored, since the identity already
 compares the rows with the model.
-
-`generate` exits 1 and writes nothing when a row would need a column
-above greedy.COLUMN_CAP (2^20).
 """
 
 from __future__ import annotations
@@ -26,10 +24,9 @@ import json
 import os
 import sys
 
-from .errors import (InputRangeError, InvalidParameterError, OutputError,
-                     ResourceLimitError, RowIncompleteError)
+from .errors import InputRangeError, InvalidParameterError, OutputError, ResourceLimitError
 from .geometry import expected_counts, pg_lines
-from .greedy import GenParams, cap_reachable, generate
+from .greedy import GenParams, generate
 from .nimber import field_check
 from .report import FAIL, INDETERMINATE, PASS
 from .verify import (lemma_exhaustive, verify_general_q, verify_proof_invariants,
@@ -42,6 +39,7 @@ EXIT_INDETERMINATE = 3
 
 _STATUS_EXIT = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INDETERMINATE: EXIT_INDETERMINATE}
 _FORMATS = ("rows-csv", "rows-json", "matrix-pbm")
+_PBM_MAX_WIDTH = 1 << 20  # a PBM line costs about 2 bytes a column
 
 
 def _csv_lines(rows):
@@ -166,10 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     params = GenParams(k=args.k, r=args.r, max_rows=args.rows)
     width = 0
-    if args.format == "matrix-pbm" or cap_reachable(params):
-        # a first pass gives the PBM width and meets any cap failure
-        # before output starts; no row is kept
-        width = max(pts[-1] for pts in generate(params))
+    if args.format == "matrix-pbm":
+        # a first pass, which keeps no row, gives the header its width and
+        # meets a row past the bound before output starts
+        for i, pts in enumerate(generate(params), 1):
+            if pts[-1] > width:
+                if pts[-1] > _PBM_MAX_WIDTH:
+                    raise OutputError(f"matrix-pbm holds at most {_PBM_MAX_WIDTH} columns, "
+                                      f"and row {i} uses column {pts[-1]}")
+                width = pts[-1]
     _write(_format_lines(args.format, generate(params), args.k, args.r, width, args.rows),
            args.out)
     return EXIT_PASS
@@ -213,7 +216,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_export_pg(args)
-    except (RowIncompleteError, OutputError) as exc:
+    except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (InvalidParameterError, InputRangeError, ResourceLimitError) as exc:

@@ -13,9 +13,6 @@ class ResourceLimitError(RuntimeError):
     """A configured size or budget bound would be exceeded."""
 
 
-class RowIncompleteError(RuntimeError):
-    """The column scan hit the safety cap before completing a row."""
-
-
 class OutputError(RuntimeError):
-    """An artifact could not be written to its destination."""
+    """An artifact could not be written: its destination failed, or its format
+    cannot hold it."""

@@ -38,9 +38,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import InputRangeError, InvalidParameterError, RowIncompleteError
+from .errors import InputRangeError, InvalidParameterError
 
-COLUMN_CAP = 1 << 20  # safety net: no row may use a column above it
 _K_CAP = 1 << 15  # a run holds about one frontier of masks: k^2/8 bytes at r = 1
 
 
@@ -93,8 +92,8 @@ class NaiveMatrixGenerator:
     and the next commit starts by dropping them, so a commit always runs
     with _held = floor.  Every column above max_used_column is fresh, and a
     row that runs out of active candidates is finished with the fresh
-    columns from max_used_column + 1, none above COLUMN_CAP.  The public
-    queries answer in absolute column numbers.
+    columns from max_used_column + 1.  The public queries answer in
+    absolute column numbers.
 
     No row history is kept: next_row hands each row to the caller, and
     `emitted` counts them.
@@ -131,11 +130,7 @@ class NaiveMatrixGenerator:
             cand &= ~(pair[i] >> (held - anchor[i]))
             cand ^= low
         first = self.max_used_column + 1
-        last = first + k - len(placed) - 1
-        if last > COLUMN_CAP:
-            raise RowIncompleteError(
-                f"no admissible column below the cap {COLUMN_CAP} while building row {self.emitted + 1}")
-        return (*placed, *range(first, last + 1))
+        return (*placed, *range(first, first + k - len(placed)))
 
     def next_row(self) -> tuple[int, ...]:
         """Commit the next row and return its columns, in ascending order."""
@@ -214,17 +209,6 @@ class NaiveMatrixGenerator:
             return 0
         shift = self._anchor[i]
         return self._pair[i] << shift if shift else self._pair[i]  # a shift copies even by 0
-
-
-def cap_reachable(params: GenParams) -> bool:
-    """Whether some row of params could need a column above COLUMN_CAP.
-
-    Rows leave no gaps: every fresh column a row takes is the next one
-    above max_used_column, so m rows of k columns use at most columns
-    1..k·m.  When k·max_rows <= COLUMN_CAP no row can fail the cap.  The
-    cap is read on each call, so a patched COLUMN_CAP is honoured.
-    """
-    return params.k * params.max_rows > COLUMN_CAP
 
 
 def generate(params: GenParams) -> Iterator[tuple[int, ...]]:

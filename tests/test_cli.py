@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import naivemat
-from naivemat import greedy
+from naivemat import cli, greedy
 from naivemat.cli import (EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE,
                           format_matrix_pbm, format_rows_csv, main)
 from naivemat.geometry import build_pg, expected_counts
@@ -32,6 +32,20 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
+
+@pytest.fixture
+def next_row_calls(monkeypatch):
+    """The `emitted` count at each NaiveMatrixGenerator.next_row call."""
+    calls = []
+    next_row = greedy.NaiveMatrixGenerator.next_row
+
+    def counted(self):
+        calls.append(self.emitted)
+        return next_row(self)
+
+    monkeypatch.setattr(greedy.NaiveMatrixGenerator, "next_row", counted)
+    return calls
+
 
 def test_generate_fano_csv(capsys):
     code, out, _ = run_cli(capsys, "generate", "--k", "3", "--r", "3", "--rows", "7")
@@ -79,42 +93,66 @@ def test_generate_missing_flag_is_usage_error(capsys):
 
 
 def test_generate_cap_failure_is_runtime_error(tmp_path, capsys, monkeypatch):
-    # row 1 fits under the cap and row 2 does not: nothing of row 1 is written
-    monkeypatch.setattr(greedy, "COLUMN_CAP", 3)
-    for fmt in ("rows-csv", "rows-json", "matrix-pbm"):
-        argv = ["generate", "--k", "3", "--r", "1", "--rows", "2", "--format", fmt]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_FAIL
-        assert "cap" in err
-        assert out == ""
-        target = tmp_path / f"{fmt}.txt"
-        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
-        assert code == EXIT_FAIL and out == ""
-        assert not target.exists()
+    # matrix-pbm holds at most cli._PBM_MAX_WIDTH columns: rows 1-3 of
+    # (3, 1) fit under a bound of 9 and row 4 does not, so nothing is written
+    monkeypatch.setattr(cli, "_PBM_MAX_WIDTH", 9)
+    argv = ["generate", "--k", "3", "--r", "1", "--rows", "5", "--format", "matrix-pbm"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_FAIL
+    assert err == "error: matrix-pbm holds at most 9 columns, and row 4 uses column 12\n"
+    assert out == ""
+    target = tmp_path / "matrix.pbm"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == EXIT_FAIL and out == ""
+    assert not target.exists()
+
+
+def test_generate_pbm_stops_at_the_first_row_past_the_width_bound(tmp_path, capsys,
+                                                                  next_row_calls):
+    # at (1024, 1) row 1024 ends at column 2^20 and row 1025 passes it
+    target = tmp_path / "matrix.pbm"
+    code, out, err = run_cli(capsys, "generate", "--k", "1024", "--r", "1", "--rows", "2000",
+                             "--format", "matrix-pbm", "--out", str(target))
+    assert code == EXIT_FAIL and out == ""
+    assert err == ("error: matrix-pbm holds at most 1048576 columns, "
+                   "and row 1025 uses column 1049600\n")
+    assert not target.exists()
+    assert next_row_calls == list(range(1025))
+
+
+@pytest.mark.parametrize("fmt", ["rows-csv", "rows-json"])
+def test_generate_rows_past_column_2_to_the_20(capsys, fmt):
+    # the rows formats have no width bound: row 1025 of (1024, 1) is the
+    # run of fresh columns above 2^20
+    code, out, err = run_cli(capsys, "generate", "--k", "1024", "--r", "1", "--rows", "1025",
+                             "--format", fmt)
+    assert code == EXIT_PASS and err == ""
+    last = list(range(1048577, 1049601))
+    if fmt == "rows-csv":
+        lines = out.splitlines()
+        assert len(lines) == 1025
+        assert lines[-1] == ",".join(map(str, last))
+    else:
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 1025
+        assert rows[-1] == last
 
 
 @pytest.mark.parametrize("fmt, cap, passes", [
     ("rows-csv", None, 1),
     ("rows-json", None, 1),
     ("matrix-pbm", None, 2),  # the header needs the width
-    ("rows-csv", 20, 2),  # 3 * 7 > 20: a row could reach the cap
-    ("rows-csv", 21, 1),
+    ("matrix-pbm", 7, 2),  # the widest row ends at the PBM width bound
+    ("rows-csv", 6, 1),  # the bound is matrix-pbm's alone
 ])
-def test_generate_runs_a_first_pass_only_when_needed(capsys, monkeypatch, fmt, cap, passes):
+def test_generate_runs_a_first_pass_only_when_needed(capsys, monkeypatch, next_row_calls,
+                                                      fmt, cap, passes):
     if cap is not None:
-        monkeypatch.setattr(greedy, "COLUMN_CAP", cap)
-    calls = []
-    next_row = greedy.NaiveMatrixGenerator.next_row
-
-    def counted(self):
-        calls.append(self.emitted)
-        return next_row(self)
-
-    monkeypatch.setattr(greedy.NaiveMatrixGenerator, "next_row", counted)
+        monkeypatch.setattr(cli, "_PBM_MAX_WIDTH", cap)
     code, out, _ = run_cli(capsys, "generate", "--k", "3", "--r", "3", "--rows", "7",
                            "--format", fmt)
     assert code == EXIT_PASS
-    assert len(calls) == passes * 7
+    assert len(next_row_calls) == passes * 7
     if fmt == "rows-csv":
         assert out == FANO_CSV
 

@@ -3,15 +3,12 @@ and the brute-force lexicographic-minimum oracle."""
 
 import tracemalloc
 from itertools import combinations
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naivemat import greedy
-from naivemat.errors import (InputRangeError, InvalidParameterError,
-                             RowIncompleteError)
+from naivemat.errors import InputRangeError, InvalidParameterError
 from naivemat.geometry import expected_counts
 from naivemat.greedy import GenParams, NaiveMatrixGenerator, Row, generate
 
@@ -59,7 +56,7 @@ def test_gen_params_validation():
     with pytest.raises(InvalidParameterError):
         GenParams(k=3, r=1, max_rows=0)
     with pytest.raises(InvalidParameterError):
-        GenParams(k=greedy.COLUMN_CAP + 1, r=1, max_rows=1)
+        GenParams(k=(1 << 20) + 1, r=1, max_rows=1)
     # one row of weight k holds about k^2/8 bytes of pair masks
     assert GenParams(k=1 << 15, r=1, max_rows=1).k == 1 << 15
     with pytest.raises(InvalidParameterError, match="k must be at most 32768"):
@@ -106,27 +103,6 @@ def test_max_rows_is_enforced():
 def test_determinism():
     p = GenParams(k=4, r=3, max_rows=20)
     assert list(generate(p)) == list(generate(p))
-
-
-def test_column_cap_raises_row_incomplete(monkeypatch):
-    monkeypatch.setattr(greedy, "COLUMN_CAP", 3)
-    with pytest.raises(RowIncompleteError):
-        list(generate(GenParams(k=3, r=1, max_rows=2)))
-
-
-@pytest.mark.parametrize("k,r,cap,rows", [
-    (3, 1, 6, [(1, 2, 3), (4, 5, 6)]),  # every row is a fresh run
-    # rows 2 and 3 start in used columns; row 3, (2, 4, 6), needs cap + 1
-    (3, 2, 5, [(1, 2, 3), (1, 4, 5)]),
-])
-def test_fresh_run_cap_boundary(monkeypatch, k, r, cap, rows):
-    monkeypatch.setattr(greedy, "COLUMN_CAP", cap)
-    gen = NaiveMatrixGenerator(GenParams(k, r, len(rows) + 1))
-    # the last of these rows ends exactly at the cap
-    assert [gen.next_row() for _ in rows] == rows
-    with pytest.raises(RowIncompleteError, match=f"while building row {len(rows) + 1}$"):
-        gen.next_row()
-    assert gen.emitted == len(rows)
 
 
 def test_is_complete_and_connectable():
@@ -204,9 +180,8 @@ def test_window_growth_past_initial_bound():
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300),
-       st.one_of(st.none(), st.integers(2, 30)))
-def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
+@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300))
+def test_state_queries_match_emitted_rows(k, r, n_rows):
     """Every state query agrees with the rows after every row: the degree
     of every column, saturated ones included; the mask of every column
     above the floor the last row started from, and mask 0 for the columns
@@ -215,44 +190,36 @@ def test_state_queries_match_emitted_rows(k, r, n_rows, cap):
     where the other end is above that floor.  The floor is the length of
     the saturated prefix.  The regenerated `rows` property lists exactly
     the rows emitted."""
-    with patch.object(greedy, "COLUMN_CAP", max(cap, k) if cap else greedy.COLUMN_CAP):
-        gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
-        deg, partners = {}, {}
-        prev = []
-        for m in range(n_rows):
-            try:
-                row = gen.next_row()
-            except RowIncompleteError:
-                # the greedy row needs a column beyond the cap
-                bound = max((p for rr in prev for p in rr), default=0) + k
-                assert cap is not None
-                assert lexmin_admissible_row(prev, k, r, bound)[-1] > greedy.COLUMN_CAP
-                break
-            # rows leave no gaps, so generate's cap test k * rows is sound
-            assert gen.max_used_column <= k * gen.emitted
-            if m < 10:
-                bound = max((p for rr in prev for p in rr), default=0) + k
-                assert row == lexmin_admissible_row(prev, k, r, bound)
-            floor = next(x for x in range(1, gen.max_used_column + 2) if deg.get(x, 0) < r) - 1
-            row_bits = sum(1 << x for x in row)
-            for x in row:
-                deg[x] = deg.get(x, 0) + 1
-                partners[x] = partners.get(x, 0) | (row_bits ^ (1 << x))
-            top = gen.max_used_column + 2
-            for x in range(1, top + 1):
-                assert gen.column_degree(x) == deg.get(x, 0)
-                assert gen.is_complete(x) == (deg.get(x, 0) == r)
-                assert gen.connectable_mask(x) == (partners.get(x, 0) if x > floor else 0)
-            for x in row:
-                for y in range(1, top + 1):
-                    if y != x:
-                        want = partners[x] >> y & 1
-                        assert gen.connectable_mask(x) >> y & 1 == want
-                        if y > floor:
-                            assert gen.connectable_mask(y) >> x & 1 == want
-            prev.append(row)
-        assert gen.emitted == len(prev)
-        assert gen.rows == [Row(i, row) for i, row in enumerate(prev, 1)]
+    gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
+    deg, partners = {}, {}
+    prev = []
+    for m in range(n_rows):
+        row = gen.next_row()
+        # rows leave no gaps: every fresh column is the next one above the largest used
+        assert gen.max_used_column <= k * gen.emitted
+        if m < 10:
+            bound = max((p for rr in prev for p in rr), default=0) + k
+            assert row == lexmin_admissible_row(prev, k, r, bound)
+        floor = next(x for x in range(1, gen.max_used_column + 2) if deg.get(x, 0) < r) - 1
+        row_bits = sum(1 << x for x in row)
+        for x in row:
+            deg[x] = deg.get(x, 0) + 1
+            partners[x] = partners.get(x, 0) | (row_bits ^ (1 << x))
+        top = gen.max_used_column + 2
+        for x in range(1, top + 1):
+            assert gen.column_degree(x) == deg.get(x, 0)
+            assert gen.is_complete(x) == (deg.get(x, 0) == r)
+            assert gen.connectable_mask(x) == (partners.get(x, 0) if x > floor else 0)
+        for x in row:
+            for y in range(1, top + 1):
+                if y != x:
+                    want = partners[x] >> y & 1
+                    assert gen.connectable_mask(x) >> y & 1 == want
+                    if y > floor:
+                        assert gen.connectable_mask(y) >> x & 1 == want
+        prev.append(row)
+    assert gen.emitted == len(prev)
+    assert gen.rows == [Row(i, row) for i, row in enumerate(prev, 1)]
 
 
 @settings(deadline=None, max_examples=60)

@@ -115,9 +115,8 @@ def test_theorem_guards(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_periodicity_past_the_column_cap_passes():
-    # 400000 blocks of s = 3 columns reach column 1,200,000, above the
-    # generator's cap of 2^20: block 0's reset decides them all, and it is
-    # the only block generated
+    # 400000 blocks of s = 3 columns reach column 1,200,000, past 2^20:
+    # block 0's reset decides them all, and it is the only block generated
     rep = verify_zero_blocks_and_periodicity(1, 400_000)
     assert rep.status == "pass"
     assert rep.counts == {"n": 1, "d": 1, "s": 3, "blocks": 400_000, "rows": 400_000,
