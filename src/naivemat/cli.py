@@ -11,6 +11,8 @@ written; the other formats have no width bound.
 `export-pg` streams the lines of pg_lines after its parameters and point
 bound are checked.  An unwritable --out or stdout exits 1 with an error
 line, and a stdout pipe closed by its reader ends the output quietly.
+Each command imports the modules it runs when it runs, so `--help` and
+an argument error load no harness module and start up fastest.
 
 `verify general` certifies by exact identity with the ranked lines of
 PG(n, q); `--iso` is accepted and ignored, since the identity already
@@ -20,24 +22,16 @@ compares the rows with the model.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .errors import InputRangeError, InvalidParameterError, OutputError, ResourceLimitError
-from .geometry import expected_counts, pg_lines
-from .greedy import GenParams, generate
-from .nimber import field_check
-from .report import FAIL, INDETERMINATE, PASS
-from .verify import (lemma_exhaustive, verify_general_q, verify_proof_invariants,
-                     verify_theorem_q2, verify_zero_blocks_and_periodicity)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
-_STATUS_EXIT = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INDETERMINATE: EXIT_INDETERMINATE}
 _FORMATS = ("rows-csv", "rows-json", "matrix-pbm")
 _PBM_MAX_WIDTH = 1 << 20  # a PBM line costs about 2 bytes a column
 
@@ -48,6 +42,8 @@ def _csv_lines(rows):
 
 
 def _json_chunks(k: int, r: int, rows):
+    import json
+
     yield f'{{"k":{json.dumps(k)},"r":{json.dumps(r)},"rows":['
     sep = ""
     for row in rows:
@@ -162,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    from .greedy import GenParams, generate
+
     params = GenParams(k=args.k, r=args.r, max_rows=args.rows)
     width = 0
     if args.format == "matrix-pbm":
@@ -179,23 +177,32 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.check == "theorem":
-        report = verify_theorem_q2(args.n)
-    elif args.check == "periodicity":
-        report = verify_zero_blocks_and_periodicity(args.n, args.blocks)
-    elif args.check == "invariants":
-        report = verify_proof_invariants(args.n)
-    elif args.check == "general":
-        report = verify_general_q(args.a, args.n)
-    elif args.check == "lemma":
-        report = lemma_exhaustive(args.bound)
-    else:
+    from .report import FAIL, INDETERMINATE, PASS
+
+    if args.check == "field":
+        from .nimber import field_check
+
         report = field_check(args.q, mode=args.mode, samples=args.samples)
+    else:
+        from . import verify
+
+        if args.check == "theorem":
+            report = verify.verify_theorem_q2(args.n)
+        elif args.check == "periodicity":
+            report = verify.verify_zero_blocks_and_periodicity(args.n, args.blocks)
+        elif args.check == "invariants":
+            report = verify.verify_proof_invariants(args.n)
+        elif args.check == "general":
+            report = verify.verify_general_q(args.a, args.n)
+        else:
+            report = verify.lemma_exhaustive(args.bound)
     _write([report.to_json() + "\n"], args.out)
-    return _STATUS_EXIT[report.status]
+    return {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INDETERMINATE: EXIT_INDETERMINATE}[report.status]
 
 
 def _cmd_export_pg(args) -> int:
+    from .geometry import expected_counts, pg_lines
+
     # both raise on bad parameters or an oversized model, before any output
     counts = expected_counts(args.n, args.q)
     lines = pg_lines(args.n, args.q)

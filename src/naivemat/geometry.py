@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .nimber import VALUE_BITS, is_fermat_two_power, nim_mul
@@ -59,37 +58,32 @@ def point_bound_reason(n: int, q: int) -> str | None:
 # structures
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IncidenceStructure:
     """A finite list of lines (sorted point tuples) over points 1..point_window."""
 
-    point_window: int
-    lines: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, point_window: int, lines: Iterable[Iterable[int]]):
         norm = []
-        for line in self.lines:
+        for line in lines:
             pts = tuple(sorted(line))
             if not pts:
                 raise InvalidParameterError("empty lines are not allowed")
             if len(set(pts)) != len(pts):
                 raise InvalidParameterError(f"line {pts} repeats a point")
-            if pts[0] < 1 or pts[-1] > self.point_window:
+            if pts[0] < 1 or pts[-1] > point_window:
                 raise InvalidParameterError(
-                    f"line {pts} leaves the point window [1, {self.point_window}]")
+                    f"line {pts} leaves the point window [1, {point_window}]")
             norm.append(pts)
         if len(set(norm)) != len(norm):
             raise InvalidParameterError("repeated lines are not allowed")
+        self.point_window = point_window
         self.lines = tuple(norm)
 
 
-@dataclass(frozen=True)
-class CanonicalGeometry:
+class CanonicalGeometry(namedtuple("CanonicalGeometry", "v lines")):
     """PG(n, q) in the ranked labelling of pg_lines: its point count v and
     its lines, each a tuple of 1-based point ranks."""
 
-    v: int
-    lines: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def pg_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:

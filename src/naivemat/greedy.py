@@ -35,43 +35,39 @@ used columns, up to v - 1 of them, for the lines of PG(n, q).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import InputRangeError, InvalidParameterError
 
 _K_CAP = 1 << 15  # a run holds about one frontier of masks: k^2/8 bytes at r = 1
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(namedtuple("GenParams", "k r max_rows")):
     """Generation request: row weight k, column weight r, row count."""
 
-    k: int
-    r: int
-    max_rows: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidParameterError(f"k must be at least 2, got {self.k}")
-        if self.r < 1:
-            raise InvalidParameterError(f"r must be at least 1, got {self.r}")
-        if self.max_rows < 1:
-            raise InvalidParameterError(f"max_rows must be at least 1, got {self.max_rows}")
-        if self.k > _K_CAP:
-            raise InvalidParameterError(f"k must be at most {_K_CAP}, got {self.k}")
+    def __new__(cls, k: int, r: int, max_rows: int):
+        if k < 2:
+            raise InvalidParameterError(f"k must be at least 2, got {k}")
+        if r < 1:
+            raise InvalidParameterError(f"r must be at least 1, got {r}")
+        if max_rows < 1:
+            raise InvalidParameterError(f"max_rows must be at least 1, got {max_rows}")
+        if k > _K_CAP:
+            raise InvalidParameterError(f"k must be at most {_K_CAP}, got {k}")
+        return super().__new__(cls, k, r, max_rows)
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(namedtuple("Row", "index points")):
     """One emitted row: its 1-based index and strictly increasing column set.
 
     Only NaiveMatrixGenerator.rows builds these; generation itself deals in
     point tuples.
     """
 
-    index: int
-    points: tuple[int, ...]
+    __slots__ = ()
 
 
 class NaiveMatrixGenerator:
@@ -101,6 +97,8 @@ class NaiveMatrixGenerator:
 
     def __init__(self, params: GenParams):
         self.params = params
+        # read on every row, where an attribute costs less than a namedtuple field
+        self._k, self._r, self._max_rows = params
         self.emitted = 0
         self.max_used_column = 0
         self._floor = 0
@@ -113,9 +111,9 @@ class NaiveMatrixGenerator:
     def peek_next_row(self) -> tuple[int, ...]:
         """Columns the next row will use, without committing it: a pure
         lookahead that changes no state."""
-        if self.emitted >= self.params.max_rows:
-            raise InvalidParameterError(f"all {self.params.max_rows} requested rows already emitted")
-        k = self.params.k
+        if self.emitted >= self._max_rows:
+            raise InvalidParameterError(f"all {self._max_rows} requested rows already emitted")
+        k = self._k
         held, pair, anchor = self._held, self._pair, self._anchor
         placed: list[int] = []
         cand = self._active
@@ -135,7 +133,7 @@ class NaiveMatrixGenerator:
     def next_row(self) -> tuple[int, ...]:
         """Commit the next row and return its columns, in ascending order."""
         points = self.peek_next_row()
-        r, floor, active = self.params.r, self._floor, self._active
+        r, floor, active = self._r, self._floor, self._active
         degree, pair, anchor = self._degree, self._pair, self._anchor
         if floor != self._held:  # the last row moved the floor: drop what it retired, one row late
             cut = floor - self._held  # slot 0 becomes column floor
@@ -188,12 +186,12 @@ class NaiveMatrixGenerator:
         if i < 1:  # dropped, or no column
             if x < 1:
                 raise InputRangeError(f"columns are 1-based, got {x}")
-            return self.params.r
+            return self._r
         return self._degree[i] if x <= self.max_used_column else 0
 
     def is_complete(self, x: int) -> bool:
         """Whether column x has reached degree r in the emitted rows."""
-        return self.column_degree(x) >= self.params.r
+        return self.column_degree(x) >= self._r
 
     def connectable_mask(self, x: int) -> int:
         """Bitmask of all columns sharing an emitted row with x (bit y for

@@ -2,35 +2,33 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass
-class Check:
+class Check(namedtuple("Check", "name status witness", defaults=(None,))):
     """One named condition with its outcome and, on failure, a concrete witness."""
 
-    name: str
-    status: str
-    witness: object = None
+    __slots__ = ()
 
 
-@dataclass
 class VerificationReport:
     """A labelled bundle of checks plus the parameters they ran against.
 
     The overall status is derived, never stored: any failing check makes the
     report fail, otherwise any indeterminate check makes it indeterminate.
+    Each report starts with its own empty check list and its own copy of
+    `counts`.
     """
 
-    subject: str
-    checks: list[Check] = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    def __init__(self, subject: str, counts: dict | None = None, elapsed_ms: float = 0.0):
+        self.subject = subject
+        self.checks: list[Check] = []
+        self.counts = dict(counts or {})
+        self.elapsed_ms = elapsed_ms
 
     @property
     def status(self) -> str:
@@ -56,4 +54,6 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
+        import json  # only the commands that print a report pay for it
+
         return json.dumps(self.to_dict(), indent=2)

@@ -353,7 +353,6 @@ def test_verify_bad_bound_is_usage(capsys):
 
 
 def test_verify_failing_report_exits_one(capsys, monkeypatch):
-    import naivemat.cli as cli
     from naivemat.report import VerificationReport
 
     def fake_verify(n):
@@ -361,7 +360,7 @@ def test_verify_failing_report_exits_one(capsys, monkeypatch):
         rep.add("doomed", False, {"row": 1})
         return rep
 
-    monkeypatch.setattr(cli, "verify_theorem_q2", fake_verify)
+    monkeypatch.setattr("naivemat.verify.verify_theorem_q2", fake_verify)
     code, out, _ = run_cli(capsys, "verify", "theorem", "--n", "2")
     assert code == EXIT_FAIL
     assert json.loads(out)["status"] == "fail"
@@ -527,14 +526,30 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
-# numpy is imported by the code that builds arrays and by nothing else: the
-# field laws and the GF(256) product table
+# The modules a command adds to those of a bare interpreter.  numpy is
+# imported by the code that builds arrays and by nothing else: the field
+# laws and the GF(256) product table
 _COLD_START = """
-import json, sys
-from naivemat.cli import main  # imports the whole package
+import sys
+bare = set(sys.modules)
+from naivemat.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else None
-print(json.dumps([code, "numpy" in sys.modules]))
+added = sorted(set(sys.modules) - bare)
+import json
+print(json.dumps([code, added]))
 """
+
+
+def _cold_start(tmp_path, argv):
+    """The exit code of `naivemat argv` in a fresh interpreter (None for the
+    import alone), and the modules it added."""
+    if argv[-1:] == ["--out"]:
+        argv = argv + [str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    code, added = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(added)
 
 
 @pytest.mark.parametrize("argv, loads_numpy", [
@@ -554,11 +569,30 @@ print(json.dumps([code, "numpy" in sys.modules]))
 ], ids=lambda x: (" ".join(x) or "import") if isinstance(x, list) else
                  ("numpy" if x else "no-numpy"))
 def test_numpy_is_loaded_only_by_array_commands(tmp_path, argv, loads_numpy):
-    if argv[-1:] == ["--out"]:
-        argv = argv + [str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
-                          capture_output=True, text=True, env=CHILD_ENV)
-    assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    code, added = _cold_start(tmp_path, argv)
     assert code in (None, EXIT_PASS)
-    assert loaded == loads_numpy
+    assert ("numpy" in added) == loads_numpy
+
+
+@pytest.mark.parametrize("argv, code, loads", [
+    ([], None, set()),  # the import alone
+    (["--help"], EXIT_PASS, set()),
+    (["generate", "--k", "3"], EXIT_USAGE, set()),  # an argument error
+    (["generate", "--k", "3", "--r", "3", "--rows", "7", "--out"], EXIT_PASS, {"greedy"}),
+    (["generate", "--k", "3", "--r", "3", "--rows", "7", "--format", "rows-json", "--out"],
+     EXIT_PASS, {"greedy"}),
+    (["export-pg", "--n", "2", "--q", "4", "--out"], EXIT_PASS, {"geometry", "nimber"}),
+    (["verify", "field", "--q", "16", "--out"], EXIT_PASS, {"nimber"}),
+    (["verify", "lemma", "--bound", "8", "--out"], EXIT_PASS,
+     {"verify", "geometry", "greedy", "nimber"}),
+    (["verify", "general", "--a", "1", "--n", "2", "--out"], EXIT_PASS,
+     {"verify", "geometry", "greedy", "nimber"}),
+], ids=lambda x: (" ".join(x) or "import") if isinstance(x, list) else
+                 ("+".join(sorted(x)) or "no-harness") if isinstance(x, set) else f"exit-{x}")
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, loads):
+    got, added = _cold_start(tmp_path, argv)
+    assert got == code
+    harness = {"greedy", "geometry", "nimber", "verify"}
+    assert {m for m in harness if f"naivemat.{m}" in added} == loads
+    assert "dataclasses" not in added
+    assert "inspect" not in added or "numpy" in added  # numpy imports inspect itself

@@ -173,6 +173,10 @@ def test_incidence_structure_validation():
         IncidenceStructure(3, ((1, 1, 2),))          # repeated point
     s = IncidenceStructure(5, ((3, 1), (2, 4)))
     assert s.lines == ((1, 3), (2, 4))               # sorted on the way in
+    with pytest.raises(InvalidParameterError, match="empty lines"):
+        IncidenceStructure(3, ((),))
+    s = IncidenceStructure(point_window=5, lines=[[4, 2], (1, 3)])
+    assert (s.point_window, s.lines) == (5, ((2, 4), (1, 3)))
 
 
 # ---------------------------------------------------------------------------

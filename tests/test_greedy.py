@@ -63,6 +63,23 @@ def test_gen_params_validation():
         GenParams(k=(1 << 15) + 1, r=1, max_rows=1)
 
 
+def test_gen_params_is_an_immutable_value():
+    p = GenParams(3, 7, 10)
+    assert p == GenParams(k=3, r=7, max_rows=10) == GenParams(3, r=7, max_rows=10)
+    assert (p.k, p.r, p.max_rows) == (3, 7, 10)
+    assert hash(p) == hash(GenParams(3, 7, 10))
+    with pytest.raises(AttributeError):
+        p.k = 4
+    for args, message in [((1, 1, 1), "k must be at least 2, got 1"),
+                          ((3, 0, 1), "r must be at least 1, got 0"),
+                          ((3, 1, 0), "max_rows must be at least 1, got 0")]:
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            GenParams(*args)
+    with pytest.raises(TypeError):
+        GenParams(3, 7)
+    assert Row(1, (1, 2, 3)).points == (1, 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------

@@ -44,6 +44,18 @@ def test_report_json_shape():
     assert doc["status"] == "pass"
 
 
+def test_report_values():
+    assert Check("a", "pass").witness is None
+    assert Check("a", "fail", {"row": 1}) == Check(name="a", status="fail", witness={"row": 1})
+    counts = {"n": 2}
+    one, two = VerificationReport(subject="one", counts=counts), VerificationReport(subject="two")
+    one.add("x", False, {"row": 1})
+    one.counts["m"] = 3
+    assert two.checks == [] and two.counts == {}
+    assert counts == {"n": 2}  # each report holds its own copy
+    assert two.status == "pass" and two.elapsed_ms == 0.0
+
+
 def test_window_width_identity():
     # s = 2^(n+1)-1 equals r(k-1)+1 at k=3, r=2^n-1
     for n in range(1, 9):
