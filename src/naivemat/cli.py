@@ -1,7 +1,8 @@
 """Command-line front end: row generation, verification harnesses, exports.
 
-Exit codes: 0 = pass/success, 1 = verification failure or runtime error,
-2 = usage or invalid parameters, 3 = indeterminate verification.
+Exit codes: 0 = pass/success, 1 = verification failure or runtime error
+(an unwritable output, or a model over its size budget), 2 = usage or
+invalid parameters, 3 = indeterminate verification.
 Artifacts go to stdout unless --out is given; diagnostics go to stderr.
 Output is written piece by piece.  `generate` writes each row as it is
 generated; for matrix-pbm a first pass, which keeps no row, finds the
@@ -223,10 +224,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_export_pg(args)
-    except OutputError as exc:
+    except (OutputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (InvalidParameterError, InputRangeError, ResourceLimitError) as exc:
+    except (InvalidParameterError, InputRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

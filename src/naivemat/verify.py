@@ -3,6 +3,11 @@
 Each harness returns a VerificationReport whose JSON form (subject, status,
 checks[], counts{}, elapsed_ms) is what the CLI emits.  Witnesses always
 name the smallest offending row, point, or triple.
+
+The four harnesses over greedy rows (theorem, periodicity, invariants,
+general) run inside one guard, _harness, which times the report, applies
+the point bound and builds the one generator, and draw their rows through
+one pass, _row_pass, the only caller of next_row.
 """
 
 from __future__ import annotations
@@ -10,11 +15,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Iterator
-from itertools import product
+from itertools import product, repeat
 
 from .errors import InputRangeError, InvalidParameterError
 from .geometry import check_design_lines, expected_counts, pg_lines, point_bound_reason
-from .greedy import GenParams, NaiveMatrixGenerator, generate
+from .greedy import GenParams, NaiveMatrixGenerator
 from .nimber import VALUE_BITS, greediness_lemma_holds
 from .report import INDETERMINATE, Check, VerificationReport
 
@@ -23,46 +28,59 @@ def _identity(n: int, q: int) -> str:
     return f"rows equal the lines of PG({n},{q})"
 
 
-def _undecided(report: VerificationReport, names, reason: str) -> None:
-    report.checks.extend(Check(name, INDETERMINATE, {"reason": reason}) for name in names)
+def _harness(subject: str, counts: dict, n: int, q: int, names, run) -> VerificationReport:
+    """The report of run(report, gen), timed, with gen the one generator of
+    the b greedy rows at (k, r) = (q+1, (q^n-1)/(q-1)).
 
-
-def _over_bound(report: VerificationReport, n: int, q: int, names) -> bool:
-    """Above the point bound of PG(n, q), report each named check
-    indeterminate, so that nothing is generated; say whether it is."""
+    Above the point bound of PG(n, q) nothing is generated and each named
+    check is reported indeterminate.  Otherwise run adds its checks, the
+    named ones in the order of `names`, and returns None, or the reason
+    the named checks it did not add are undecided.
+    """
+    start = time.perf_counter()
+    report = VerificationReport(subject, counts)
     reason = point_bound_reason(n, q)
+    if reason is None:
+        _, b, r, k, _ = expected_counts(n, q)
+        reason = run(report, NaiveMatrixGenerator(GenParams(k=k, r=r, max_rows=b)))
     if reason is not None:
-        _undecided(report, names, reason)
-    return reason is not None
+        report.checks.extend(Check(name, INDETERMINATE, {"reason": reason})
+                             for name in names[len(report.checks):])
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return report
 
 
-def _checked_rows(n: int, q: int, rows, first: dict) -> Iterator[tuple[int, ...]]:
-    """Yield `rows`, the greedy rows at (k, r) = (q+1, (q^n-1)/(q-1)), one
-    at a time up to the b lines of PG(n, q), and set first[check] to the
-    witness of the check's first failure (None while it holds) for these
-    checks on row i:
+def _row_pass(gen: NaiveMatrixGenerator, n: int, q: int, first: dict,
+              model: bool = True) -> Iterator[tuple[int, ...]]:
+    """Draw the b rows from gen, yield each right after it is committed, and
+    set first[check] to the witness of the check's first failure (None
+    while it holds) for these checks on row i:
 
     - window: its points lie in [1, v];
-    - line: it is line i of pg_lines(n, q);
-    - xor (q = 2): it is a triple a < b < a^b <= v.
+    - line (with the model): it is line i of pg_lines(n, q);
+    - xor (with the model, at q = 2): it is a triple a < b < a^b <= v.
 
-    A row equal to its line needs no window test: every line lies in
-    [1, v].  No row is kept.
+    With the model only a row that differs from its line is tested: every
+    line lies in [1, v], and at q = 2 every line is an xor triple, so the
+    first witnesses are those of testing every row.  Without it every row
+    is tested for the window.  A caller reads gen's state after row i while
+    the pass waits at row i.  No row and no line is kept.
     """
     first.update(window=None, line=None, xor=None)
-    v = expected_counts(n, q).v
-    xor_open = q == 2
-    for i, (line, row) in enumerate(zip(pg_lines(n, q), rows), 1):
+    v, b = expected_counts(n, q)[:2]
+    xor_open = model and q == 2
+    for i, line in enumerate(pg_lines(n, q) if model else repeat(None, b), 1):
+        row = gen.next_row()
         if row != line:
-            if first["window"] is None and not 0 < min(row) <= max(row) <= v:
+            if first["window"] is None and not (0 < row[0] and row[-1] <= v):  # rows ascend
                 first["window"] = {"row": i, "points": list(row), "window": [1, v]}
-            if first["line"] is None:
+            if model and first["line"] is None:
                 first["line"] = {"line": i, "row": list(row), "expected": list(line)}
-        if xor_open:
-            a, b, c = row
-            if not (a < b < c and c == (a ^ b) and c <= v):
-                first["xor"] = {"row": i, "points": list(row)}
-                xor_open = False
+            if xor_open:
+                x, y, z = row
+                if not (x < y < z and z == (x ^ y) and z <= v):
+                    first["xor"] = {"row": i, "points": list(row)}
+                    xor_open = False
         yield row
 
 
@@ -75,18 +93,16 @@ def verify_theorem_q2(n: int) -> VerificationReport:
     xor-closed triples below 2^(n+1) and, in order, the lines of PG(n, 2):
     at q = 2 pg_lines' ranked labelling is the nim-triple model.  Both
     checks read each row as it is generated; no row is kept."""
-    start = time.perf_counter()
     s, _, r, _, d = expected_counts(n, 2)
-    report = VerificationReport(subject=f"theorem q=2 n={n}",
-                                counts={"n": n, "k": 3, "r": r, "d": d, "s": s})
-    xor = "rows are xor-closed triples below 2^(n+1)"
-    if not _over_bound(report, n, 2, (xor, _identity(n, 2))):
+    names = ("rows are xor-closed triples below 2^(n+1)", _identity(n, 2))
+
+    def run(report, gen):
         first: dict = {}
-        deque(_checked_rows(n, 2, generate(GenParams(k=3, r=r, max_rows=d)), first), 0)
-        _add(report, xor, first["xor"])
-        _add(report, _identity(n, 2), first["line"])
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
+        deque(_row_pass(gen, n, 2, first), 0)
+        _add(report, names[0], first["xor"])
+        _add(report, names[1], first["line"])
+
+    return _harness(f"theorem q=2 n={n}", {"n": n, "k": 3, "r": r, "d": d, "s": s}, n, 2, names, run)
 
 
 def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationReport:
@@ -106,32 +122,27 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationRepor
     """
     if blocks < 1:
         raise InvalidParameterError(f"blocks must be at least 1, got {blocks}")
-    start = time.perf_counter()
-    s, _, r, _, d = expected_counts(n, 2)
-    report = VerificationReport(subject=f"zero blocks and periodicity n={n} blocks={blocks}",
-                                counts={"n": n, "d": d, "s": s, "blocks": blocks, "rows": 0,
-                                        "generated_rows": 0})
+    s, _, _, _, d = expected_counts(n, 2)
     names = ("each block of d rows stays in its s-column window", "row i+d equals row i shifted by s")
-    if not _over_bound(report, n, 2, names):
-        gen = NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
-        window = None
-        for i in range(1, d + 1):
-            row = gen.next_row()
-            if window is None and not 0 < min(row) <= max(row) <= s:
-                window = {"row": i, "points": list(row), "window": [1, s]}
+
+    def run(report, gen):
+        first: dict = {}
+        deque(_row_pass(gen, n, 2, first, model=False), 0)
         report.counts.update(rows=blocks * d, generated_rows=gen.emitted)
+        if first["window"] is not None:
+            _add(report, names[0], first["window"])
+            return f"a row of block 0 leaves [1, {s}]: no reset follows row {d}"
         incomplete = next((x for x in range(1, s + 1) if not gen.is_complete(x)), None)
-        if window is not None:
-            _add(report, names[0], window)
-            _undecided(report, names[1:], f"a row of block 0 leaves [1, {s}]: no reset follows row {d}")
-        elif incomplete is not None or gen.max_used_column > s:
+        if incomplete is not None or gen.max_used_column > s:
             column = f"{incomplete} is incomplete" if incomplete else f"{gen.max_used_column} is used"
-            _undecided(report, names, f"column {column}: no reset follows row {d}")
-        else:
-            for name in names:
-                _add(report, name, None)
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
+            return f"column {column}: no reset follows row {d}"
+        for name in names:
+            _add(report, name, None)
+        return None
+
+    return _harness(f"zero blocks and periodicity n={n} blocks={blocks}",
+                    {"n": n, "d": d, "s": s, "blocks": blocks, "rows": 0, "generated_rows": 0},
+                    n, 2, names, run)
 
 
 def verify_proof_invariants(n: int) -> VerificationReport:
@@ -151,60 +162,50 @@ def verify_proof_invariants(n: int) -> VerificationReport:
     counts["complete_points"] is the number of points so checked; on a pass
     it is s.
     """
-    start = time.perf_counter()
-    s, _, r, _, d = expected_counts(n, 2)
-    report = VerificationReport(subject=f"proof invariants n={n}",
-                                counts={"n": n, "d": d, "s": s, "steps": d, "complete_points": 0})
+    s, _, _, _, d = expected_counts(n, 2)
     names = ("next-row points stay in the initial window",
              "complete window points are connectable to all others",
              "window points below c are connectable to a or b",
              "window points below b are connectable to a")
-    if not _over_bound(report, n, 2, names):
-        first, report.counts["complete_points"] = _replay_invariants(s, r, d)
-        for name, witness in zip(names, first.values()):
+
+    def run(report, gen):
+        window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
+        first: dict = {}
+        claims: dict[str, dict | None] = {"claim1": None, "claim2": None, "claim3": None}
+        checked = 0
+        for m, (a, b, c) in enumerate(_row_pass(gen, n, 2, first, model=False)):
+            # Claims 2 and 3 are read after the row is committed: it adds only
+            # a, b and c to the masks of a and b, and neither need mask holds them
+            if claims["claim2"] is None:
+                need = ((1 << c) - 2) & window_mask & ~(1 << a) & ~(1 << b)
+                missing = need & ~(gen.connectable_mask(a) | gen.connectable_mask(b))
+                if missing:
+                    claims["claim2"] = {"step": m, "next_row": [a, b, c],
+                                        "point": (missing & -missing).bit_length() - 1}
+            if claims["claim3"] is None:
+                need = ((1 << b) - 2) & window_mask & ~(1 << a)
+                missing = need & ~gen.connectable_mask(a)
+                if missing:
+                    claims["claim3"] = {"step": m, "next_row": [a, b, c],
+                                        "point": (missing & -missing).bit_length() - 1}
+            if claims["claim1"] is None:
+                for x in (a, b, c):
+                    if x <= s and gen.is_complete(x):
+                        checked += 1
+                        missing = window_mask & ~(1 << x) & ~gen.connectable_mask(x)
+                        if missing:
+                            claims["claim1"] = {"step": m + 1, "complete_point": x,
+                                                "not_connectable_to": (missing & -missing).bit_length() - 1}
+                            break
+        report.counts["complete_points"] = checked
+        # the pass's window witness, named by the step before its row
+        window = first["window"]
+        member = window and {"step": window["row"] - 1, "points": window["points"]}
+        for name, witness in zip(names, (member, *claims.values())):
             _add(report, name, witness)
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
 
-
-def _replay_invariants(s: int, r: int, d: int) -> tuple[dict, int]:
-    """The first witness against each invariant, in the order the report
-    lists them, and the number of complete points checked."""
-    window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
-    gen = NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
-
-    first: dict[str, dict | None] = {"member": None, "claim1": None,
-                                     "claim2": None, "claim3": None}
-    checked = 0
-    for m in range(d):
-        # Claims 2 and 3 are read after the row is committed: it adds only
-        # a, b and c to the masks of a and b, and neither need mask holds them
-        a, b, c = gen.next_row()
-        if first["member"] is None and not 1 <= a < b < c <= s:
-            first["member"] = {"step": m, "points": [a, b, c]}
-        if first["claim2"] is None:
-            need = ((1 << c) - 2) & window_mask & ~(1 << a) & ~(1 << b)
-            missing = need & ~(gen.connectable_mask(a) | gen.connectable_mask(b))
-            if missing:
-                first["claim2"] = {"step": m, "next_row": [a, b, c],
-                                   "point": (missing & -missing).bit_length() - 1}
-        if first["claim3"] is None:
-            need = ((1 << b) - 2) & window_mask & ~(1 << a)
-            missing = need & ~gen.connectable_mask(a)
-            if missing:
-                first["claim3"] = {"step": m, "next_row": [a, b, c],
-                                   "point": (missing & -missing).bit_length() - 1}
-        if first["claim1"] is None:
-            for x in (a, b, c):
-                if x <= s and gen.is_complete(x):
-                    checked += 1
-                    missing = window_mask & ~(1 << x) & ~gen.connectable_mask(x)
-                    if missing:
-                        first["claim1"] = {"step": m + 1, "complete_point": x,
-                                           "not_connectable_to": (missing & -missing).bit_length() - 1}
-                        break
-
-    return first, checked
+    return _harness(f"proof invariants n={n}",
+                    {"n": n, "d": d, "s": s, "steps": d, "complete_points": 0}, n, 2, names, run)
 
 
 def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
@@ -223,18 +224,16 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
         raise InputRangeError(f"q = 2^(2^{a_exponent}) exceeds the {VALUE_BITS}-bit nim value domain")
     q = 1 << (1 << a_exponent)
     v, b, r, k, _ = expected_counts(n, q)
-    start = time.perf_counter()
-    report = VerificationReport(subject=f"general q={q} n={n}",
-                                counts={"q": q, "n": n, "v": v, "b": b, "k": k, "r": r})
-    if not _over_bound(report, n, q, (_identity(n, q),)):
+
+    def run(report, gen):
         first: dict = {}
-        rows = _checked_rows(n, q, generate(GenParams(k=k, r=r, max_rows=b)), first)
-        design = check_design_lines(rows, v, k, r)
+        design = check_design_lines(_row_pass(gen, n, q, first), v, k, r)
         _add(report, "rows stay within the point window", first["window"])
         report.checks.extend(Check("design: " + c.name, c.status, c.witness) for c in design.checks)
         _add(report, _identity(n, q), first["line"])
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
+
+    return _harness(f"general q={q} n={n}", {"q": q, "n": n, "v": v, "b": b, "k": k, "r": r},
+                    n, q, (_identity(n, q),), run)
 
 
 def _lemma_states() -> dict[tuple[int, ...], tuple[int, ...]]:

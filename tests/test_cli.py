@@ -292,16 +292,13 @@ def test_verify_general_with_iso(capsys):
     assert json.loads(plain)["checks"] == doc["checks"]
 
 
-def test_verify_general_above_point_bound_is_indeterminate(capsys, monkeypatch):
+def test_verify_general_above_point_bound_is_indeterminate(capsys, replay_rows):
     # q = 256 has 65793 points: a size bound, reported as undecided, not refused
     code, out, err = run_cli(capsys, "verify", "general", "--a", "3", "--n", "2")
     assert code == EXIT_INDETERMINATE and err == ""
     assert json.loads(out)["status"] == "indeterminate"
     # the q = 2 commands share that bound: PG(13,2) has 16383 points
-    def no_rows(params):
-        raise AssertionError("generated rows above the point bound")
-
-    monkeypatch.setattr("naivemat.verify.generate", no_rows)
+    replay_rows(())
     code, out, err = run_cli(capsys, "verify", "theorem", "--n", "13")
     assert code == EXIT_INDETERMINATE and err == ""
 
@@ -311,7 +308,7 @@ def test_verify_general_above_point_bound_is_indeterminate(capsys, monkeypatch):
     ("verify periodicity --n 14284 --blocks 1", EXIT_INDETERMINATE),
     ("verify invariants --n 14284", EXIT_INDETERMINATE),
     ("verify general --a 1 --n 7200", EXIT_INDETERMINATE),
-    ("export-pg --n 20000 --q 2", EXIT_USAGE),
+    ("export-pg --n 20000 --q 2", EXIT_FAIL),  # the point budget: a runtime error
     ("verify general --a 100000000000000000000 --n 2", EXIT_USAGE),
 ])
 def test_huge_arguments_are_refused_without_a_traceback(capsys, argv, code):
@@ -319,7 +316,7 @@ def test_huge_arguments_are_refused_without_a_traceback(capsys, argv, code):
     # print, and q = 2^(2^a) more bits than fit in memory
     got, out, err = run_cli(capsys, *argv.split())
     assert got == code
-    if code == EXIT_USAGE:
+    if code in (EXIT_USAGE, EXIT_FAIL):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     else:
         doc = json.loads(out)
@@ -471,6 +468,13 @@ def test_export_pg_invalid_q(capsys):
     code, _, err = run_cli(capsys, "export-pg", "--n", "2", "--q", "6")
     assert code == EXIT_USAGE
     assert "Fermat" in err
+
+
+def test_export_pg_over_the_point_budget_is_a_runtime_error(capsys):
+    # a model over its size budget is not a usage error: exit 1, nothing written
+    code, out, err = run_cli(capsys, "export-pg", "--n", "14", "--q", "2")
+    assert code == EXIT_FAIL and out == ""
+    assert err == "error: PG(14,2): 32767 points exceed the point bound 10000\n"
 
 
 def test_export_pg_rows_json(capsys):

@@ -341,11 +341,11 @@ def test_pasch_switch_is_still_a_design():
     assert check_design(pasch_switched_sts15(), 15, 3, 7, 1).status == "pass"
 
 
-def test_pasch_switch_fails_the_pg32_identity(monkeypatch, capsys):
+def test_pasch_switch_fails_the_pg32_identity(replay_rows, capsys):
     # fed to the general harness as the rows for PG(3,2): every design check
     # passes, and the identity names the first changed line
     lines = sorted(pasch_switched_sts15().lines)
-    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
+    replay_rows(lines)
     rep = verify.verify_general_q(0, 3)
     assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}

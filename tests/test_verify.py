@@ -56,6 +56,46 @@ def test_report_values():
     assert two.status == "pass" and two.elapsed_ms == 0.0
 
 
+# ---------------------------------------------------------------------------
+# golden reports: the full passing report of each harness over greedy rows
+# ---------------------------------------------------------------------------
+
+def passed(*names):
+    return [{"name": name, "status": "pass", "witness": None} for name in names]
+
+
+@pytest.mark.parametrize("harness, args, report", [
+    (verify_theorem_q2, (3,), {
+        "subject": "theorem q=2 n=3", "status": "pass",
+        "checks": passed("rows are xor-closed triples below 2^(n+1)", IDENTITY.format(3, 2)),
+        "counts": {"n": 3, "k": 3, "r": 7, "d": 35, "s": 15}}),
+    (verify_zero_blocks_and_periodicity, (3, 2), {
+        "subject": "zero blocks and periodicity n=3 blocks=2", "status": "pass",
+        "checks": passed("each block of d rows stays in its s-column window",
+                         "row i+d equals row i shifted by s"),
+        "counts": {"n": 3, "d": 35, "s": 15, "blocks": 2, "rows": 70, "generated_rows": 35}}),
+    (verify_proof_invariants, (3,), {
+        "subject": "proof invariants n=3", "status": "pass",
+        "checks": passed("next-row points stay in the initial window",
+                         "complete window points are connectable to all others",
+                         "window points below c are connectable to a or b",
+                         "window points below b are connectable to a"),
+        "counts": {"n": 3, "d": 35, "s": 15, "steps": 35, "complete_points": 15}}),
+    (verify_general_q, (1, 2), {
+        "subject": "general q=4 n=2", "status": "pass",
+        "checks": passed("rows stay within the point window", "design: b*k = v*r",
+                         "design: lines stay within [1, v]", "design: every line has k points",
+                         "design: every point has degree r",
+                         "design: every point pair is covered exactly 1 time(s)",
+                         IDENTITY.format(2, 4)),
+        "counts": {"q": 4, "n": 2, "v": 21, "b": 21, "k": 5, "r": 5}}),
+], ids=["theorem", "periodicity", "invariants", "general"])
+def test_passing_report_is_golden(harness, args, report):
+    doc = harness(*args).to_dict()
+    del doc["elapsed_ms"]
+    assert doc == report
+
+
 def test_window_width_identity():
     # s = 2^(n+1)-1 equals r(k-1)+1 at k=3, r=2^n-1
     for n in range(1, 9):
@@ -86,12 +126,12 @@ def test_theorem_n2_and_n5():
     assert rep.status == "pass" and rep.counts["d"] == 651
 
 
-def test_theorem_moved_row_names_its_line(monkeypatch):
+def test_theorem_moved_row_names_its_line(replay_rows):
     # the same seven triples with row 3 moved to the end: still xor-closed
     # and the same set, but no longer the lines of PG(2,2) in order
     lines = list(build_pg(2, 2).lines)
     lines.append(lines.pop(2))
-    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
+    replay_rows(lines)
     rep = verify_theorem_q2(2)
     assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}
@@ -100,17 +140,12 @@ def test_theorem_moved_row_names_its_line(monkeypatch):
         "line": 3, "row": [2, 4, 6], "expected": [1, 6, 7]}
 
 
-def no_rows(*args, **kwargs):
-    raise AssertionError("generated rows above a size bound")
-
-
-def test_theorem_guards(monkeypatch):
+def test_theorem_guards(replay_rows):
     with pytest.raises(InvalidParameterError):
         verify_theorem_q2(0)
     # n = 13: s = 16383 columns, above the point bound that every harness
     # over greedy rows shares; decided before any row is generated
-    monkeypatch.setattr(verify, "generate", no_rows)
-    monkeypatch.setattr(verify, "NaiveMatrixGenerator", no_rows)
+    replay_rows(())
     reason = {"reason": "16383 points exceed the point bound 10000"}
     for rep in (verify_theorem_q2(13), verify_zero_blocks_and_periodicity(13, 3),
                 verify_proof_invariants(13), verify_general_q(0, 13)):
@@ -160,12 +195,13 @@ WINDOW = "each block of d rows stays in its s-column window"
 SHIFT = "row i+d equals row i shifted by s"
 
 
-def test_periodicity_row_leaving_its_window(monkeypatch):
-    class LeavesTheWindow(NaiveMatrixGenerator):
-        def next_row(self):
-            row = super().next_row()
-            return (1, 6, 8) if self.emitted == 3 else row  # row 3 is (1, 6, 7)
+class LeavesTheWindow(NaiveMatrixGenerator):
+    def next_row(self):
+        row = super().next_row()
+        return (1, 6, 8) if self.emitted == 3 else row  # row 3 of PG(2,2) is (1, 6, 7)
 
+
+def test_periodicity_row_leaving_its_window(monkeypatch):
     monkeypatch.setattr(verify, "NaiveMatrixGenerator", LeavesTheWindow)
     rep = verify_zero_blocks_and_periodicity(2, 3)
     assert [(c.name, c.status, c.witness) for c in rep.checks] == [
@@ -198,6 +234,22 @@ def test_periodicity_without_reset_is_indeterminate(monkeypatch, broken, reason)
     rep = verify_zero_blocks_and_periodicity(2, 3)
     assert [(c.name, c.status, c.witness) for c in rep.checks] == [
         (WINDOW, "indeterminate", {"reason": reason}), (SHIFT, "indeterminate", {"reason": reason})]
+
+
+def test_one_row_pass_names_the_row_leaving_the_window(monkeypatch):
+    # every harness over greedy rows draws them through the same pass: each
+    # names row 3 in its own witness format
+    monkeypatch.setattr(verify, "NaiveMatrixGenerator", LeavesTheWindow)
+    window = {"row": 3, "points": [1, 6, 8], "window": [1, 7]}
+    assert verify_zero_blocks_and_periodicity(2, 3).checks[0] == Check(WINDOW, "fail", window)
+    assert verify_proof_invariants(2).checks[0] == Check(
+        "next-row points stay in the initial window", "fail", {"step": 2, "points": [1, 6, 8]})
+    general = {c.name: c for c in verify_general_q(0, 2).checks}
+    assert general["rows stay within the point window"] == Check(
+        "rows stay within the point window", "fail", window)
+    line = {"line": 3, "row": [1, 6, 8], "expected": [1, 6, 7]}
+    assert general[IDENTITY.format(2, 2)].witness == line
+    assert verify_theorem_q2(2).checks[1] == Check(IDENTITY.format(2, 2), "fail", line)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +437,9 @@ def test_general_q4_n4_passes():
     assert rep.counts["v"] == 341 and rep.counts["b"] == 5797
 
 
-def test_general_q_point_budget_indeterminate(monkeypatch):
+def test_general_q_point_budget_indeterminate(replay_rows):
     # q = 256: the point bound is checked before any row is generated
-    monkeypatch.setattr(verify, "generate", no_rows)
+    replay_rows(())
     rep = verify_general_q(3, 2)
     assert rep.status == "indeterminate"
     assert rep.counts["v"] == 65793
@@ -395,12 +447,12 @@ def test_general_q_point_budget_indeterminate(monkeypatch):
     assert rep.checks[0].witness == {"reason": "65793 points exceed the point bound 10000"}
 
 
-def test_general_q_moved_point_names_its_row(monkeypatch):
+def test_general_q_moved_point_names_its_row(replay_rows):
     lines = list(build_pg(2, 4).lines)
     row = lines[9]
     moved = next(x for x in range(1, 22) if x not in row)
     lines[9] = tuple(sorted(row[:-1] + (moved,)))
-    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
+    replay_rows(lines)
     rep = verify_general_q(1, 2)
     assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}
@@ -409,12 +461,12 @@ def test_general_q_moved_point_names_its_row(monkeypatch):
     assert by_name["design: every point pair is covered exactly 1 time(s)"].status == "fail"
 
 
-def test_general_q_repeated_row_fails_the_design(monkeypatch, capsys):
+def test_general_q_repeated_row_fails_the_design(replay_rows, capsys):
     # row 10 repeats row 9, so line 10 is missing: a failed verdict, with
     # the smallest pair covered other than once, not a refused input
     lines = list(build_pg(2, 4).lines)
     lines[9] = lines[8]
-    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
+    replay_rows(lines)
     rep = verify_general_q(1, 2)
     assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}
@@ -430,10 +482,10 @@ def test_general_q_repeated_row_fails_the_design(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "fail"
 
 
-def test_general_q_row_leaving_the_window_names_the_row(monkeypatch):
+def test_general_q_row_leaving_the_window_names_the_row(replay_rows):
     lines = list(build_pg(2, 4).lines)
     lines[20] = lines[20][:-1] + (22,)  # PG(2,4) has 21 points
-    monkeypatch.setattr(verify, "generate", lambda params: iter(lines))
+    replay_rows(lines)
     rep = verify_general_q(1, 2)
     assert rep.checks[0].name == "rows stay within the point window"
     assert rep.checks[0].witness == {"row": 21, "points": list(lines[20]), "window": [1, 21]}
