@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .nimber import VALUE_BITS, is_fermat_two_power, nim_mul
@@ -99,9 +100,13 @@ def pg_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
     its leading 1 at pivot i < j and a 0 at j.  The points are row 2 and
     row 1 + lam*row 2 for lam in GF(q), already normalized and already in
     ascending order, and the loops run in lex order of the lines, so the
-    enumeration is O(b*k) with no inverse, lookup or sort, and it holds
-    no line once it is yielded.  The parameters and the point bound
-    (point_bound_reason) are checked before this returns.
+    enumeration is O(b*k) with no inverse, lookup or sort.  The lines are
+    built a block at a time: one row 2 and one pivot i, with every choice of
+    row 1's coordinates after i.  A block is one list of points per lam,
+    zipped into lines, so the stream holds at most q^(n-1) lines' points,
+    under (q + 1)*q^(n-1) ints in all, however many lines it yields.  The
+    parameters and the point bound (point_bound_reason) are checked before
+    this returns.
     """
     reason = point_bound_reason(n, q)
     if reason:
@@ -123,15 +128,19 @@ def _ranked_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
     first = [(q ** m - 1) // (q - 1) + 1 for m in range(n + 1)]  # rank at tail 0
 
     for low_len in range(n):  # coordinates after row 2's pivot
+        lows = range(q ** low_len)  # the tails of low_len digits
         step = [lam << (w * low_len) for lam in range(q)]
-        for t2 in range(q ** low_len):
+        for t2 in lows:  # row 2's tail
             p2 = first[low_len] + t2
-            cols = [(step[lam], scaled[lam][t2]) for lam in range(q)]
+            # lam*row 2 puts lam at row 2's pivot, above row 1's low digits,
+            # and adds its scaled tail to them: one xor key per lam
+            keys = [step[lam] | scaled[lam][t2] for lam in range(q)]
             for m in range(low_len + 1, n + 1):  # coordinates after row 1's pivot
-                for mid in range(q ** (m - low_len - 1)):  # between the pivots
-                    head = first[m] + (mid << (w * (low_len + 1)))
-                    for low in range(q ** low_len):
-                        yield (p2, *[head + hi + (low ^ s) for hi, s in cols])
+                # one block, every (mid, low): mid lies between the pivots
+                heads = [first[m] + (mid << (w * (low_len + 1))) for mid in range(q ** (m - low_len - 1))]
+                # the point row 1 + lam*row 2 of every line in the block, per lam
+                columns = [[head + (low ^ key) for head in heads for low in lows] for key in keys]
+                yield from zip(repeat(p2), *columns)
 
 
 def build_pg(n: int, q: int) -> CanonicalGeometry:

@@ -14,23 +14,28 @@ and the generator stores nothing for them.
 The generator's state is relative to the frontier: `base`, the lowest
 column whose degree is still below r.  Every column under base is saturated
 and can never be placed again, so each mask is stored shifted down by the
-length of that saturated prefix.  The mask of unsaturated columns is
-shifted by the current prefix, and each column's pair mask by its anchor,
-the prefix at the column's first placement: every partner it ever gets lies
-above that.  Building a row therefore costs a handful of big-int operations
-on masks as wide as the frontier, not as wide as the largest column, and a
-column's stored mask spans only its partners.  Before any column saturates
-the prefix is empty and every mask is absolute.
+length of that saturated prefix: the mask of unsaturated columns by the
+current prefix, and each column's pair mask by its anchor, the prefix at
+the column's first placement, as every partner it ever gets lies above
+that.  A pair mask is closed: each row ORs all its columns into the mask of
+each, so the mask holds the column's own bit beside its partners', and
+placing a column clears it and its partners from the candidates with one
+AND and one XOR of nonnegative ints.  connectable_mask clears the own bit,
+since a column is not its own partner.  A scan starts at base with no
+search: whenever a used column is unsaturated, base is the lowest one.
+Building a row therefore costs a handful of big-int operations on masks as
+wide as the frontier, not as wide as the largest column.  Before any
+column saturates the prefix is empty and every mask is absolute.
 
 The per-column state follows the frontier too: it is kept only for the
 columns above the saturated prefix.  The columns a row adds to the prefix
 are dropped at the start of the next commit, one row late, so that their
 masks can still be read right after the row that completes them.  The
 masks are shifted by this dropped prefix, which trails the saturated one
-by at most one row.  A run
-therefore holds about one frontier of masks, however many rows it emits:
-one row's k masks of k bits at r = 1, and the masks of the unsaturated
-used columns, up to v - 1 of them, for the lines of PG(n, q).
+by at most one row.  A run therefore holds about one frontier of masks,
+however many rows it emits: one row's k masks of k bits at r = 1, and the
+masks of the unsaturated used columns, up to v - 1 of them, for the lines
+of PG(n, q).
 """
 
 from __future__ import annotations
@@ -79,17 +84,17 @@ class NaiveMatrixGenerator:
     is relative to it.  The per-column lists hold the columns from `_held`
     to max_used_column, index i standing for column _held + i (slot 0 is a
     retired column whose state is never read).  State per held column: its
-    degree (rows containing it), its anchor (the prefix dropped at its
-    first placement), and a bitmask of the columns it already shares a row
-    with, where bit i stands for column anchor + i.  `_active` marks the
-    used columns whose degree is below r, bit i standing for column
-    _held + i: a column's bit is set on its first use and cleared when it
-    saturates.  next_row moves the floor past the columns a row saturates,
-    and the next commit starts by dropping them, so a commit always runs
-    with _held = floor.  Every column above max_used_column is fresh, and a
-    row that runs out of active candidates is finished with the fresh
-    columns from max_used_column + 1.  The public queries answer in
-    absolute column numbers.
+    degree, its anchor (the prefix dropped at its first placement), and its
+    closed pair mask, bit i standing for column anchor + i: the column
+    itself and every column it shares a row with.  `_active` marks the used
+    columns whose degree is below r, bit i standing for column _held + i,
+    from a column's first use until it saturates; its lowest bit, when it
+    has one, is base, where the scan starts.  next_row moves the floor past
+    the columns a row saturates, and the next commit starts by dropping
+    them, so a commit always runs with _held = floor.  A row that runs out
+    of active candidates is finished with the fresh columns from
+    max_used_column + 1.  The public queries answer in absolute column
+    numbers; connectable_mask leaves out the column's own bit.
 
     No row history is kept: next_row hands each row to the caller, and
     `emitted` counts them.
@@ -117,16 +122,14 @@ class NaiveMatrixGenerator:
         held, pair, anchor = self._held, self._pair, self._anchor
         placed: list[int] = []
         cand = self._active
+        i = self._floor + 1 - held  # the base, the lowest active column when any is
         while cand:
-            low = cand & -cand
-            i = low.bit_length() - 1
             placed.append(held + i)
             if len(placed) == k:
                 return tuple(placed)
-            # no bit lies below low, and no pair mask holds its own column,
-            # so clearing low leaves exactly the admissible columns above it
-            cand &= ~(pair[i] >> (held - anchor[i]))
-            cand ^= low
+            # the closed mask clears column i and its partners
+            cand ^= cand & (pair[i] >> (held - anchor[i]))
+            i = (cand & -cand).bit_length() - 1
         first = self.max_used_column + 1
         return (*placed, *range(first, first + k - len(placed)))
 
@@ -158,10 +161,11 @@ class NaiveMatrixGenerator:
                 anchor[i] = floor
                 active |= bit
             if d == r:
-                active &= ~bit
+                active ^= bit  # set since the first placement
         for x in points:
             i = x - floor
-            pair[i] |= (row_bits ^ (1 << i)) << (floor - anchor[i])
+            shift = floor - anchor[i]  # a shift copies even by 0, a whole frontier wide
+            pair[i] |= row_bits << shift if shift else row_bits
         self._active = active
         if not active & 2:  # the base column saturated: retire up to the next live one
             shift = (active & -active).bit_length() - 2 if active else self.max_used_column - floor
@@ -171,12 +175,9 @@ class NaiveMatrixGenerator:
 
     @property
     def rows(self) -> list[Row]:
-        """The rows emitted so far, regenerated from params on every read.
-
-        Kept for callers written against the generator's old row history
-        (perfbench/trace_worker.py reads `rows[i].points`) until the
-        benchmark reads the reports' own counters (ROADMAP direction 4).
-        """
+        """The rows emitted so far, regenerated from params on every read:
+        kept for perfbench/trace_worker.py, which reads `rows[i].points`,
+        until the benchmark reads the reports' own counters."""
         again = NaiveMatrixGenerator(self.params)
         return [Row(i, again.next_row()) for i in range(1, self.emitted + 1)]
 
@@ -198,15 +199,12 @@ class NaiveMatrixGenerator:
         column y).  Exact for the columns above the floor and those the last
         row retired; 0 for the columns retired before it, whose state is
         dropped."""
+        if x < 1:
+            raise InputRangeError(f"columns are 1-based, got {x}")
         i = x - self._held
-        if i < 1:  # dropped, or no column
-            if x < 1:
-                raise InputRangeError(f"columns are 1-based, got {x}")
+        if i < 1 or x > self.max_used_column:  # dropped, or fresh
             return 0
-        if x > self.max_used_column:
-            return 0
-        shift = self._anchor[i]
-        return self._pair[i] << shift if shift else self._pair[i]  # a shift copies even by 0
+        return (self._pair[i] << self._anchor[i]) ^ (1 << x)  # the stored mask holds x itself
 
 
 def generate(params: GenParams) -> Iterator[tuple[int, ...]]:

@@ -64,7 +64,7 @@ def _row_pass(gen: NaiveMatrixGenerator, n: int, q: int, first: dict,
     line lies in [1, v], and at q = 2 every line is an xor triple, so the
     first witnesses are those of testing every row.  Without it every row
     is tested for the window.  A caller reads gen's state after row i while
-    the pass waits at row i.  No row and no line is kept.
+    the pass waits at row i.  No row is kept, and pg_lines holds one block.
     """
     first.update(window=None, line=None, xor=None)
     v, b = expected_counts(n, q)[:2]
@@ -169,22 +169,26 @@ def verify_proof_invariants(n: int) -> VerificationReport:
              "window points below b are connectable to a")
 
     def run(report, gen):
-        window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
+        window_mask = (1 << (s + 1)) - 2  # bits 1..s
         first: dict = {}
         claims: dict[str, dict | None] = {"claim1": None, "claim2": None, "claim3": None}
         checked = 0
         for m, (a, b, c) in enumerate(_row_pass(gen, n, 2, first, model=False)):
             # Claims 2 and 3 are read after the row is committed: it adds only
-            # a, b and c to the masks of a and b, and neither need mask holds them
+            # a, b and c to the masks of a and b, and neither need mask holds
+            # them.  Every mask is nonnegative: need ^ (need & mask) is need less mask
+            mask_a = gen.connectable_mask(a)
             if claims["claim2"] is None:
-                need = ((1 << c) - 2) & window_mask & ~(1 << a) & ~(1 << b)
-                missing = need & ~(gen.connectable_mask(a) | gen.connectable_mask(b))
+                need = ((1 << c) - 2) & window_mask
+                need ^= need & ((1 << a) | (1 << b))
+                missing = need ^ (need & (mask_a | gen.connectable_mask(b)))
                 if missing:
                     claims["claim2"] = {"step": m, "next_row": [a, b, c],
                                         "point": (missing & -missing).bit_length() - 1}
             if claims["claim3"] is None:
-                need = ((1 << b) - 2) & window_mask & ~(1 << a)
-                missing = need & ~gen.connectable_mask(a)
+                need = ((1 << b) - 2) & window_mask
+                need ^= need & (1 << a)
+                missing = need ^ (need & mask_a)
                 if missing:
                     claims["claim3"] = {"step": m, "next_row": [a, b, c],
                                         "point": (missing & -missing).bit_length() - 1}
@@ -192,7 +196,8 @@ def verify_proof_invariants(n: int) -> VerificationReport:
                 for x in (a, b, c):
                     if x <= s and gen.is_complete(x):
                         checked += 1
-                        missing = window_mask & ~(1 << x) & ~gen.connectable_mask(x)
+                        need = window_mask ^ (1 << x)
+                        missing = need ^ (need & gen.connectable_mask(x))
                         if missing:
                             claims["claim1"] = {"step": m + 1, "complete_point": x,
                                                 "not_connectable_to": (missing & -missing).bit_length() - 1}

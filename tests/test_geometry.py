@@ -109,12 +109,30 @@ def test_build_pg_small():
     assert all(len(line) == 5 for line in g.lines)
 
 
-@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 4), (3, 4), (2, 16)])
+# (4, 4) has blocks with several mid values (coordinates between the pivots)
+# and several low ones
+@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 4), (3, 4), (4, 4), (2, 16)])
 def test_build_pg_matches_reference(n, q):
     points, lines = reference_pg_lines(n, q)
     g = build_pg(n, q)
     assert g.v == len(points)
     assert g.lines == tuple(lines)
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_pg_lines_holds_one_block(n):
+    # a block holds under (q + 1) q^(n-1) ints: the points of its q^(n-1)
+    # lines, 40 bytes each in their lists, beside the scaled-tail tables of
+    # the same size.  The b lines (174,251 at n = 9) would take over 11 MB.
+    q = 2
+    tracemalloc.start()
+    try:
+        lines = sum(1 for _ in geometry.pg_lines(n, q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == expected_counts(n, q).b
+    assert peak < 128 * (q + 1) * q ** (n - 1)
 
 
 def test_build_pg_satisfies_design():

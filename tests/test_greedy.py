@@ -241,6 +241,29 @@ def test_state_queries_match_emitted_rows(k, r, n_rows):
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300))
+def test_scan_starts_at_base_and_masks_leave_out_their_column(k, r, n_rows):
+    """The scan places base with no search: before every row, the row's
+    first column is the lowest used column whose degree is below r, or the
+    first fresh column when every used one is saturated.  A stored pair
+    mask holds its own column, and connectable_mask never shows it: after
+    every row for the columns the row changed, at the end for every column."""
+    gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
+    deg = {}
+    base = 1
+    for _ in range(n_rows):
+        while base <= gen.max_used_column and deg[base] == r:
+            base += 1
+        assert gen.peek_next_row()[0] == base
+        row = gen.next_row()
+        for x in row:
+            deg[x] = deg.get(x, 0) + 1
+            assert not gen.connectable_mask(x) >> x & 1
+    for x in range(1, gen.max_used_column + 2):
+        assert not gen.connectable_mask(x) >> x & 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300))
 def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
     """A complete column is never placed again, so once every used column
     is complete the greedy rule sees only fresh columns, as at row 1: the
