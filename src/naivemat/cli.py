@@ -5,10 +5,15 @@ Exit codes: 0 = pass/success, 1 = verification failure or runtime error
 invalid parameters, 3 = indeterminate verification.
 Artifacts go to stdout unless --out is given; diagnostics go to stderr.
 Output is written piece by piece.  `generate` writes each row as it is
-generated; for matrix-pbm a first pass, which keeps no row, finds the
-width the header needs.  A PBM line costs about 2 bytes a column, so that
-pass refuses a row past column 2^20 with exit 1 before anything is
-written; the other formats have no width bound.
+generated.  The rows repeat: once a row leaves every used column complete,
+the next ones are block 0, the rows so far, shifted past it.  So a run
+that asks for more rows than block 0 has builds block 0 alone and writes
+the rest from a record of it, 4 bytes a point up to 2^16 points; past
+that bound every row is built, and no record is kept.  For matrix-pbm a
+first pass, which keeps no row, finds the width the header needs.  A PBM
+line costs about 2 bytes a column, so that pass refuses a row past column
+2^20 with exit 1 before anything is written; the other formats have no
+width bound.
 `export-pg` streams the lines of pg_lines after its parameters and point
 bound are checked.  An unwritable --out or stdout exits 1 with an error
 line, and a stdout pipe closed by its reader ends the output quietly.

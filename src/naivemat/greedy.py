@@ -36,16 +36,27 @@ by at most one row.  A run therefore holds about one frontier of masks,
 however many rows it emits: one row's k masks of k bits at r = 1, and the
 masks of the unsaturated used columns, up to v - 1 of them, for the lines
 of PG(n, q).
+
+The rows are periodic.  A complete column is never placed again, so once a
+row leaves every used column complete the greedy rule sees only fresh
+columns, as before row 1: the rows so far, block 0, repeat shifted by
+max_used_column, and so does each block after.  generate records block 0
+while it yields it and replays it from there, so a run that asks for more
+rows than block 0 has builds only block 0.  The record holds at most
+_BLOCK_POINTS columns, 4 bytes each (256 KB); a longer block 0 is dropped
+at the bound and its run is plain next_row calls.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import chain, count, islice
 
 from .errors import InputRangeError, InvalidParameterError
 
 _K_CAP = 1 << 15  # a run holds about one frontier of masks: k^2/8 bytes at r = 1
+_BLOCK_POINTS = 1 << 16  # the most points of block 0 that generate records for its replay
 
 
 class GenParams(namedtuple("GenParams", "k r max_rows")):
@@ -209,8 +220,32 @@ class NaiveMatrixGenerator:
 
 def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
     """The first params.max_rows rows, as point tuples, one at a time;
-    deterministic for fixed params.  Nothing is kept: a caller that needs
-    the rows again stores them itself."""
+    deterministic for fixed params.  No row is kept for the caller: one
+    that needs the rows again stores them itself.
+
+    Block 0 is recorded, flat, while it is yielded.  Once a row leaves
+    every used column complete, the rows that follow are block 0 shifted
+    by max_used_column, then by twice that, and so on, so they are yielded
+    from the record with no further next_row.  Only a request for more rows
+    than block 0 has replays.  The record holds at most _BLOCK_POINTS
+    columns, 4 bytes each (256 KB); a block 0 that would pass the bound is
+    dropped there, and the rest of the stream is plain next_row calls."""
+    from array import array  # an extension module, loaded only by the runs that call generate
+
     gen = NaiveMatrixGenerator(params)
-    for _ in range(params.max_rows):
+    k, rows = params.k, params.max_rows
+    block = array("I")  # 4 bytes hold any column: block 0 uses no more columns than points
+    for _ in range(min(rows, _BLOCK_POINTS // k)):
+        row = gen.next_row()
+        yield row
+        block.extend(row)
+        if not gen._active:  # every used column is complete: block 0 ends here
+            top, left = gen.max_used_column, rows - gen.emitted
+            del gen  # the replay reads no column state
+            # block t is block 0 shifted by t * top, cut into rows
+            shifted = (zip(*[map((t * top).__add__, block)] * k) for t in count(1))
+            yield from islice(chain.from_iterable(shifted), left)
+            return
+    del block
+    for _ in range(rows - gen.emitted):
         yield gen.next_row()

@@ -107,9 +107,19 @@ def test_generate_cap_failure_is_runtime_error(tmp_path, capsys, monkeypatch):
     assert not target.exists()
 
 
-def test_generate_pbm_stops_at_the_first_row_past_the_width_bound(tmp_path, capsys,
+def test_generate_pbm_stops_at_the_first_row_past_the_width_bound(tmp_path, capsys, monkeypatch,
                                                                   next_row_calls):
-    # at (1024, 1) row 1024 ends at column 2^20 and row 1025 passes it
+    # at (1024, 1) row 1024 ends at column 2^20 and row 1025 passes it; block
+    # 0 is row 1, so next_row runs once and the rest is its replay
+    drawn = []  # the last column of each row the first pass draws
+    stream = greedy.generate
+
+    def counted(params):
+        for row in stream(params):
+            drawn.append(row[-1])
+            yield row
+
+    monkeypatch.setattr(greedy, "generate", counted)
     target = tmp_path / "matrix.pbm"
     code, out, err = run_cli(capsys, "generate", "--k", "1024", "--r", "1", "--rows", "2000",
                              "--format", "matrix-pbm", "--out", str(target))
@@ -117,7 +127,8 @@ def test_generate_pbm_stops_at_the_first_row_past_the_width_bound(tmp_path, caps
     assert err == ("error: matrix-pbm holds at most 1048576 columns, "
                    "and row 1025 uses column 1049600\n")
     assert not target.exists()
-    assert next_row_calls == list(range(1025))
+    assert len(drawn) == 1025 and drawn[-1] == 1049600
+    assert next_row_calls == [0]
 
 
 @pytest.mark.parametrize("fmt", ["rows-csv", "rows-json"])
@@ -138,23 +149,29 @@ def test_generate_rows_past_column_2_to_the_20(capsys, fmt):
         assert rows[-1] == last
 
 
-@pytest.mark.parametrize("fmt, cap, passes", [
-    ("rows-csv", None, 1),
-    ("rows-json", None, 1),
-    ("matrix-pbm", None, 2),  # the header needs the width
-    ("matrix-pbm", 7, 2),  # the widest row ends at the PBM width bound
-    ("rows-csv", 6, 1),  # the bound is matrix-pbm's alone
-])
+@pytest.mark.parametrize("fmt, cap, passes, rows", [
+    ("rows-csv", None, 1, 7),
+    ("rows-json", None, 1, 7),
+    ("matrix-pbm", None, 2, 7),  # the header needs the width
+    ("matrix-pbm", 7, 2, 7),  # the widest row ends at the PBM width bound
+    ("rows-csv", 6, 1, 7),  # the bound is matrix-pbm's alone
+    ("matrix-pbm", None, 2, 70),  # blocks 1-9 replay block 0 in each pass
+], ids=["rows-csv-None-1", "rows-json-None-1", "matrix-pbm-None-2", "matrix-pbm-7-2",
+        "rows-csv-6-1", "matrix-pbm-None-2-70"])
 def test_generate_runs_a_first_pass_only_when_needed(capsys, monkeypatch, next_row_calls,
-                                                      fmt, cap, passes):
+                                                      fmt, cap, passes, rows):
     if cap is not None:
         monkeypatch.setattr(cli, "_PBM_MAX_WIDTH", cap)
-    code, out, _ = run_cli(capsys, "generate", "--k", "3", "--r", "3", "--rows", "7",
+    code, out, _ = run_cli(capsys, "generate", "--k", "3", "--r", "3", "--rows", str(rows),
                            "--format", fmt)
     assert code == EXIT_PASS
     assert len(next_row_calls) == passes * 7
     if fmt == "rows-csv":
         assert out == FANO_CSV
+    if fmt == "matrix-pbm":
+        fano = [tuple(map(int, line.split(","))) for line in FANO_CSV.splitlines()]
+        blocks = [tuple(x + 7 * t for x in row) for t in range(rows // 7) for row in fano]
+        assert out == format_matrix_pbm(blocks, rows, rows)
 
 
 def test_generate_column_cap_flag_is_gone(capsys):
@@ -598,5 +615,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, loads
     assert got == code
     harness = {"greedy", "geometry", "nimber", "verify"}
     assert {m for m in harness if f"naivemat.{m}" in added} == loads
+    # generate's block record, the only array, loads its extension module
+    assert ("array" in added) == (argv[:1] == ["generate"] and got == EXIT_PASS)
     assert "dataclasses" not in added
     assert "inspect" not in added or "numpy" in added  # numpy imports inspect itself

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naivemat import greedy
 from naivemat.errors import InputRangeError, InvalidParameterError
 from naivemat.geometry import expected_counts
 from naivemat.greedy import GenParams, NaiveMatrixGenerator, Row, generate
@@ -267,8 +268,12 @@ def test_scan_starts_at_base_and_masks_leave_out_their_column(k, r, n_rows):
 def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
     """A complete column is never placed again, so once every used column
     is complete the greedy rule sees only fresh columns, as at row 1: the
-    rows that follow are rows 1, 2, ... shifted by max_used_column."""
-    gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
+    rows that follow are rows 1, 2, ... shifted by max_used_column.
+    `generate` replays block 0 from there, and yields the same rows with
+    its record bound at 0, at one row, just under block 0 and at its
+    default."""
+    params = GenParams(k, r, n_rows)
+    gen = NaiveMatrixGenerator(params)
     rows, resets = [], []
     for m in range(1, n_rows + 1):
         rows.append(gen.next_row())
@@ -277,6 +282,12 @@ def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
             resets.append((m, top))
     for m, top in resets:
         assert rows[m:] == [tuple(x + top for x in row) for row in rows[:n_rows - m]]
+    bounds = [0, k] + [m * k - 1 for m, _ in resets[:1]]
+    assert list(generate(params)) == rows
+    for bound in bounds:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "_BLOCK_POINTS", bound)
+            assert list(generate(params)) == rows
 
 
 @pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 8)] + [(2, 4), (3, 4), (2, 16)])
@@ -290,23 +301,40 @@ def test_pg_blocks_repeat_block_0_shifted(n, q):
         assert gen.max_used_column == t * v
         assert all(gen.is_complete(x) for x in range(1, t * v + 1))
         assert [gen.next_row() for _ in range(b)] == [tuple(x + t * v for x in row) for row in block0]
+    assert list(generate(GenParams(k, r, 3 * b))) == [
+        tuple(x + t * v for x in row) for t in range(3) for row in block0]
 
 
-def _generate_peak_bytes(k, r, rows):
+def _peak_bytes(run, params):
     tracemalloc.start()
     try:
-        for _ in generate(GenParams(k, r, rows)):
-            pass
+        run(params)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _next_rows(params):
+    # the generator itself: generate would replay these small blocks
+    gen = NaiveMatrixGenerator(params)
+    for _ in range(params.max_rows):
+        gen.next_row()
+
+
+def _drain(params):
+    for _ in generate(params):
+        pass
+
+
+def _generator_peak_bytes(k, r, rows):
+    return _peak_bytes(_next_rows, GenParams(k, r, rows))
+
+
 def test_generate_memory_is_linear_in_rows():
     # (3,1) takes three new columns per row; (3,7) repeats over 15-column
     # blocks.  Pair masks kept at absolute width grow 11-14x here.
-    assert _generate_peak_bytes(3, 1, 4000) <= 5 * _generate_peak_bytes(3, 1, 1000)
-    assert _generate_peak_bytes(3, 7, 11200) <= 5 * _generate_peak_bytes(3, 7, 2800)
+    assert _generator_peak_bytes(3, 1, 4000) <= 5 * _generator_peak_bytes(3, 1, 1000)
+    assert _generator_peak_bytes(3, 7, 11200) <= 5 * _generator_peak_bytes(3, 7, 2800)
 
 
 def test_generate_memory_is_flat_at_r1():
@@ -314,7 +342,17 @@ def test_generate_memory_is_flat_at_r1():
     # them: a run holds one row's k masks of k bits, about k^2/8 bytes,
     # where keeping every used column's mask would add that much per row
     # (about 200 KB at k = 1024)
-    assert _generate_peak_bytes(1024, 1, 40) < _generate_peak_bytes(1024, 1, 10) + 16 * 1024
+    assert _generator_peak_bytes(1024, 1, 40) < _generator_peak_bytes(1024, 1, 10) + 16 * 1024
+
+
+def test_generate_drops_a_block_0_past_its_record_bound():
+    # block 0 of PG(8, 2) is 43435 rows of 3 points, about twice the bound:
+    # the record stops at the bound, 4 bytes a point, and is dropped there.
+    # A record kept to the end would hold 520 KB, and one of tuples over 2 MB.
+    params = GenParams(3, 255, 43435)
+    record = 4 * greedy._BLOCK_POINTS
+    assert 3 * params.max_rows > 1.9 * greedy._BLOCK_POINTS
+    assert _peak_bytes(_drain, params) < _peak_bytes(_next_rows, params) + 1.25 * record
 
 
 class KeepEveryColumn:
