@@ -4,16 +4,18 @@ Exit codes: 0 = pass/success, 1 = verification failure or runtime error
 (an unwritable output, or a model over its size budget), 2 = usage or
 invalid parameters, 3 = indeterminate verification.
 Artifacts go to stdout unless --out is given; diagnostics go to stderr.
-Output is written piece by piece.  `generate` writes each row as it is
-generated.  The rows repeat: once a row leaves every used column complete,
-the next ones are block 0, the rows so far, shifted past it.  So a run
-that asks for more rows than block 0 has builds block 0 alone and writes
-the rest from a record of it, 4 bytes a point up to 2^16 points; past
-that bound every row is built, and no record is kept.  For matrix-pbm a
-first pass, which keeps no row, finds the width the header needs.  A PBM
-line costs about 2 bytes a column, so that pass refuses a row past column
-2^20 with exit 1 before anything is written; the other formats have no
-width bound.
+Output is written a batch at a time, one write call a batch: up to 2^10
+points of rows, formatted with one `%` over a template, or up to 2^10 PBM
+cells, a line wider than that on its own.  `generate` writes each batch
+once its rows are generated.  The rows repeat: once a row leaves every
+used column complete, the next ones are block 0, the rows so far, shifted
+past it.  So a run that asks for more rows than block 0 has builds block
+0 alone and writes the rest from a record of it, 4 bytes a point up to
+2^16 points; past that bound every row is built, and no record is kept.
+For matrix-pbm a first pass, which keeps no row, finds the width the
+header needs.  A PBM line costs about 2 bytes a column, so that pass
+refuses a row past column 2^20 with exit 1 before anything is written;
+the other formats have no width bound.
 `export-pg` streams the lines of pg_lines after its parameters and point
 bound are checked.  An unwritable --out or stdout exits 1 with an error
 line, and a stdout pipe closed by its reader ends the output quietly.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, islice
 
 from .errors import InputRangeError, InvalidParameterError, OutputError, ResourceLimitError
 
@@ -40,36 +43,55 @@ EXIT_INDETERMINATE = 3
 
 _FORMATS = ("rows-csv", "rows-json", "matrix-pbm")
 _PBM_MAX_WIDTH = 1 << 20  # a PBM line costs about 2 bytes a column
+_BATCH_POINTS = 1 << 10  # points (PBM cells) formatted and written at once: a few KB
 
 
-def _csv_lines(rows):
-    for row in rows:
-        yield ",".join(map(str, row)) + "\n"
+def _format_batches(rows, k: int, row: str, sep: str):
+    """The rows of k points, max(1, _BATCH_POINTS // k) at a time, each
+    batch formatted with one `%` over copies of `row`, one %d a point,
+    joined by `sep`."""
+    n = max(1, _BATCH_POINTS // k)
+    full = sep.join([row] * n)
+    rows = iter(rows)
+    while batch := list(islice(rows, n)):
+        template = full if len(batch) == n else sep.join([row] * len(batch))
+        yield template % tuple(chain.from_iterable(batch))
+
+
+def _csv_lines(rows, k: int):
+    return _format_batches(rows, k, ",".join(["%d"] * k) + "\n", "")
 
 
 def _json_chunks(k: int, r: int, rows):
-    import json
-
-    yield f'{{"k":{json.dumps(k)},"r":{json.dumps(r)},"rows":['
+    yield '{"k":%d,"r":%d,"rows":[' % (k, r)
     sep = ""
-    for row in rows:
-        yield sep + json.dumps(list(row), separators=(",", ":"))
+    for text in _format_batches(rows, k, "[" + ",".join(["%d"] * k) + "]", ","):
+        yield sep + text
         sep = ","
     yield "]}\n"
 
 
 def _pbm_lines(rows, width: int, height: int):
     yield f"P1\n{width} {height}\n"
-    blank = b"0 " * (width - 1) + b"0\n"  # cell j sits at byte 2(j-1)
-    for row in rows:
-        line = bytearray(blank)
+    blank = b"0 " * (width - 1) + b"0\n"
+    n = max(1, _BATCH_POINTS // width)
+    text = bytearray()
+    for i, row in enumerate(rows, 1):
+        at = len(text) - 2  # cell j of this row's line sits at byte at + 2j
+        text += blank
         for j in row:
-            line[2 * j - 2] = 49  # "1"
-        yield line.decode("ascii")
+            text[at + 2 * j] = 49  # "1"
+        if not i % n:
+            yield text.decode("ascii")
+            text = bytearray()
+    if text:
+        yield text.decode("ascii")
 
 
 def format_rows_csv(rows) -> str:
-    return "".join(_csv_lines(rows))
+    """Rows of one length as CSV lines."""
+    rows = list(rows)
+    return "".join(_csv_lines(rows, len(rows[0]))) if rows else ""
 
 
 def format_matrix_pbm(rows, width: int, height: int) -> str:
@@ -78,7 +100,7 @@ def format_matrix_pbm(rows, width: int, height: int) -> str:
 
 def _format_lines(fmt: str, rows, k: int, r: int, width: int, height: int):
     if fmt == "rows-csv":
-        return _csv_lines(rows)
+        return _csv_lines(rows, k)
     if fmt == "rows-json":
         return _json_chunks(k, r, rows)
     return _pbm_lines(rows, width, height)

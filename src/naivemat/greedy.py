@@ -44,7 +44,10 @@ max_used_column, and so does each block after.  generate records block 0
 while it yields it and replays it from there, so a run that asks for more
 rows than block 0 has builds only block 0.  The record holds at most
 _BLOCK_POINTS columns, 4 bytes each (256 KB); a longer block 0 is dropped
-at the bound and its run is plain next_row calls.
+at the bound and its run is plain next_row calls.  A short block 0 is
+replayed in runs of consecutive blocks, up to _RUN_POINTS columns (16 KB),
+so the replay sets up once a run, not once a block: at r = 1, a block is
+a row.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .errors import InputRangeError, InvalidParameterError
 
 _K_CAP = 1 << 15  # a run holds about one frontier of masks: k^2/8 bytes at r = 1
 _BLOCK_POINTS = 1 << 16  # the most points of block 0 that generate records for its replay
+_RUN_POINTS = 1 << 12  # the most points of the run of shifted blocks 0 that the replay repeats
 
 
 class GenParams(namedtuple("GenParams", "k r max_rows")):
@@ -229,7 +233,11 @@ def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
     from the record with no further next_row.  Only a request for more rows
     than block 0 has replays.  The record holds at most _BLOCK_POINTS
     columns, 4 bytes each (256 KB); a block 0 that would pass the bound is
-    dropped there, and the rest of the stream is plain next_row calls."""
+    dropped there, and the rest of the stream is plain next_row calls.
+    A block 0 under _RUN_POINTS columns is replayed m blocks at a time,
+    as many as fit under that bound and are still to come: the record is
+    extended once to blocks 0 to m - 1, and run t is the record shifted by
+    (1 + t m) max_used_column."""
     from array import array  # an extension module, loaded only by the runs that call generate
 
     gen = NaiveMatrixGenerator(params)
@@ -240,11 +248,14 @@ def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
         yield row
         block.extend(row)
         if not gen._active:  # every used column is complete: block 0 ends here
-            top, left = gen.max_used_column, rows - gen.emitted
+            top, left, size = gen.max_used_column, rows - gen.emitted, len(block)
             del gen  # the replay reads no column state
-            # block t is block 0 shifted by t * top, cut into rows
-            shifted = (zip(*[map((t * top).__add__, block)] * k) for t in count(1))
-            yield from islice(chain.from_iterable(shifted), left)
+            # block t is block 0 shifted by t * top
+            m = max(1, min(_RUN_POINTS // size, -(-left * k // size)))  # no more than are left
+            for t in range(1, m):
+                block.extend(map((t * top).__add__, block[:size]))
+            runs = (zip(*[map(((1 + t * m) * top).__add__, block)] * k) for t in count())
+            yield from islice(chain.from_iterable(runs), left)
             return
     del block
     for _ in range(rows - gen.emitted):

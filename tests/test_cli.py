@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -197,22 +198,89 @@ def naive_pbm(rows, width):
     return "".join(out)
 
 
-@pytest.mark.parametrize("k,r,n_rows", [(3, 3, 700), (3, 1, 300)])
-def test_generate_streams_the_formatted_text(tmp_path, capsys, k, r, n_rows):
+def reference_text(fmt, rows, k, r, width):
+    """The output of every format row by row, formatted apart from cli: the
+    reference for its batched writers."""
+    if fmt == "rows-csv":
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+    if fmt == "rows-json":
+        return (f'{{"k":{json.dumps(k)},"r":{json.dumps(r)},"rows":['
+                + ",".join(json.dumps(list(row), separators=(",", ":")) for row in rows)
+                + "]}\n")
+    return naive_pbm(rows, width)
+
+
+def assert_writes_the_reference(tmp_path, capsys, monkeypatch, argv, rows, k, r, width):
+    """argv in every format, to stdout and to --out, gives the reference
+    text at the default batch bound and at bounds that cut one-row batches
+    (a row at, just under and just over the bound) and batches that end
+    one row before, at and one row past the last row."""
+    for fmt in cli._FORMATS:
+        expected = reference_text(fmt, rows, k, r, width)
+        size = width if fmt == "matrix-pbm" else k  # the points of one row
+        bounds = [cli._BATCH_POINTS, size - 1, size, size + 1, 2 * size - 1, 2 * size,
+                  *(n * size for n in (len(rows) - 1, len(rows), len(rows) + 1))]
+        for bound in bounds:
+            monkeypatch.setattr(cli, "_BATCH_POINTS", bound)
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == EXIT_PASS and out == expected, (fmt, bound)
+            target = tmp_path / f"{fmt}.txt"
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+            assert code == EXIT_PASS and out == ""
+            assert target.read_text() == expected, (fmt, bound)
+            if fmt == "rows-csv":
+                assert format_rows_csv(rows) == expected
+            if fmt == "matrix-pbm":
+                assert format_matrix_pbm(rows, width, len(rows)) == expected
+
+
+@pytest.mark.parametrize("k,r,n_rows", [(3, 3, 700), (3, 1, 300), (1024, 1, 3)])
+def test_generate_streams_the_formatted_text(tmp_path, capsys, monkeypatch, k, r, n_rows):
     rows = list(generate(GenParams(k, r, n_rows)))
-    width = max(pts[-1] for pts in rows)
-    expected = {"rows-csv": format_rows_csv(rows),
-                "matrix-pbm": format_matrix_pbm(rows, width, len(rows))}
-    assert expected["matrix-pbm"] == naive_pbm(rows, width)
-    for fmt, text in expected.items():
-        argv = ["generate", "--k", str(k), "--r", str(r), "--rows", str(n_rows),
-                "--format", fmt]
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == EXIT_PASS and out == text
-        target = tmp_path / f"{fmt}.txt"
-        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
-        assert code == EXIT_PASS and out == ""
-        assert target.read_text() == text
+    argv = ["generate", "--k", str(k), "--r", str(r), "--rows", str(n_rows)]
+    assert_writes_the_reference(tmp_path, capsys, monkeypatch, argv, rows, k, r,
+                                max(pts[-1] for pts in rows))
+
+
+def _points(piece):
+    return len(re.findall(r"\d+", piece))
+
+
+@pytest.mark.parametrize("fmt, k, r, n_rows", [
+    ("rows-csv", 3, 1, 30000), ("rows-json", 3, 1, 30000),
+    ("matrix-pbm", 3, 3, 70),  # 14 lines of 70 cells a batch
+    ("matrix-pbm", 3, 1, 400),  # each line of 1200 cells is a batch of its own
+])
+def test_generate_writes_a_batch_at_a_time(tmp_path, monkeypatch, fmt, k, r, n_rows):
+    pieces = []
+    write = cli._write
+
+    def recorded(lines, out):
+        write((pieces.append(piece) or piece for piece in lines), out)
+
+    monkeypatch.setattr(cli, "_write", recorded)
+    target = tmp_path / "out.txt"
+    assert main(["generate", "--k", str(k), "--r", str(r), "--rows", str(n_rows),
+                 "--format", fmt, "--out", str(target)]) == EXIT_PASS
+    assert "".join(pieces) == target.read_text()
+    bound = cli._BATCH_POINTS
+    if fmt == "matrix-pbm":
+        width = int(pieces[0].split()[1])
+        batches = pieces[1:]  # after the header
+        rows_in = [piece.count("\n") for piece in batches]
+        points = [n * width for n in rows_in]
+        size = width
+    else:
+        batches = pieces if fmt == "rows-csv" else pieces[1:-1]  # between the JSON brackets
+        points = [_points(piece) for piece in batches]
+        rows_in = [n // k for n in points]
+        size = k
+    assert sum(rows_in) == n_rows
+    # a piece holds one batch, or one row wider than the bound
+    assert all(n <= bound or rows == 1 for n, rows in zip(points, rows_in))
+    assert len(pieces) <= -(-n_rows // max(1, bound // size)) + 2
+    if fmt != "matrix-pbm":
+        assert len(pieces) <= -(-n_rows * k // bound) + 2
 
 
 def test_generate_unwritable_out_is_clean_error(tmp_path, capsys):
@@ -412,15 +480,12 @@ def test_export_pg_nim_model(capsys):
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (2, 4), (2, 16)])
-def test_export_pg_streams_the_model_lines(capsys, n, q):
+def test_export_pg_streams_the_model_lines(tmp_path, capsys, monkeypatch, n, q):
     lines = build_pg(n, q).lines
-    v, b = expected_counts(n, q)[:2]
-    code, csv, _ = run_cli(capsys, "export-pg", "--n", str(n), "--q", str(q))
-    assert code == EXIT_PASS and csv == format_rows_csv(lines)
-    code, pbm, _ = run_cli(capsys, "export-pg", "--n", str(n), "--q", str(q),
-                           "--format", "matrix-pbm")
-    assert code == EXIT_PASS and pbm == format_matrix_pbm(lines, v, b)
-    assert pbm.count("\n") == b + 2
+    v, b, r, k, _ = expected_counts(n, q)
+    argv = ["export-pg", "--n", str(n), "--q", str(q)]
+    assert_writes_the_reference(tmp_path, capsys, monkeypatch, argv, lines, k, r, v)
+    assert format_matrix_pbm(lines, v, b).count("\n") == b + 2
 
 
 def _export_peak_bytes(tmp_path, n):
@@ -617,5 +682,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, code, loads
     assert {m for m in harness if f"naivemat.{m}" in added} == loads
     # generate's block record, the only array, loads its extension module
     assert ("array" in added) == (argv[:1] == ["generate"] and got == EXIT_PASS)
+    # rows-json is written with %d, which gives the text json.dumps gives an int
+    assert "json" not in added or argv[:1] != ["generate"]
     assert "dataclasses" not in added
     assert "inspect" not in added or "numpy" in added  # numpy imports inspect itself

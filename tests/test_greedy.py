@@ -271,7 +271,8 @@ def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
     rows that follow are rows 1, 2, ... shifted by max_used_column.
     `generate` replays block 0 from there, and yields the same rows with
     its record bound at 0, at one row, just under block 0 and at its
-    default."""
+    default, and with the run it replays bound at 0, one point, one row,
+    just under block 0 (a run of one block) and just over two blocks."""
     params = GenParams(k, r, n_rows)
     gen = NaiveMatrixGenerator(params)
     rows, resets = [], []
@@ -288,6 +289,10 @@ def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(greedy, "_BLOCK_POINTS", bound)
             assert list(generate(params)) == rows
+    for bound in [0, 1, k] + [b for m, _ in resets[:1] for b in (m * k - 1, 2 * m * k + 1)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "_RUN_POINTS", bound)
+            assert list(generate(params)) == rows
 
 
 @pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 8)] + [(2, 4), (3, 4), (2, 16)])
@@ -301,8 +306,12 @@ def test_pg_blocks_repeat_block_0_shifted(n, q):
         assert gen.max_used_column == t * v
         assert all(gen.is_complete(x) for x in range(1, t * v + 1))
         assert [gen.next_row() for _ in range(b)] == [tuple(x + t * v for x in row) for row in block0]
-    assert list(generate(GenParams(k, r, 3 * b))) == [
-        tuple(x + t * v for x in row) for t in range(3) for row in block0]
+    expected = [tuple(x + t * v for x in row) for t in range(3) for row in block0]
+    assert list(generate(GenParams(k, r, 3 * b))) == expected
+    for bound in (0, 1, k, b * k - 1):  # a run of block 0 alone
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(greedy, "_RUN_POINTS", bound)
+            assert list(generate(GenParams(k, r, 3 * b))) == expected
 
 
 def _peak_bytes(run, params):
@@ -353,6 +362,15 @@ def test_generate_drops_a_block_0_past_its_record_bound():
     record = 4 * greedy._BLOCK_POINTS
     assert 3 * params.max_rows > 1.9 * greedy._BLOCK_POINTS
     assert _peak_bytes(_drain, params) < _peak_bytes(_next_rows, params) + 1.25 * record
+
+
+def test_generate_replays_a_bounded_run():
+    # block 0 of (3, 1) is one row: the replay repeats a run of at most
+    # _RUN_POINTS points, 4 bytes each, however many rows are left.  A run
+    # of all 30000 rows would hold 360 KB.
+    params = GenParams(3, 1, 30000)
+    run = 4 * greedy._RUN_POINTS
+    assert _peak_bytes(_drain, params) < _peak_bytes(_next_rows, params) + 1.25 * run
 
 
 class KeepEveryColumn:
