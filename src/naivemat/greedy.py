@@ -42,12 +42,13 @@ row leaves every used column complete the greedy rule sees only fresh
 columns, as before row 1: the rows so far, block 0, repeat shifted by
 max_used_column, and so does each block after.  generate records block 0
 while it yields it and replays it from there, so a run that asks for more
-rows than block 0 has builds only block 0.  The record holds at most
-_BLOCK_POINTS columns, 4 bytes each (256 KB); a longer block 0 is dropped
-at the bound and its run is plain next_row calls.  A short block 0 is
-replayed in runs of consecutive blocks, up to _RUN_POINTS columns (16 KB),
-so the replay sets up once a run, not once a block: at r = 1, a block is
-a row.
+rows than block 0 has builds only block 0.  Block 0 ends at
+max_used_column * r points, and its record never holds more, so it is kept
+while that product is at most _BLOCK_POINTS (4 bytes a point, 256 KB); a
+longer block 0 is dropped at the first row past the bound, and its run is
+plain next_row calls.  A short block 0 is replayed in runs of consecutive
+blocks, up to _RUN_POINTS columns (16 KB), so the replay sets up once a
+run, not once a block: at r = 1, a block is a row.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class GenParams(namedtuple("GenParams", "k r max_rows")):
             raise InvalidParameterError(f"r must be at least 1, got {r}")
         if max_rows < 1:
             raise InvalidParameterError(f"max_rows must be at least 1, got {max_rows}")
+        if max_rows >> 63:  # generate hands the rows left to islice, which stops at 2^63 - 1
+            raise InputRangeError("max_rows must be at most 2^63 - 1")
         if k > _K_CAP:
             raise InvalidParameterError(f"k must be at most {_K_CAP}, got {k}")
         return super().__new__(cls, k, r, max_rows)
@@ -231,9 +234,9 @@ def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
     every used column complete, the rows that follow are block 0 shifted
     by max_used_column, then by twice that, and so on, so they are yielded
     from the record with no further next_row.  Only a request for more rows
-    than block 0 has replays.  The record holds at most _BLOCK_POINTS
-    columns, 4 bytes each (256 KB); a block 0 that would pass the bound is
-    dropped there, and the rest of the stream is plain next_row calls.
+    than block 0 has replays.  The record is kept while max_used_column * r,
+    block 0's length at its end, is at most _BLOCK_POINTS; past that it is
+    dropped, and the rest of the stream is plain next_row calls.
     A block 0 under _RUN_POINTS columns is replayed m blocks at a time,
     as many as fit under that bound and are still to come: the record is
     extended once to blocks 0 to m - 1, and run t is the record shifted by
@@ -241,11 +244,13 @@ def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
     from array import array  # an extension module, loaded only by the runs that call generate
 
     gen = NaiveMatrixGenerator(params)
-    k, rows = params.k, params.max_rows
+    k, r, rows = params
     block = array("I")  # 4 bytes hold any column: block 0 uses no more columns than points
-    for _ in range(min(rows, _BLOCK_POINTS // k)):
+    for _ in range(rows):
         row = gen.next_row()
         yield row
+        if gen.max_used_column * r > _BLOCK_POINTS:  # block 0 ends at top * r points
+            break
         block.extend(row)
         if not gen._active:  # every used column is complete: block 0 ends here
             top, left, size = gen.max_used_column, rows - gen.emitted, len(block)

@@ -10,15 +10,13 @@ One multiplier serves every caller: the Fermat splitting rule, which
 halves the width down to GF(2), where the product is x & y; from width 8
 up it stops instead at a GF(256) product table that the same rule builds
 on first use.  So products in GF(2), GF(4) and GF(16) read no table, and
-numpy is imported only where arrays are built: that table, the mex
-reference and the field check.  The multiplier runs unchanged on ints
-and on uint64 arrays and keeps no memo, so its memory does not grow with
-use.  The mex recursion survives only as nim_mul_table, the multiplier's
-reference.  field_check decides exactly that GF(q) is a field for every
-Fermat q up to 2^32: the GF(256) table laws, with distributivity and
-associativity decided on the basis rather than on all 256^3 triples, and
-one trace per tower level.  Values are capped at 63 bits so all
-arithmetic stays in native machine words.
+numpy is imported only where arrays are built: that table and the field
+check.  The multiplier runs unchanged on ints and on uint64 arrays and
+keeps no memo, so its memory does not grow with use.  field_check decides
+exactly that GF(q) is a field for every Fermat q up to 2^32: the GF(256)
+table laws, with distributivity and associativity decided on the basis
+rather than on all 256^3 triples, and one trace per tower level.  Values
+are capped at 63 bits so all arithmetic stays in native machine words.
 
 Every function is pure; the table is built once and read-only after, so
 calls are safe from concurrent readers.
@@ -26,14 +24,12 @@ calls are safe from concurrent readers.
 
 from __future__ import annotations
 
-import functools
 import time
 
 from .errors import InputRangeError, InvalidParameterError
 from .report import INDETERMINATE, Check, VerificationReport
 
 VALUE_BITS = 63
-MEX_INPUT_BOUND = 1 << 12
 _SAMPLE_CHUNK = 1 << 16  # sampled triples checked per batch in field_check
 
 
@@ -109,37 +105,6 @@ def _mul(x, y, bits: int, table=None, table_bits: int = _TABLE_BITS):
     hi = _mul(x1, y1, h, table, table_bits)
     mid = _mul(x0 ^ x1, y0 ^ y1, h, table, table_bits)
     return ((mid ^ lo) << h) ^ lo ^ _mul(hi, 1 << (h - 1), h, table, table_bits)
-
-
-# ---------------------------------------------------------------------------
-# mex reference
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=4)
-def nim_mul_table(n: int) -> np.ndarray:
-    """The n-by-n nim product table, filled bottom-up by the mex recursion.
-
-    This is the reference the splitting-rule multiplier is checked against.
-    Cost grows like n^4, so n is capped at 2^12; the returned array is
-    cached and read-only.
-    """
-    if n < 1 or n > MEX_INPUT_BOUND:
-        raise InputRangeError(f"table size must be in [1, {MEX_INPUT_BOUND}], got {n}")
-    import numpy as np
-
-    t = np.zeros((n, n), dtype=np.int32)
-    if n > 1:
-        t[1, :] = np.arange(n)
-        t[:, 1] = np.arange(n)
-    for a in range(2, n):
-        for b in range(a, n):
-            options = t[:a, b, None] ^ t[a, :b][None, :] ^ t[:a, :b]
-            counts = np.bincount(options.ravel(), minlength=a * b + 2)
-            m = int(np.argmin(counts > 0))
-            t[a, b] = m
-            t[b, a] = m
-    t.setflags(write=False)
-    return t
 
 
 # ---------------------------------------------------------------------------

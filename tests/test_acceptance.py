@@ -14,10 +14,12 @@ import numpy as np
 from naivemat.cli import main
 from naivemat.geometry import build_pg, expected_counts
 from naivemat.greedy import GenParams, generate
-from naivemat.nimber import field_check, nim_mul, nim_mul_table
+from naivemat.nimber import field_check, nim_mul
 from naivemat.verify import (lemma_exhaustive, verify_general_q,
                              verify_proof_invariants, verify_theorem_q2,
                              verify_zero_blocks_and_periodicity)
+
+from test_nimber import nim_mul_table
 
 FANO_CSV = "1,2,3\n1,4,5\n1,6,7\n2,4,6\n2,5,7\n3,4,7\n3,5,6\n"
 

@@ -22,6 +22,10 @@ FANO_CSV = "1,2,3\n1,4,5\n1,6,7\n2,4,6\n2,5,7\n3,4,7\n3,5,6\n"
 # child interpreters import the same package as the tests, however pytest was started
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(Path(naivemat.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+# a child's stdout written through or block-buffered: the mode decides whether
+# a failed or closed stdout shows at a batch's write or at the final flush
+STDOUT_MODES = {"write-through": {**CHILD_ENV, "PYTHONUNBUFFERED": "1"},
+                "buffered": {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}}
 
 
 def run_cli(capsys, *argv):
@@ -395,6 +399,10 @@ def test_verify_general_above_point_bound_is_indeterminate(capsys, replay_rows):
     ("verify general --a 1 --n 7200", EXIT_INDETERMINATE),
     ("export-pg --n 20000 --q 2", EXIT_FAIL),  # the point budget: a runtime error
     ("verify general --a 100000000000000000000 --n 2", EXIT_USAGE),
+    # generate hands the rows still to come to islice, which stops at 2^63 - 1
+    ("generate --k 3 --r 1 --rows 99999999999999999999", EXIT_USAGE),
+    ("generate --k 3 --r 1 --rows 99999999999999999999 --format rows-json", EXIT_USAGE),
+    ("generate --k 3 --r 1 --rows 99999999999999999999 --format matrix-pbm", EXIT_USAGE),
 ])
 def test_huge_arguments_are_refused_without_a_traceback(capsys, argv, code):
     # the point counts have over 4300 digits here, more than Python will
@@ -579,33 +587,36 @@ def test_export_pg_unwritable_out_is_clean_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_module_entry_point_subprocess():
-    proc = subprocess.run([sys.executable, "-m", "naivemat", "generate",
-                           "--k", "3", "--r", "3", "--rows", "7"],
-                          capture_output=True, text=True, env=CHILD_ENV)
-    assert proc.returncode == 0
-    assert proc.stdout == FANO_CSV
+    for mode, env in STDOUT_MODES.items():
+        proc = subprocess.run([sys.executable, "-m", "naivemat", "generate",
+                               "--k", "3", "--r", "3", "--rows", "7"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, mode
+        assert proc.stdout == FANO_CSV, mode
 
 
 def test_closed_stdout_pipe_is_not_a_traceback():
-    proc = subprocess.Popen([sys.executable, "-m", "naivemat", "generate",
-                             "--k", "3", "--r", "1", "--rows", "50000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            env=CHILD_ENV)
-    assert proc.stdout.readline() == "1,2,3\n"
-    proc.stdout.close()  # like `| head -1`
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == EXIT_PASS
-    assert err == ""
+    for mode, env in STDOUT_MODES.items():
+        proc = subprocess.Popen([sys.executable, "-m", "naivemat", "generate",
+                                 "--k", "3", "--r", "1", "--rows", "50000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=env)
+        assert proc.stdout.readline() == "1,2,3\n", mode
+        proc.stdout.close()  # like `| head -1`
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_PASS, mode
+        assert err == "", mode
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", ["verify theorem --n 3", "generate --k 3 --r 3 --rows 7"])
 def test_full_stdout_is_a_clean_error(argv):
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "naivemat", *argv.split()],
-                              stdout=full, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
-    assert proc.returncode == EXIT_FAIL
-    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+    for mode, env in STDOUT_MODES.items():
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "naivemat", *argv.split()],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == EXIT_FAIL, mode
+        assert proc.stderr == "error: cannot write stdout: No space left on device\n", mode
 
 
 def test_help_exits_zero():

@@ -56,6 +56,10 @@ def test_gen_params_validation():
         GenParams(k=3, r=0, max_rows=1)
     with pytest.raises(InvalidParameterError):
         GenParams(k=3, r=1, max_rows=0)
+    # generate hands the rows still to come to islice, which stops at 2^63 - 1
+    assert GenParams(k=3, r=1, max_rows=(1 << 63) - 1).max_rows == (1 << 63) - 1
+    with pytest.raises(InputRangeError, match=r"max_rows must be at most 2\^63 - 1"):
+        GenParams(k=3, r=1, max_rows=1 << 63)
     with pytest.raises(InvalidParameterError):
         GenParams(k=(1 << 20) + 1, r=1, max_rows=1)
     # one row of weight k holds about k^2/8 bytes of pair masks
@@ -270,7 +274,7 @@ def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
     is complete the greedy rule sees only fresh columns, as at row 1: the
     rows that follow are rows 1, 2, ... shifted by max_used_column.
     `generate` replays block 0 from there, and yields the same rows with
-    its record bound at 0, at one row, just under block 0 and at its
+    its record bound at 0, at k, just under block 0, at block 0 and at its
     default, and with the run it replays bound at 0, one point, one row,
     just under block 0 (a run of one block) and just over two blocks."""
     params = GenParams(k, r, n_rows)
@@ -283,7 +287,7 @@ def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
             resets.append((m, top))
     for m, top in resets:
         assert rows[m:] == [tuple(x + top for x in row) for row in rows[:n_rows - m]]
-    bounds = [0, k] + [m * k - 1 for m, _ in resets[:1]]
+    bounds = [0, k] + [b for m, _ in resets[:1] for b in (m * k - 1, m * k)]
     assert list(generate(params)) == rows
     for bound in bounds:
         with pytest.MonkeyPatch.context() as mp:
@@ -355,13 +359,27 @@ def test_generate_memory_is_flat_at_r1():
 
 
 def test_generate_drops_a_block_0_past_its_record_bound():
-    # block 0 of PG(8, 2) is 43435 rows of 3 points, about twice the bound:
-    # the record stops at the bound, 4 bytes a point, and is dropped there.
-    # A record kept to the end would hold 520 KB, and one of tuples over 2 MB.
+    # block 0 of PG(8, 2) is 43435 rows of 3 points, about twice the bound.
+    # Its 255 * max_used_column points pass the bound once max_used_column
+    # passes 257, about row 128, so the record is dropped there, a few
+    # hundred points long.  A record kept up to the bound would hold 256 KB,
+    # one kept to the end 520 KB, and one of tuples over 2 MB.
     params = GenParams(3, 255, 43435)
-    record = 4 * greedy._BLOCK_POINTS
     assert 3 * params.max_rows > 1.9 * greedy._BLOCK_POINTS
-    assert _peak_bytes(_drain, params) < _peak_bytes(_next_rows, params) + 1.25 * record
+    assert _peak_bytes(_drain, params) < _peak_bytes(_next_rows, params) + 16 * 1024
+
+
+@pytest.mark.parametrize("bound, calls", [(20, 14), (21, 7)])
+def test_generate_keeps_a_block_0_that_fits_its_record_bound(monkeypatch, bound, calls):
+    # the Fano block 0 is 7 rows, 7 * 3 = 21 points: a bound of 21 keeps it
+    # and replays the second block, one under builds every row
+    made = []
+    real = NaiveMatrixGenerator.next_row
+    monkeypatch.setattr(NaiveMatrixGenerator, "next_row", lambda self: made.append(1) or real(self))
+    monkeypatch.setattr(greedy, "_BLOCK_POINTS", bound)
+    shifted = [tuple(x + 7 for x in row) for row in FANO_ROWS]
+    assert list(generate(GenParams(3, 3, 14))) == FANO_ROWS + shifted
+    assert len(made) == calls
 
 
 def test_generate_replays_a_bounded_run():

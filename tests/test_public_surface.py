@@ -72,5 +72,5 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     # a scan that found no sources would pass vacuously
     assert "greedy.NaiveMatrixGenerator.next_row" in defined
     assert "cli.EXIT_PASS" in defined
-    assert "nim_mul_table" in loaded  # only perfbench's "nimber.nim_mul_table" names it
+    assert "build_pg" in loaded  # only perfbench's "geometry.build_pg" names it
     assert [qual for qual, name in defined.items() if name not in loaded] == []

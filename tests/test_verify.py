@@ -355,7 +355,12 @@ def test_proof_invariants_narrower_window_matches_rescan(monkeypatch, n):
     assert checked == rep.counts["s"]
 
 
-@pytest.mark.parametrize("n,point,partner,step", [(4, 6, 11, None), (2, 6, 1, 7)])
+@pytest.mark.parametrize("n,point,partner,step", [
+    (4, 6, 11, None),  # Claims 2 and 3 fail at step 71, Claim 1 at 79
+    (2, 6, 1, 7),  # Claim 1 alone
+    (3, 2, 1, None),  # Claim 3 alone at step 7, Claim 1 at 13; Claim 2 holds
+    (3, 1, 3, None),  # Claims 2 and 3 at step 1, Claim 1 at 7
+])
 def test_proof_invariants_hidden_partner_matches_rescan(monkeypatch, n, point, partner, step):
     class HidesOnePartner(NaiveMatrixGenerator):
         def connectable_mask(self, x):
