@@ -1,9 +1,9 @@
-"""Canonical projective point-line models and incidence-structure checks.
+"""Canonical projective point-line models and the design check.
 
 Coordinates over GF(q) are plain integers in [0, q) with nim arithmetic
 (nim_mul).  A projective point is a vector whose first nonzero entry is 1,
-known only by its 1-based rank (see pg_lines); incidence structures carry
-such point indices throughout.
+known only by its 1-based rank (see pg_lines); lines carry such point
+indices throughout.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from .report import VerificationReport
 
 DEFAULT_POINT_BOUND = 10_000
 
-PgCounts = namedtuple("PgCounts", "v b r k d")
+PgCounts = namedtuple("PgCounts", "v b r k")
 
 
 def expected_counts(n: int, q: int) -> PgCounts:
-    """Point, line, and incidence counts of PG(n, q); d is the identified
-    greedy row count (equal to b).
+    """Point, line, and incidence counts of PG(n, q).
 
     v has n*log2(q) + 1 bits, as q^n <= v < 2q^n.  Past the VALUE_BITS
     value domain every count but k is None and is never built, so a huge n
@@ -36,12 +35,12 @@ def expected_counts(n: int, q: int) -> PgCounts:
         raise InvalidParameterError(f"field order must be a Fermat 2-power, got {q}")
     k = q + 1
     if (q.bit_length() - 1) * n >= VALUE_BITS:
-        return PgCounts(None, None, None, k, None)
+        return PgCounts(None, None, None, k)
     v = (q ** (n + 1) - 1) // (q - 1)
     r = (q ** n - 1) // (q - 1)
     assert v * r % k == 0
     b = v * r // k
-    return PgCounts(v, b, r, k, b)
+    return PgCounts(v, b, r, k)
 
 
 def point_bound_reason(n: int, q: int) -> str | None:
@@ -58,27 +57,6 @@ def point_bound_reason(n: int, q: int) -> str | None:
 # ---------------------------------------------------------------------------
 # structures
 # ---------------------------------------------------------------------------
-
-class IncidenceStructure:
-    """A finite list of lines (sorted point tuples) over points 1..point_window."""
-
-    def __init__(self, point_window: int, lines: Iterable[Iterable[int]]):
-        norm = []
-        for line in lines:
-            pts = tuple(sorted(line))
-            if not pts:
-                raise InvalidParameterError("empty lines are not allowed")
-            if len(set(pts)) != len(pts):
-                raise InvalidParameterError(f"line {pts} repeats a point")
-            if pts[0] < 1 or pts[-1] > point_window:
-                raise InvalidParameterError(
-                    f"line {pts} leaves the point window [1, {point_window}]")
-            norm.append(pts)
-        if len(set(norm)) != len(norm):
-            raise InvalidParameterError("repeated lines are not allowed")
-        self.point_window = point_window
-        self.lines = tuple(norm)
-
 
 class CanonicalGeometry(namedtuple("CanonicalGeometry", "v lines")):
     """PG(n, q) in the ranked labelling of pg_lines: its point count v and
@@ -157,13 +135,6 @@ def build_pg(n: int, q: int) -> CanonicalGeometry:
 # ---------------------------------------------------------------------------
 # design check
 # ---------------------------------------------------------------------------
-
-def check_design(s: IncidenceStructure, v: int, k: int, r: int, lam: int = 1) -> VerificationReport:
-    """check_design_lines on the lines of s; lam must be 1."""
-    if lam != 1:
-        raise InvalidParameterError(f"only lambda = 1 designs are checked, got {lam}")
-    return check_design_lines(s.lines, v, k, r)
-
 
 def check_design_lines(lines: Iterable[tuple[int, ...]], v: int, k: int, r: int) -> VerificationReport:
     """Verify the 2-(v, k, 1) conditions with per-point degree r on

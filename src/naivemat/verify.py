@@ -41,7 +41,7 @@ def _harness(subject: str, counts: dict, n: int, q: int, names, run) -> Verifica
     report = VerificationReport(subject, counts)
     reason = point_bound_reason(n, q)
     if reason is None:
-        _, b, r, k, _ = expected_counts(n, q)
+        _, b, r, k = expected_counts(n, q)
         reason = run(report, NaiveMatrixGenerator(GenParams(k=k, r=r, max_rows=b)))
     if reason is not None:
         report.checks.extend(Check(name, INDETERMINATE, {"reason": reason})
@@ -93,7 +93,7 @@ def verify_theorem_q2(n: int) -> VerificationReport:
     xor-closed triples below 2^(n+1) and, in order, the lines of PG(n, 2):
     at q = 2 pg_lines' ranked labelling is the nim-triple model.  Both
     checks read each row as it is generated; no row is kept."""
-    s, _, r, _, d = expected_counts(n, 2)
+    s, d, r, _ = expected_counts(n, 2)
     names = ("rows are xor-closed triples below 2^(n+1)", _identity(n, 2))
 
     def run(report, gen):
@@ -122,7 +122,7 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationRepor
     """
     if blocks < 1:
         raise InvalidParameterError(f"blocks must be at least 1, got {blocks}")
-    s, _, _, _, d = expected_counts(n, 2)
+    s, d, _, _ = expected_counts(n, 2)
     names = ("each block of d rows stays in its s-column window", "row i+d equals row i shifted by s")
 
     def run(report, gen):
@@ -162,7 +162,7 @@ def verify_proof_invariants(n: int) -> VerificationReport:
     counts["complete_points"] is the number of points so checked; on a pass
     it is s.
     """
-    s, _, _, _, d = expected_counts(n, 2)
+    s, d, _, _ = expected_counts(n, 2)
     names = ("next-row points stay in the initial window",
              "complete window points are connectable to all others",
              "window points below c are connectable to a or b",
@@ -228,7 +228,7 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     if a_exponent >= VALUE_BITS.bit_length():  # 1 << a_exponent > VALUE_BITS
         raise InputRangeError(f"q = 2^(2^{a_exponent}) exceeds the {VALUE_BITS}-bit nim value domain")
     q = 1 << (1 << a_exponent)
-    v, b, r, k, _ = expected_counts(n, q)
+    v, b, r, k = expected_counts(n, q)
 
     def run(report, gen):
         first: dict = {}

@@ -132,7 +132,7 @@ def test_criterion_9_parameter_identities():
     ok = True
     for q in (2, 4, 16):
         for n in range(1, 6):
-            v, b, r, k, _ = expected_counts(n, q)
+            v, b, r, k = expected_counts(n, q)
             ok = ok and b * k == v * r
 
     def count_2d_subspaces(dim):
@@ -143,7 +143,7 @@ def test_criterion_9_parameter_identities():
         return len(spans)
 
     for n in range(1, 5):
-        d = expected_counts(n, 2).d
+        d = expected_counts(n, 2).b
         ok = ok and d == count_2d_subspaces(n + 1)
         ok = ok and d == len(build_pg(n, 2).lines)
     _criterion(9, "b*k = v*r and d equals the 2-subspace count", ok)

@@ -69,8 +69,8 @@ def test_trace_worker_runs_sampled_field_case(tmp_path):
 @pytest.mark.parametrize("index", [2, 3, 4])
 def test_trace_worker_replays_general_design_check(tmp_path, index):
     # fermat-design's case 0 is export-pg; its `general` cases replay the
-    # rows through IncidenceStructure into check_design
+    # generation, and the worker lists the gone design-check shims as absent
     assert cases.WORKLOADS["fermat-design"][index].command == "general"
     traced = run_traced(tmp_path, "fermat-design", index)
-    names = {span["name"] for span in traced["spans"]}
-    assert {"geometry.IncidenceStructure", "geometry.check_design"} <= names
+    assert {"geometry.IncidenceStructure", "geometry.check_design"} <= set(traced["absent"])
+    assert any(span["name"] == "greedy.generate" and span["attrs"]["replay"] for span in traced["spans"])

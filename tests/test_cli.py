@@ -490,7 +490,7 @@ def test_export_pg_nim_model(capsys):
 @pytest.mark.parametrize("n,q", [(3, 2), (2, 4), (2, 16)])
 def test_export_pg_streams_the_model_lines(tmp_path, capsys, monkeypatch, n, q):
     lines = build_pg(n, q).lines
-    v, b, r, k, _ = expected_counts(n, q)
+    v, b, r, k = expected_counts(n, q)
     argv = ["export-pg", "--n", str(n), "--q", str(q)]
     assert_writes_the_reference(tmp_path, capsys, monkeypatch, argv, lines, k, r, v)
     assert format_matrix_pbm(lines, v, b).count("\n") == b + 2

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from naivemat import geometry, verify
 from naivemat.cli import main
 from naivemat.errors import InvalidParameterError, ResourceLimitError
-from naivemat.geometry import (IncidenceStructure, build_pg, check_design,
-                               check_design_lines, expected_counts)
+from naivemat.geometry import build_pg, check_design_lines, expected_counts
 from naivemat.nimber import nim_mul
 
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6))
@@ -64,14 +63,14 @@ def count_2d_subspaces_gf2(dim):
 # ---------------------------------------------------------------------------
 
 def test_expected_counts():
-    assert expected_counts(2, 2) == (7, 7, 3, 3, 7)
-    assert expected_counts(5, 2).d == 63 * 31 // 3
-    assert expected_counts(3, 4) == (85, 357, 21, 5, 357)
-    assert expected_counts(2, 16) == (273, 273, 17, 17, 273)
+    assert expected_counts(2, 2) == (7, 7, 3, 3)
+    assert expected_counts(5, 2).b == 63 * 31 // 3
+    assert expected_counts(3, 4) == (85, 357, 21, 5)
+    assert expected_counts(2, 16) == (273, 273, 17, 17)
     # v has n*log2(q) + 1 bits; past 63 of them only k is built
     assert expected_counts(62, 2).v == (1 << 63) - 1
-    assert expected_counts(63, 2) == (None, None, None, 3, None)
-    assert expected_counts(2, 1 << 32) == (None, None, None, (1 << 32) + 1, None)
+    assert expected_counts(63, 2) == (None, None, None, 3)
+    assert expected_counts(2, 1 << 32) == (None, None, None, (1 << 32) + 1)
     assert expected_counts(10 ** 9, 2).k == 3
     with pytest.raises(InvalidParameterError):
         expected_counts(0, 2)
@@ -82,13 +81,13 @@ def test_expected_counts():
 def test_counts_identity():
     for n in range(1, 6):
         for q in (2, 4, 16):
-            v, b, r, k, _ = expected_counts(n, q)
+            v, b, r, k = expected_counts(n, q)
             assert b * k == v * r
 
 
 def test_q2_line_count_equals_2d_subspace_count():
     for n in range(1, 5):
-        assert expected_counts(n, 2).d == count_2d_subspaces_gf2(n + 1)
+        assert expected_counts(n, 2).b == count_2d_subspaces_gf2(n + 1)
 
 
 def test_normalize_point():
@@ -138,8 +137,7 @@ def test_pg_lines_holds_one_block(n):
 def test_build_pg_satisfies_design():
     for n, q in [(1, 2), (2, 2), (3, 2), (2, 4)]:
         g = build_pg(n, q)
-        v, b, r, k, _ = expected_counts(n, q)
-        assert check_design(IncidenceStructure(g.v, g.lines), v, k, r, 1).status == "pass"
+        v, b, r, k = expected_counts(n, q)
         rep = check_design_lines(iter(g.lines), v, k, r)  # read once
         assert rep.status == "pass" and rep.counts["lines"] == b
 
@@ -182,35 +180,18 @@ def test_nim_model_lines_are_xor_closed():
             assert a < b < c and a ^ b ^ c == 0
 
 
-def test_incidence_structure_validation():
-    with pytest.raises(InvalidParameterError):
-        IncidenceStructure(3, ((1, 2, 4),))          # outside window
-    with pytest.raises(InvalidParameterError):
-        IncidenceStructure(3, ((1, 2), (2, 1)))      # repeated line
-    with pytest.raises(InvalidParameterError):
-        IncidenceStructure(3, ((1, 1, 2),))          # repeated point
-    s = IncidenceStructure(5, ((3, 1), (2, 4)))
-    assert s.lines == ((1, 3), (2, 4))               # sorted on the way in
-    with pytest.raises(InvalidParameterError, match="empty lines"):
-        IncidenceStructure(3, ((),))
-    s = IncidenceStructure(point_window=5, lines=[[4, 2], (1, 3)])
-    assert (s.point_window, s.lines) == (5, ((2, 4), (1, 3)))
-
-
 # ---------------------------------------------------------------------------
 # design check
 # ---------------------------------------------------------------------------
 
 def test_check_design_fano_passes():
-    s = IncidenceStructure(7, FANO_TRIPLES)
-    rep = check_design(s, 7, 3, 3, 1)
+    rep = check_design_lines(FANO_TRIPLES, 7, 3, 3)
     assert rep.status == "pass"
     assert rep.counts["lines"] == 7
 
 
 def test_check_design_fano_minus_line_fails():
-    s = IncidenceStructure(7, FANO_TRIPLES[:-1])
-    rep = check_design(s, 7, 3, 3, 1)
+    rep = check_design_lines(FANO_TRIPLES[:-1], 7, 3, 3)
     assert rep.status == "fail"
     by_name = {c.name: c for c in rep.checks}
     assert by_name["b*k = v*r"].status == "fail"
@@ -224,8 +205,7 @@ def test_check_design_fano_minus_line_fails():
 
 
 def test_check_design_single_line():
-    s = IncidenceStructure(3, ((1, 2, 3),))
-    assert check_design(s, 3, 3, 1, 1).status == "pass"
+    assert check_design_lines(((1, 2, 3),), 3, 3, 1).status == "pass"
 
 
 def dict_check_design(lines, v, k, r):
@@ -287,10 +267,12 @@ def assert_design_matches_dict(lines, v, k, r):
     (build_pg(1, 16).lines, 17, 17, 17, 1, 1, None),
 ])
 def test_check_design_matches_dict_oracle(lines, window, v, k, r, lam, failing):
+    # window: the smallest [1, window] holding [1, v] and every line; lam: the
+    # design's lambda, as the pair check names it
     got = assert_design_matches_dict(lines, v, k, r)
     assert all(status == "pass" for _, status, _ in got) == (failing is None)
-    rep = check_design(IncidenceStructure(window, lines), v, k, r, lam)
-    assert [(c.name, c.status, c.witness) for c in rep.checks] == got
+    assert (got[1][1] == "pass") == (window == v)
+    assert got[4][0] == f"every point pair is covered exactly {lam} time(s)"
 
 
 def test_check_design_ignores_points_below_1():
@@ -309,15 +291,6 @@ def test_check_design_matches_dict_oracle_random(case):
     assert_design_matches_dict(tuple(tuple(sorted(line)) for line in lines), v, k, r)
 
 
-def test_check_design_refuses_lambda_2():
-    # every production call checks a 2-(v, k, 1) design; lambda 2 is refused
-    # before any line is read
-    all_triples_of_4 = IncidenceStructure(4, tuple(combinations(range(1, 5), 3)))
-    assert check_design(all_triples_of_4, 4, 3, 3, 1).status == "fail"
-    with pytest.raises(InvalidParameterError):
-        check_design(all_triples_of_4, 4, 3, 3, 2)
-
-
 def test_check_design_lines_memory_is_the_cover_bitset():
     # PG(8,2): v = 511 points, 43,435 lines.  The covers are v^2/16 bytes
     # (16 KB) of ints; C(v, 2) counts would be about 1 MB
@@ -333,8 +306,7 @@ def test_check_design_lines_memory_is_the_cover_bitset():
 
 
 def test_check_design_wrong_line_size():
-    s = IncidenceStructure(4, ((1, 2, 3), (1, 4)))
-    rep = check_design(s, 4, 3, 2, 1)
+    rep = check_design_lines(((1, 2, 3), (1, 4)), 4, 3, 2)
     by_name = {c.name: c for c in rep.checks}
     assert by_name["every line has k points"].status == "fail"
     assert by_name["every line has k points"].witness == {"line": 2, "size": 2}
@@ -352,17 +324,17 @@ def pasch_switched_sts15():
     old = {(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)}
     new = ((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6))
     assert old <= set(lines)
-    return IncidenceStructure(15, tuple(l for l in lines if l not in old) + new)
+    return tuple(l for l in lines if l not in old) + new
 
 
 def test_pasch_switch_is_still_a_design():
-    assert check_design(pasch_switched_sts15(), 15, 3, 7, 1).status == "pass"
+    assert check_design_lines(pasch_switched_sts15(), 15, 3, 7).status == "pass"
 
 
 def test_pasch_switch_fails_the_pg32_identity(replay_rows, capsys):
     # fed to the general harness as the rows for PG(3,2): every design check
     # passes, and the identity names the first changed line
-    lines = sorted(pasch_switched_sts15().lines)
+    lines = sorted(pasch_switched_sts15())
     replay_rows(lines)
     rep = verify.verify_general_q(0, 3)
     assert rep.status == "fail"

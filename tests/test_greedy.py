@@ -303,7 +303,7 @@ def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
 def test_pg_blocks_repeat_block_0_shifted(n, q):
     # the reset that `verify periodicity` reads after block 0, and the two
     # blocks it predicts, on the real generator
-    v, b, r, k, _ = expected_counts(n, q)
+    v, b, r, k = expected_counts(n, q)
     gen = NaiveMatrixGenerator(GenParams(k, r, 3 * b))
     block0 = [gen.next_row() for _ in range(b)]
     for t in (1, 2):
@@ -362,10 +362,10 @@ def test_generate_drops_a_block_0_past_its_record_bound():
     # block 0 of PG(8, 2) is 43435 rows of 3 points, about twice the bound.
     # Its 255 * max_used_column points pass the bound once max_used_column
     # passes 257, about row 128, so the record is dropped there, a few
-    # hundred points long.  A record kept up to the bound would hold 256 KB,
-    # one kept to the end 520 KB, and one of tuples over 2 MB.
-    params = GenParams(3, 255, 43435)
-    assert 3 * params.max_rows > 1.9 * greedy._BLOCK_POINTS
+    # hundred points long.  A record kept over the 8000 rows asked for here
+    # would hold 24000 points, 96 KB.
+    params = GenParams(3, 255, 8000)
+    assert 3 * expected_counts(8, 2).b > 1.9 * greedy._BLOCK_POINTS
     assert _peak_bytes(_drain, params) < _peak_bytes(_next_rows, params) + 16 * 1024
 
 
@@ -474,7 +474,7 @@ def assert_matches_every_column_kept(k, r, n_rows):
 
 @pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 8)] + [(2, 4), (3, 4), (2, 16)])
 def test_pg_rows_and_state_match_every_column_kept(n, q):
-    v, b, r, k, _ = expected_counts(n, q)
+    v, b, r, k = expected_counts(n, q)
     assert_matches_every_column_kept(k, r, b)
 
 

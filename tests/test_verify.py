@@ -260,7 +260,7 @@ def rescan_invariants(n):
     """The invariant replay that rescans every window point for Claim 1 at
     every step m = 0..d, as (checks, counts).  Reads expected_counts and
     NaiveMatrixGenerator through `verify`, so a patch there reaches it."""
-    s, _, r, _, d = verify.expected_counts(n, 2)
+    s, d, r, _ = verify.expected_counts(n, 2)
     window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
     gen = verify.NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
 
@@ -403,7 +403,7 @@ def test_q2_harness_memory_is_not_per_row(harness):
     # costs about 280 bytes; the generator's pair masks, about s^2/8 bytes
     # (0.75 byte per row), are all that should grow.  The periodicity
     # harness generates block 0's d rows for its 3 blocks and keeps none.
-    d5, d7 = verify.expected_counts(5, 2).d, verify.expected_counts(7, 2).d
+    d5, d7 = verify.expected_counts(5, 2).b, verify.expected_counts(7, 2).b
     assert _peak_bytes(harness, 7) - _peak_bytes(harness, 5) < 8 * (d7 - d5)
 
 
