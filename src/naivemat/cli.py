@@ -169,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--q", type=int, required=True, help="a Fermat 2-power up to 2^32")
     fd.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
                     help="the verdict is exact in both; sampled also checks the tower "
-                         "product on --samples random triples")
+                         "product on --samples triples drawn from the splitmix64 stream")
     fd.add_argument("--samples", type=int, default=1_000_000,
-                    help="sampled-mode triple count")
+                    help="sampled-mode triple count, below 2^62")
 
     for cmd in (t, p, i, gq, lm, fd):
         cmd.add_argument("--out", help="report file (default: stdout)")

@@ -15,8 +15,10 @@ check.  The multiplier runs unchanged on ints and on uint64 arrays and
 keeps no memo, so its memory does not grow with use.  field_check decides
 exactly that GF(q) is a field for every Fermat q up to 2^32: the GF(256)
 table laws, with distributivity and associativity decided on the basis
-rather than on all 256^3 triples, and one trace per tower level.  Values
-are capped at 63 bits so all arithmetic stays in native machine words.
+rather than on all 256^3 triples, and one trace per tower level.  Its
+sampled mode draws triples from a counter-indexed splitmix64 stream, not
+numpy.random, in chunks of tens of KB.  Values are capped at 63 bits so
+all arithmetic stays in native machine words.
 
 Every function is pure; the table is built once and read-only after, so
 calls are safe from concurrent readers.
@@ -30,7 +32,7 @@ from .errors import InputRangeError, InvalidParameterError
 from .report import INDETERMINATE, Check, VerificationReport
 
 VALUE_BITS = 63
-_SAMPLE_CHUNK = 1 << 16  # sampled triples checked per batch in field_check
+_SAMPLE_CHUNK = 1 << 12  # sampled triples checked per batch in field_check
 
 
 def _check_value(x: int, what: str = "value") -> int:
@@ -150,6 +152,21 @@ def _bad(ok: np.ndarray, *values) -> list[int] | None:
     return [int(np.broadcast_to(v, ok.shape)[at]) for v in values]
 
 
+def _draw(start: int, count: int, q: int) -> np.ndarray:
+    """Values start, ..., start + count - 1 of the splitmix64 stream from
+    counter 0 (Steele, Lea & Flood, OOPSLA 2014), reduced mod q, a power of
+    2, so uniform on [0, q): value i mixes (i + 1) * 0x9e3779b97f4a7c15.
+    Each value depends on its index alone, so any split into chunks draws
+    the same values."""
+    import numpy as np
+
+    z = (np.arange(start + 1, start + count + 1, dtype=np.uint64)
+         * np.uint64(0x9E3779B97F4A7C15))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) & np.uint64(q - 1)
+
+
 def _trace(c: int, h: int) -> int:
     """Tr(c) = c + c^2 + c^4 + ... + c^(2^(h-1)) in GF(2^h), squaring with _mul."""
     out = 0
@@ -224,9 +241,12 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
     level check asks this at each F = 256, 65536 below q and names the
     first failing level; passing, it makes each [0, F^2) a field in turn.
     Exhaustive counts state q^3.  Sampled mode adds associativity and
-    distributivity of the tower product on `samples` seeded triples over
-    [0, q), never the verdict: an exact pass implies them, and a failure
-    names its first triple drawn.
+    distributivity of the tower product on `samples` triples over [0, q),
+    never the verdict: an exact pass implies them, and a failure names its
+    first triple drawn.  Triple i is values 3i, 3i+1 and 3i+2 of the
+    splitmix64 stream from counter 0 (_draw), checked _SAMPLE_CHUNK triples
+    at a time, so the triples and the witness do not depend on the chunking
+    and memory does not grow with samples, which must be below 2^62.
     """
     if not is_fermat_two_power(q):
         raise InvalidParameterError(f"field order must be a Fermat 2-power, got {q}")
@@ -236,6 +256,8 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
         raise InvalidParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "sampled" and samples < 1:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
+    if mode == "sampled" and samples >> 62:  # the stream's counters, 3 per triple, are uint64
+        raise InputRangeError(f"samples must be below 2^62, got {samples}")
 
     import numpy as np
 
@@ -286,11 +308,10 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
 
     if mode == "sampled":  # fixed-size chunks, so memory does not grow with samples
         bits = _bits(q - 1)
-        rng = np.random.default_rng(0)
         assoc = distrib = None
-        for done in range(0, samples, _SAMPLE_CHUNK):
-            a, b, c = rng.integers(0, q, size=(3, min(_SAMPLE_CHUNK, samples - done)),
-                                   dtype=np.uint64)
+        for done in range(0, samples, _SAMPLE_CHUNK):  # triple i is values 3i, 3i+1, 3i+2
+            n = min(_SAMPLE_CHUNK, samples - done)
+            a, b, c = _draw(3 * done, 3 * n, q).reshape(n, 3).T
             ab = _mul(a, b, bits)
             assoc = assoc or _bad(_mul(ab, c, bits) == _mul(a, _mul(b, c, bits), bits), a, b, c)
             distrib = distrib or _bad(_mul(a, b ^ c, bits) == ab ^ _mul(a, c, bits), a, b, c)

@@ -403,6 +403,8 @@ def test_verify_general_above_point_bound_is_indeterminate(capsys, replay_rows):
     ("generate --k 3 --r 1 --rows 99999999999999999999", EXIT_USAGE),
     ("generate --k 3 --r 1 --rows 99999999999999999999 --format rows-json", EXIT_USAGE),
     ("generate --k 3 --r 1 --rows 99999999999999999999 --format matrix-pbm", EXIT_USAGE),
+    # three stream counters per sampled triple must fit in uint64
+    ("verify field --q 4 --mode sampled --samples 99999999999999999999", EXIT_USAGE),
 ])
 def test_huge_arguments_are_refused_without_a_traceback(capsys, argv, code):
     # the point counts have over 4300 digits here, more than Python will
@@ -661,6 +663,7 @@ def _cold_start(tmp_path, argv):
     (["export-pg", "--n", "2", "--q", "16", "--out"], False),
     (["verify", "general", "--a", "1", "--n", "2", "--out"], False),
     (["verify", "field", "--q", "16", "--out"], True),
+    (["verify", "field", "--q", "65536", "--mode", "sampled", "--samples", "10", "--out"], True),
     (["verify", "lemma", "--bound", "8", "--out"], False),
     (["export-pg", "--n", "1", "--q", "256", "--out"], True),  # a width-8 product
 ], ids=lambda x: (" ".join(x) or "import") if isinstance(x, list) else
@@ -669,6 +672,8 @@ def test_numpy_is_loaded_only_by_array_commands(tmp_path, argv, loads_numpy):
     code, added = _cold_start(tmp_path, argv)
     assert code in (None, EXIT_PASS)
     assert ("numpy" in added) == loads_numpy
+    # the field check draws its samples by counter, not from numpy.random
+    assert "numpy.random" not in added or argv[:2] != ["verify", "field"]
 
 
 @pytest.mark.parametrize("argv, code, loads", [

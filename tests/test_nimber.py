@@ -311,10 +311,11 @@ def test_field_check_sampled_q_2_32():
     assert rep.counts == {"q": 1 << 32, "mode": "sampled", "triples": 10 ** 5}
 
 
-def _field_check_peak_bytes(samples):
+def _field_check_peak_bytes(**kwargs):
+    _gf256()  # built once per process, before either peak is taken
     tracemalloc.start()
     try:
-        assert field_check(65536, mode="sampled", samples=samples).status == "pass"
+        assert field_check(65536, **kwargs).status == "pass"
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,19 +324,47 @@ def _field_check_peak_bytes(samples):
 def test_field_check_sampled_memory_does_not_grow_with_samples():
     # the samples are drawn and checked in fixed-size chunks: 10x the
     # samples, about the same peak (the whole arrays took ~10x)
-    assert _field_check_peak_bytes(10 ** 6) <= 1.25 * _field_check_peak_bytes(10 ** 5)
+    peak = _field_check_peak_bytes(mode="sampled", samples=10 ** 5)
+    assert _field_check_peak_bytes(mode="sampled", samples=10 ** 6) <= 1.25 * peak
+
+
+def test_field_check_sampled_memory_is_within_the_exact_checks():
+    # a chunk of triples costs tens of KB, well under the exact checks'
+    # 256x256 tables; 2^16-triple chunks put about 7 MB on top
+    exact = _field_check_peak_bytes()
+    assert _field_check_peak_bytes(mode="sampled", samples=10 ** 5) <= exact + (1 << 20)
+
+
+def splitmix64(count):
+    """The first values of the splitmix64 stream seeded with 0, on Python ints."""
+    mask, state, out = (1 << 64) - 1, 0, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_draw_is_the_splitmix64_stream_in_any_chunking():
+    want = splitmix64(40)
+    assert want[0] == 0xE220A8397B1DCDAF  # the stream's published first value
+    for q in (2, 4, 256, 1 << 32):
+        assert nimber._draw(0, 40, q).tolist() == [v & (q - 1) for v in want]
+        parts = [nimber._draw(start, n, q) for start, n in ((0, 7), (7, 1), (8, 32))]
+        assert np.concatenate(parts).tolist() == [v & (q - 1) for v in want]
 
 
 def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
-    # products with one sampled element, drawn in the second chunk, made
-    # wrong: associativity and distributivity fail there first, and a
-    # later chunk that passes must not hide it.  The exact checks never
+    # products with one sampled element, drawn in the second default-size
+    # chunk, made wrong: associativity and distributivity fail there first,
+    # and a later chunk that passes must not hide it.  The exact checks never
     # multiply that element, so they pass: a sampled failure is a triple.
-    chunk = nimber._SAMPLE_CHUNK
-    rng = np.random.default_rng(0)
-    a, b, c = np.concatenate([rng.integers(0, 1 << 32, size=(3, chunk), dtype=np.uint64)
-                              for _ in range(3)], axis=1)
-    at = chunk + 5
+    # Triple i is stream values 3i, 3i+1, 3i+2 whatever the chunk size, so
+    # an odd chunk size finds the same witness.
+    samples, at = 3 * nimber._SAMPLE_CHUNK, nimber._SAMPLE_CHUNK + 5
+    a, b, c = nimber._draw(0, 3 * samples, 1 << 32).reshape(samples, 3).T
     bad = a[at]
     assert np.count_nonzero(a == bad) == 1
     real = nimber._mul
@@ -345,14 +374,15 @@ def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
         return out if table is not None else out ^ (np.asarray(x) == bad)  # top level only
 
     monkeypatch.setattr(nimber, "_mul", broken)
-    samples = 3 * chunk
-    checks = field_check(1 << 32, mode="sampled", samples=samples).checks
     want = {"triple": [int(a[at]), int(b[at]), int(c[at])]}
-    assert [c.status for c in checks[:-2]] == ["pass"] * 7
-    assert checks[-2].name == f"associativity of the tower product ({samples} sampled triples)"
-    assert checks[-2].witness == want
-    assert checks[-1].name == f"distributivity of the tower product ({samples} sampled triples)"
-    assert checks[-1].witness == want
+    for chunk in (nimber._SAMPLE_CHUNK, 7):
+        monkeypatch.setattr(nimber, "_SAMPLE_CHUNK", chunk)
+        checks = field_check(1 << 32, mode="sampled", samples=samples).checks
+        assert [c.status for c in checks[:-2]] == ["pass"] * 7
+        assert checks[-2].name == f"associativity of the tower product ({samples} sampled triples)"
+        assert checks[-2].witness == want
+        assert checks[-1].name == f"distributivity of the tower product ({samples} sampled triples)"
+        assert checks[-1].witness == want
 
 
 def test_field_check_names_its_witnesses(monkeypatch):
@@ -553,3 +583,5 @@ def test_field_check_errors():
             field_check(q, mode="sampled", samples=0)
         with pytest.raises(InvalidParameterError):
             field_check(q, mode="sampled", samples=-1)
+        with pytest.raises(InputRangeError):  # 3 stream counters per triple leave uint64
+            field_check(q, mode="sampled", samples=1 << 62)
