@@ -28,11 +28,8 @@ wide as the frontier, not as wide as the largest column.  Before any
 column saturates the prefix is empty and every mask is absolute.
 
 The per-column state follows the frontier too: it is kept only for the
-columns above the saturated prefix.  The columns a row adds to the prefix
-are dropped at the start of the next commit, one row late, so that their
-masks can still be read right after the row that completes them.  The
-masks are shifted by this dropped prefix, which trails the saturated one
-by at most one row.  A run therefore holds about one frontier of masks,
+columns above the saturated prefix, and the commit that retires a column
+drops its state.  A run therefore holds about one frontier of masks,
 however many rows it emits: one row's k masks of k bits at r = 1, and the
 masks of the unsaturated used columns, up to v - 1 of them, for the lines
 of PG(n, q).
@@ -97,20 +94,17 @@ class NaiveMatrixGenerator:
     """Streams rows of the greedy matrix while tracking column state.
 
     `_floor` is the length of the saturated prefix, so base = floor + 1 is
-    the lowest column whose degree is below r.  `_held` <= floor is the
-    length of the prefix whose state is dropped, and the rest of the state
-    is relative to it.  The per-column lists hold the columns from `_held`
-    to max_used_column, index i standing for column _held + i (slot 0 is a
-    retired column whose state is never read).  State per held column: its
-    degree, its anchor (the prefix dropped at its first placement), and its
-    closed pair mask, bit i standing for column anchor + i: the column
-    itself and every column it shares a row with.  `_active` marks the used
-    columns whose degree is below r, bit i standing for column _held + i,
-    from a column's first use until it saturates; its lowest bit, when it
-    has one, is base, where the scan starts.  next_row moves the floor past
-    the columns a row saturates, and the next commit starts by dropping
-    them, so a commit always runs with _held = floor.  A row that runs out
-    of active candidates is finished with the fresh columns from
+    the lowest column whose degree is below r.  The per-column lists hold
+    the columns from the floor to max_used_column, index i standing for
+    column floor + i (slot 0 is a retired column whose state is never
+    read).  State per kept column: its degree, its anchor (the floor at its
+    first placement), and its closed pair mask, bit i standing for column
+    anchor + i: the column itself and every column it shares a row with.
+    `_active` marks the used columns whose degree is below r, bit i
+    standing for column floor + i; its lowest bit, when it has one, is
+    base, where the scan starts.  next_row moves the floor past the columns
+    a row saturates and drops their state in the same commit.  A row that
+    runs out of active candidates is finished with the fresh columns from
     max_used_column + 1.  The public queries answer in absolute column
     numbers; connectable_mask leaves out the column's own bit.
 
@@ -124,8 +118,7 @@ class NaiveMatrixGenerator:
         self._k, self._r, self._max_rows = params
         self.emitted = 0
         self.max_used_column = 0
-        self._floor = 0
-        self._held = 0  # columns 1.._held are retired and dropped
+        self._floor = 0  # columns 1.._floor are retired and dropped
         self._degree = [0]
         self._pair = [0]
         self._anchor = [0]
@@ -137,16 +130,16 @@ class NaiveMatrixGenerator:
         if self.emitted >= self._max_rows:
             raise InvalidParameterError(f"all {self._max_rows} requested rows already emitted")
         k = self._k
-        held, pair, anchor = self._held, self._pair, self._anchor
+        floor, pair, anchor = self._floor, self._pair, self._anchor
         placed: list[int] = []
         cand = self._active
-        i = self._floor + 1 - held  # the base, the lowest active column when any is
+        i = 1  # the base, the lowest active column when any is
         while cand:
-            placed.append(held + i)
+            placed.append(floor + i)
             if len(placed) == k:
                 return tuple(placed)
             # the closed mask clears column i and its partners
-            cand ^= cand & (pair[i] >> (held - anchor[i]))
+            cand ^= cand & (pair[i] >> (floor - anchor[i]))
             i = (cand & -cand).bit_length() - 1
         first = self.max_used_column + 1
         return (*placed, *range(first, first + k - len(placed)))
@@ -156,11 +149,6 @@ class NaiveMatrixGenerator:
         points = self.peek_next_row()
         r, floor, active = self._r, self._floor, self._active
         degree, pair, anchor = self._degree, self._pair, self._anchor
-        if floor != self._held:  # the last row moved the floor: drop what it retired, one row late
-            cut = floor - self._held  # slot 0 becomes column floor
-            del degree[:cut], pair[:cut], anchor[:cut]
-            active >>= cut
-            self._held = floor
         fresh = points[-1] - self.max_used_column
         if fresh > 0:
             zeros = [0] * fresh
@@ -184,10 +172,12 @@ class NaiveMatrixGenerator:
             i = x - floor
             shift = floor - anchor[i]  # a shift copies even by 0, a whole frontier wide
             pair[i] |= row_bits << shift if shift else row_bits
-        self._active = active
-        if not active & 2:  # the base column saturated: retire up to the next live one
+        if not active & 2:  # the base column saturated: retire up to the next live one, and drop them
             shift = (active & -active).bit_length() - 2 if active else self.max_used_column - floor
+            del degree[:shift], pair[:shift], anchor[:shift]  # slot 0 becomes the new floor
+            active >>= shift
             self._floor = floor + shift
+        self._active = active
         self.emitted += 1
         return points
 
@@ -200,8 +190,8 @@ class NaiveMatrixGenerator:
         return [Row(i, again.next_row()) for i in range(1, self.emitted + 1)]
 
     def column_degree(self, x: int) -> int:
-        """Rows containing column x: r for every column under the floor."""
-        i = x - self._held
+        """Rows containing column x: r for every column up to the floor."""
+        i = x - self._floor
         if i < 1:  # dropped, or no column
             if x < 1:
                 raise InputRangeError(f"columns are 1-based, got {x}")
@@ -214,12 +204,11 @@ class NaiveMatrixGenerator:
 
     def connectable_mask(self, x: int) -> int:
         """Bitmask of all columns sharing an emitted row with x (bit y for
-        column y).  Exact for the columns above the floor and those the last
-        row retired; 0 for the columns retired before it, whose state is
-        dropped."""
+        column y).  Exact for the columns above the floor; 0 for the
+        retired columns up to it, whose state is dropped."""
         if x < 1:
             raise InputRangeError(f"columns are 1-based, got {x}")
-        i = x - self._held
+        i = x - self._floor
         if i < 1 or x > self.max_used_column:  # dropped, or fresh
             return 0
         return (self._pair[i] << self._anchor[i]) ^ (1 << x)  # the stored mask holds x itself

@@ -56,15 +56,14 @@ def _row_pass(gen: NaiveMatrixGenerator, n: int, q: int, first: dict,
     set first[check] to the witness of the check's first failure (None
     while it holds) for these checks on row i:
 
-    - window: its points lie in [1, v];
+    - window (without the model): its points lie in [1, v];
     - line (with the model): it is line i of pg_lines(n, q);
     - xor (with the model, at q = 2): it is a triple a < b < a^b <= v.
 
-    With the model only a row that differs from its line is tested: every
-    line lies in [1, v], and at q = 2 every line is an xor triple, so the
-    first witnesses are those of testing every row.  Without it every row
-    is tested for the window.  A caller reads gen's state after row i while
-    the pass waits at row i.  No row is kept, and pg_lines holds one block.
+    With the model only a row that differs from its line is tested: at
+    q = 2 every line is an xor triple, so the first witness is that of
+    testing every row.  Without it every row is tested for the window.  No
+    row is kept, and pg_lines holds one block.
     """
     first.update(window=None, line=None, xor=None)
     v, b = expected_counts(n, q)[:2]
@@ -72,9 +71,10 @@ def _row_pass(gen: NaiveMatrixGenerator, n: int, q: int, first: dict,
     for i, line in enumerate(pg_lines(n, q) if model else repeat(None, b), 1):
         row = gen.next_row()
         if row != line:
-            if first["window"] is None and not (0 < row[0] and row[-1] <= v):  # rows ascend
-                first["window"] = {"row": i, "points": list(row), "window": [1, v]}
-            if model and first["line"] is None:
+            if not model:
+                if first["window"] is None and not (0 < row[0] and row[-1] <= v):  # rows ascend
+                    first["window"] = {"row": i, "points": list(row), "window": [1, v]}
+            elif first["line"] is None:
                 first["line"] = {"line": i, "row": list(row), "expected": list(line)}
             if xor_open:
                 x, y, z = row
@@ -155,14 +155,18 @@ def verify_proof_invariants(n: int) -> VerificationReport:
     b; every window point x < b other than a is connectable to a.
 
     At every step m <= d: every complete window point is connectable to all
-    other window points.  A point completes only inside next_row, and from
-    then on its partners are frozen, so each point is checked once, right
-    after the row that completes it; the row's points ascend, so the first
+    other window points.  A point completes in the row that gives it degree
+    r, and from then on its partners are frozen, so each point is checked
+    once, right after that row; the row's points ascend, so the first
     failure found is the smallest failing point of the first failing step.
     counts["complete_points"] is the number of points so checked; on a pass
     it is s.
+
+    The claims are read from the rows alone, through each point's degree
+    and closed partner mask (bit y for y itself and each point it shares a
+    row with), built as the rows are drawn: about s^2/8 bytes, and no row.
     """
-    s, d, _, _ = expected_counts(n, 2)
+    s, d, r, _ = expected_counts(n, 2)
     names = ("next-row points stay in the initial window",
              "complete window points are connectable to all others",
              "window points below c are connectable to a or b",
@@ -170,34 +174,39 @@ def verify_proof_invariants(n: int) -> VerificationReport:
 
     def run(report, gen):
         window_mask = (1 << (s + 1)) - 2  # bits 1..s
+        degree, pair = [0] * (s + 1), [0] * (s + 1)  # index x for point x
         first: dict = {}
         claims: dict[str, dict | None] = {"claim1": None, "claim2": None, "claim3": None}
         checked = 0
-        for m, (a, b, c) in enumerate(_row_pass(gen, n, 2, first, model=False)):
-            # Claims 2 and 3 are read after the row is committed: it adds only
-            # a, b and c to the masks of a and b, and neither need mask holds
-            # them.  Every mask is nonnegative: need ^ (need & mask) is need less mask
-            mask_a = gen.connectable_mask(a)
+        for m, row in enumerate(_row_pass(gen, n, 2, first, model=False)):
+            a, b, c = row
+            if c >= len(pair):  # a row past the window
+                grow = [0] * (c + 1 - len(pair))
+                degree += grow
+                pair += grow
+            bits = (1 << a) | (1 << b) | (1 << c)
+            for x in row:
+                degree[x] += 1
+                pair[x] |= bits
+            # read with the row added, which puts a, b and c in the closed masks of a
+            # and b: neither claim asks for them.  need ^ (need & mask) is need less mask
             if claims["claim2"] is None:
                 need = ((1 << c) - 2) & window_mask
-                need ^= need & ((1 << a) | (1 << b))
-                missing = need ^ (need & (mask_a | gen.connectable_mask(b)))
+                missing = need ^ (need & (pair[a] | pair[b]))
                 if missing:
                     claims["claim2"] = {"step": m, "next_row": [a, b, c],
                                         "point": (missing & -missing).bit_length() - 1}
             if claims["claim3"] is None:
                 need = ((1 << b) - 2) & window_mask
-                need ^= need & (1 << a)
-                missing = need ^ (need & mask_a)
+                missing = need ^ (need & pair[a])
                 if missing:
                     claims["claim3"] = {"step": m, "next_row": [a, b, c],
                                         "point": (missing & -missing).bit_length() - 1}
             if claims["claim1"] is None:
-                for x in (a, b, c):
-                    if x <= s and gen.is_complete(x):
+                for x in row:
+                    if x <= s and degree[x] == r:
                         checked += 1
-                        need = window_mask ^ (1 << x)
-                        missing = need ^ (need & gen.connectable_mask(x))
+                        missing = window_mask ^ (window_mask & pair[x])
                         if missing:
                             claims["claim1"] = {"step": m + 1, "complete_point": x,
                                                 "not_connectable_to": (missing & -missing).bit_length() - 1}
@@ -218,10 +227,11 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     that they are, line for line, the lines of PG(n, q) as pg_lines ranks
     them.
 
-    The window and design checks are independent evidence on the rows
-    alone; the rows go from the generator through the identity and window
-    checks into the design count, and none is kept.  Above the point bound
-    nothing is generated and the identity is reported as indeterminate.
+    The design checks are independent evidence on the rows alone, their
+    "lines stay within [1, v]" the window check; the rows go from the
+    generator through the identity check into the design count, and none
+    is kept.  Above the point bound nothing is generated and the identity
+    is reported as indeterminate.
     """
     if a_exponent < 0:
         raise InvalidParameterError(f"a must be nonnegative, got {a_exponent}")
@@ -233,7 +243,6 @@ def verify_general_q(a_exponent: int, n: int) -> VerificationReport:
     def run(report, gen):
         first: dict = {}
         design = check_design_lines(_row_pass(gen, n, q, first), v, k, r)
-        _add(report, "rows stay within the point window", first["window"])
         report.checks.extend(Check("design: " + c.name, c.status, c.witness) for c in design.checks)
         _add(report, _identity(n, q), first["line"])
 

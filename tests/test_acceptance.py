@@ -7,7 +7,6 @@ unless a runtime bound is quoted.
 
 import json
 import time
-from itertools import combinations
 
 import numpy as np
 
@@ -19,6 +18,8 @@ from naivemat.verify import (lemma_exhaustive, verify_general_q,
                              verify_proof_invariants, verify_theorem_q2,
                              verify_zero_blocks_and_periodicity)
 
+from test_geometry import count_2d_subspaces_gf2
+from test_greedy import lexmin_admissible_row
 from test_nimber import nim_mul_table
 
 FANO_CSV = "1,2,3\n1,4,5\n1,6,7\n2,4,6\n2,5,7\n3,4,7\n3,5,6\n"
@@ -100,28 +101,13 @@ def test_criterion_7_general_q_experiments():
 
 
 def test_criterion_8_oracle_equivalence():
-    def lexmin_row(prev, k, r, bound):
-        deg = {}
-        covered = set()
-        for row in prev:
-            for x in row:
-                deg[x] = deg.get(x, 0) + 1
-            covered.update(combinations(row, 2))
-        for cand in combinations(range(1, bound + 1), k):
-            if any(deg.get(x, 0) >= r for x in cand):
-                continue
-            if any(pair in covered for pair in combinations(cand, 2)):
-                continue
-            return cand
-        return None
-
     ok = True
     for k, r in [(3, 1), (3, 2), (3, 3), (4, 2)]:
         rows = list(generate(GenParams(k, r, 10)))
         prev = []
         for row in rows:
             bound = max((p for rr in prev for p in rr), default=0) + k
-            if row != lexmin_row(prev, k, r, bound):
+            if row != lexmin_admissible_row(prev, k, r, bound):
                 ok = False
                 break
             prev.append(row)
@@ -134,16 +120,8 @@ def test_criterion_9_parameter_identities():
         for n in range(1, 6):
             v, b, r, k = expected_counts(n, q)
             ok = ok and b * k == v * r
-
-    def count_2d_subspaces(dim):
-        spans = set()
-        for x in range(1, 1 << dim):
-            for y in range(x + 1, 1 << dim):
-                spans.add(frozenset((x, y, x ^ y)))
-        return len(spans)
-
     for n in range(1, 5):
         d = expected_counts(n, 2).b
-        ok = ok and d == count_2d_subspaces(n + 1)
+        ok = ok and d == count_2d_subspaces_gf2(n + 1)
         ok = ok and d == len(build_pg(n, 2).lines)
     _criterion(9, "b*k = v*r and d equals the 2-subspace count", ok)

@@ -3,8 +3,9 @@
 perfbench/trace_worker.py calls into naivemat's modules directly, so a
 change to the generator or geometry API can break the traced benchmark
 without breaking any CLI test.  This runs case 0 of every workload,
-fermat-design's `general` cases and nim-field's sampled case through the
-worker in a subprocess and applies the benchmark's own known-answer check.
+q2-proof's invariants case, fermat-design's `general` cases and
+nim-field's sampled case through the worker in a subprocess and applies
+the benchmark's own known-answer check.
 It reads perfbench/ and writes only to a temporary directory.
 """
 
@@ -64,6 +65,16 @@ def test_trace_worker_runs_sampled_field_case(tmp_path):
     # status pass, every check pass, counts q/mode/triples
     assert cases.WORKLOADS["nim-field"][2].p["mode"] == "sampled"
     run_traced(tmp_path, "nim-field", 2)
+
+
+def test_trace_worker_runs_invariants_case(tmp_path):
+    # q2-proof's case 2, the invariant replay: the worker's only
+    # peek-then-commit generation, which sums connectable_mask after its run
+    assert cases.WORKLOADS["q2-proof"][2].command == "invariants"
+    traced = run_traced(tmp_path, "q2-proof", 2)
+    replayed = [span for span in traced["spans"] if span["name"] == "greedy.generate"]
+    assert [span["attrs"]["replay"] for span in replayed] == [True]
+    assert replayed[0]["attrs"]["rows"] == cases.pg_counts(8, 2)[1]
 
 
 @pytest.mark.parametrize("index", [2, 3, 4])

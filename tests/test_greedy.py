@@ -135,12 +135,14 @@ def test_is_complete_and_connectable():
     assert not gen.connectable_mask(1) >> 4 & 1
     gen.next_row()  # {1,4,5}
     assert gen.connectable_mask(4) >> 5 & 1
-    for _ in range(5):
+    for _ in range(4):
         gen.next_row()
     assert gen.is_complete(1)      # rows 1, 2, 3 contain point 1
     assert not gen.is_complete(9)  # never used
-    assert gen.connectable_mask(4) >> 5 & 1   # row 2 = {1,4,5}; row 7 retired 4
-    assert gen.connectable_mask(1) == 0  # retired by row 3, dropped at row 4
+    assert gen.connectable_mask(4) >> 5 & 1  # row 2 = {1,4,5}; 3 is still open after row 6
+    assert gen.connectable_mask(1) == 0  # retired and dropped by row 3
+    gen.next_row()  # {3,5,6} completes every column
+    assert gen.is_complete(4) and gen.connectable_mask(4) == 0
     with pytest.raises(InputRangeError):
         gen.connectable_mask(0)
 
@@ -148,7 +150,7 @@ def test_is_complete_and_connectable():
 def test_connectable_mask_matches_pairs():
     gen = NaiveMatrixGenerator(GenParams(k=3, r=3, max_rows=4))
     rows = [gen.next_row() for _ in range(4)]
-    # column 1 saturated at row 3 and was dropped at row 4
+    # column 1 saturated at row 3, which dropped its state
     assert gen.column_degree(1) == 3 and gen.connectable_mask(1) == 0
     for x in range(2, 8):
         mask = gen.connectable_mask(x)
@@ -206,11 +208,10 @@ def test_window_growth_past_initial_bound():
 def test_state_queries_match_emitted_rows(k, r, n_rows):
     """Every state query agrees with the rows after every row: the degree
     of every column, saturated ones included; the mask of every column
-    above the floor the last row started from, and mask 0 for the columns
-    under it, which were retired before the last row; connectability for
-    every pair that involves a column of the new row, read from both ends
-    where the other end is above that floor.  The floor is the length of
-    the saturated prefix.  The regenerated `rows` property lists exactly
+    above the floor, and mask 0 for the retired columns up to it;
+    connectability for every pair that involves a column of the new row,
+    read from each end above the floor.  The floor is the length of the
+    saturated prefix.  The regenerated `rows` property lists exactly
     the rows emitted."""
     gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
     deg, partners = {}, {}
@@ -222,11 +223,11 @@ def test_state_queries_match_emitted_rows(k, r, n_rows):
         if m < 10:
             bound = max((p for rr in prev for p in rr), default=0) + k
             assert row == lexmin_admissible_row(prev, k, r, bound)
-        floor = next(x for x in range(1, gen.max_used_column + 2) if deg.get(x, 0) < r) - 1
         row_bits = sum(1 << x for x in row)
         for x in row:
             deg[x] = deg.get(x, 0) + 1
             partners[x] = partners.get(x, 0) | (row_bits ^ (1 << x))
+        floor = next(x for x in range(1, gen.max_used_column + 2) if deg.get(x, 0) < r) - 1
         top = gen.max_used_column + 2
         for x in range(1, top + 1):
             assert gen.column_degree(x) == deg.get(x, 0)
@@ -236,7 +237,8 @@ def test_state_queries_match_emitted_rows(k, r, n_rows):
             for y in range(1, top + 1):
                 if y != x:
                     want = partners[x] >> y & 1
-                    assert gen.connectable_mask(x) >> y & 1 == want
+                    if x > floor:
+                        assert gen.connectable_mask(x) >> y & 1 == want
                     if y > floor:
                         assert gen.connectable_mask(y) >> x & 1 == want
         prev.append(row)
@@ -351,7 +353,7 @@ def test_generate_memory_is_linear_in_rows():
 
 
 def test_generate_memory_is_flat_at_r1():
-    # at r = 1 every row retires its k columns, and the next commit drops
+    # at r = 1 every row retires its k columns, and its commit drops
     # them: a run holds one row's k masks of k bits, about k^2/8 bytes,
     # where keeping every used column's mask would add that much per row
     # (about 200 KB at k = 1024)
@@ -450,26 +452,24 @@ class KeepEveryColumn:
 
 def assert_matches_every_column_kept(k, r, n_rows):
     """Equal rows, and after every row equal state for each column that can
-    have changed: the row's columns, the columns it retires (exact masks)
-    and the columns the row before retired (mask 0, now dropped); at the
-    end, every column.  A column's state changes only at those moments."""
+    have changed: the row's columns and the columns it retires (mask 0,
+    now dropped); at the end, every column.  A column's state changes only
+    at those moments."""
     gen, ref = NaiveMatrixGenerator(GenParams(k, r, n_rows)), KeepEveryColumn(k, r)
 
-    def same_state(x, floor):  # the columns under floor were retired before the last row
+    def same_state(x):  # the columns up to the floor are retired
         assert gen.column_degree(x) == ref.column_degree(x)
-        assert gen.connectable_mask(x) == (ref.connectable_mask(x) if x > floor else 0)
+        assert gen.connectable_mask(x) == (ref.connectable_mask(x) if x > ref._floor else 0)
 
-    last_floor = 0
     for _ in range(n_rows):
         floor = ref._floor
         row = ref.next_row()
         assert gen.next_row() == row
         assert gen.max_used_column == ref.max_used_column
-        for x in (*row, *range(last_floor + 1, ref._floor + 1)):
-            same_state(x, floor)
-        last_floor = floor
+        for x in (*row, *range(floor + 1, ref._floor + 1)):
+            same_state(x)
     for x in range(1, ref.max_used_column + 2):
-        same_state(x, last_floor)
+        same_state(x)
 
 
 @pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 8)] + [(2, 4), (3, 4), (2, 16)])

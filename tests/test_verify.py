@@ -83,9 +83,8 @@ def passed(*names):
         "counts": {"n": 3, "d": 35, "s": 15, "steps": 35, "complete_points": 15}}),
     (verify_general_q, (1, 2), {
         "subject": "general q=4 n=2", "status": "pass",
-        "checks": passed("rows stay within the point window", "design: b*k = v*r",
-                         "design: lines stay within [1, v]", "design: every line has k points",
-                         "design: every point has degree r",
+        "checks": passed("design: b*k = v*r", "design: lines stay within [1, v]",
+                         "design: every line has k points", "design: every point has degree r",
                          "design: every point pair is covered exactly 1 time(s)",
                          IDENTITY.format(2, 4)),
         "counts": {"q": 4, "n": 2, "v": 21, "b": 21, "k": 5, "r": 5}}),
@@ -238,15 +237,16 @@ def test_periodicity_without_reset_is_indeterminate(monkeypatch, broken, reason)
 
 def test_one_row_pass_names_the_row_leaving_the_window(monkeypatch):
     # every harness over greedy rows draws them through the same pass: each
-    # names row 3 in its own witness format
+    # names row 3 in its own witness format.  The pass tests the window only
+    # without the model; `general` reads it from its design check instead
     monkeypatch.setattr(verify, "NaiveMatrixGenerator", LeavesTheWindow)
     window = {"row": 3, "points": [1, 6, 8], "window": [1, 7]}
     assert verify_zero_blocks_and_periodicity(2, 3).checks[0] == Check(WINDOW, "fail", window)
     assert verify_proof_invariants(2).checks[0] == Check(
         "next-row points stay in the initial window", "fail", {"step": 2, "points": [1, 6, 8]})
     general = {c.name: c for c in verify_general_q(0, 2).checks}
-    assert general["rows stay within the point window"] == Check(
-        "rows stay within the point window", "fail", window)
+    assert general["design: lines stay within [1, v]"] == Check(
+        "design: lines stay within [1, v]", "fail", {"line": 3, "points": [1, 6, 8]})
     line = {"line": 3, "row": [1, 6, 8], "expected": [1, 6, 7]}
     assert general[IDENTITY.format(2, 2)].witness == line
     assert verify_theorem_q2(2).checks[1] == Check(IDENTITY.format(2, 2), "fail", line)
@@ -258,46 +258,46 @@ def test_one_row_pass_names_the_row_leaving_the_window(monkeypatch):
 
 def rescan_invariants(n):
     """The invariant replay that rescans every window point for Claim 1 at
-    every step m = 0..d, as (checks, counts).  Reads expected_counts and
-    NaiveMatrixGenerator through `verify`, so a patch there reaches it."""
+    every step m = 0..d, read from the rows, as (checks, counts).  Reads
+    expected_counts and NaiveMatrixGenerator through `verify`, so a patch
+    there reaches it.  A point's partners are an open mask, bit y for each
+    point y it shares one of the first m rows with."""
     s, d, r, _ = verify.expected_counts(n, 2)
     window_mask = ((1 << (s + 1)) - 1) & ~1  # bits 1..s
     gen = verify.NaiveMatrixGenerator(GenParams(k=3, r=r, max_rows=d))
+    rows = [gen.next_row() for _ in range(d)]
 
     first = {"member": None, "claim1": None, "claim2": None, "claim3": None}
-    # a complete point's partners never change, but its mask reads 0 once
-    # the generator drops it, a row after the row that retires it: Claim 1
-    # reads the union of every mask read so far
-    seen = {}
+    degree, partners = {}, {}
     for m in range(d + 1):
         if first["claim1"] is None:
             for x in range(1, s + 1):
-                if gen.column_degree(x) == r:
-                    want = window_mask & ~(1 << x)
-                    seen[x] = seen.get(x, 0) | gen.connectable_mask(x)
-                    missing = want & ~seen[x]
+                if degree.get(x, 0) == r:
+                    missing = window_mask & ~(1 << x) & ~partners[x]
                     if missing:
                         first["claim1"] = {"step": m, "complete_point": x,
                                            "not_connectable_to": (missing & -missing).bit_length() - 1}
                         break
         if m == d:
             break
-        a, b, c = gen.peek_next_row()
+        a, b, c = rows[m]
         if first["member"] is None and not 1 <= a < b < c <= s:
             first["member"] = {"step": m, "points": [a, b, c]}
         if first["claim2"] is None:
             need = ((1 << c) - 2) & window_mask & ~(1 << a) & ~(1 << b)
-            missing = need & ~(gen.connectable_mask(a) | gen.connectable_mask(b))
+            missing = need & ~(partners.get(a, 0) | partners.get(b, 0))
             if missing:
                 first["claim2"] = {"step": m, "next_row": [a, b, c],
                                    "point": (missing & -missing).bit_length() - 1}
         if first["claim3"] is None:
             need = ((1 << b) - 2) & window_mask & ~(1 << a)
-            missing = need & ~gen.connectable_mask(a)
+            missing = need & ~partners.get(a, 0)
             if missing:
                 first["claim3"] = {"step": m, "next_row": [a, b, c],
                                    "point": (missing & -missing).bit_length() - 1}
-        gen.next_row()
+        for x in rows[m]:
+            degree[x] = degree.get(x, 0) + 1
+            partners[x] = partners.get(x, 0) | sum(1 << y for y in rows[m] if y != x)
 
     names = ["next-row points stay in the initial window",
              "complete window points are connectable to all others",
@@ -355,26 +355,40 @@ def test_proof_invariants_narrower_window_matches_rescan(monkeypatch, n):
     assert checked == rep.counts["s"]
 
 
-@pytest.mark.parametrize("n,point,partner,step", [
-    (4, 6, 11, None),  # Claims 2 and 3 fail at step 71, Claim 1 at 79
-    (2, 6, 1, 7),  # Claim 1 alone
-    (3, 2, 1, None),  # Claim 3 alone at step 7, Claim 1 at 13; Claim 2 holds
-    (3, 1, 3, None),  # Claims 2 and 3 at step 1, Claim 1 at 7
-])
-def test_proof_invariants_hidden_partner_matches_rescan(monkeypatch, n, point, partner, step):
-    class HidesOnePartner(NaiveMatrixGenerator):
-        def connectable_mask(self, x):
-            mask = super().connectable_mask(x)
-            return mask & ~(1 << partner) if x == point else mask
+def fano_with_rows_4_to_7(lines):
+    # a relabelled Fano plane: point 4 first meets 2 in row 5
+    return lines[:3] + [(2, 5, 6), (2, 4, 7), (3, 4, 6), (3, 5, 7)]
 
-    monkeypatch.setattr(verify, "NaiveMatrixGenerator", HidesOnePartner)
+
+def row_replaced(i, row):
+    return lambda lines: lines[:i - 1] + [row] + lines[i:]
+
+
+def rows_swapped(i, j):
+    def swap(lines):
+        lines[i - 1], lines[j - 1] = lines[j - 1], lines[i - 1]
+        return lines
+    return swap
+
+
+@pytest.mark.parametrize("n, mutate, failing, witness", [
+    # Claim 1 alone: row 3 repeats the pair (1, 2), so 1 completes without 7
+    (2, row_replaced(3, (1, 2, 6)), [1], {"step": 3, "complete_point": 1, "not_connectable_to": 7}),
+    # Claim 3 alone: the rows are still a Fano plane, so Claim 1 holds
+    (2, fano_with_rows_4_to_7, [3], {"step": 3, "next_row": [2, 5, 6], "point": 4}),
+    # Claims 2 and 3 together: row 2 first, before 1 meets 2 and 3
+    (3, rows_swapped(1, 2), [2, 3], {"step": 0, "next_row": [1, 4, 5], "point": 2}),
+    # all three claims: row 1 leaves point 1 out, and 2, 3 and 4 open the rows
+    (2, row_replaced(1, (2, 3, 4)), [1, 2, 3], {"step": 0, "next_row": [2, 3, 4], "point": 1}),
+    # Claims 1 and 3: row 18, (3, 12, 15), meets 12 and 15 at 1 in place of 3
+    (3, row_replaced(18, (1, 12, 15)), [1, 3], {"step": 18, "next_row": [3, 13, 14], "point": 12}),
+], ids=["claim1", "claim3", "claims2-3", "claims1-2-3", "claims1-3"])
+def test_proof_invariants_mutated_rows_match_rescan(replay_rows, n, mutate, failing, witness):
+    # rows that break the claims, fed to the harness and to the rescan alike
+    replay_rows(mutate(list(build_pg(n, 2).lines)))
     rep, _ = assert_matches_rescan(n)
-    claim1 = rep.checks[1]
-    assert claim1.status == "fail"
-    assert claim1.witness["complete_point"] == point
-    assert claim1.witness["not_connectable_to"] == partner
-    if step is not None:  # the last row completes the point: caught at step d
-        assert claim1.witness["step"] == step == rep.counts["d"]
+    assert [i for i, c in enumerate(rep.checks) if c.status == "fail"] == failing
+    assert rep.checks[failing[-1]].witness == witness
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +505,10 @@ def test_general_q_row_leaving_the_window_names_the_row(replay_rows):
     lines = list(build_pg(2, 4).lines)
     lines[20] = lines[20][:-1] + (22,)  # PG(2,4) has 21 points
     replay_rows(lines)
-    rep = verify_general_q(1, 2)
-    assert rep.checks[0].name == "rows stay within the point window"
-    assert rep.checks[0].witness == {"row": 21, "points": list(lines[20]), "window": [1, 21]}
+    by_name = {c.name: c for c in verify_general_q(1, 2).checks}
+    # the design check is the report's one window check
+    assert [name for name in by_name if "within" in name] == ["design: lines stay within [1, v]"]
+    assert by_name["design: lines stay within [1, v]"].witness == {"line": 21, "points": list(lines[20])}
 
 
 def test_general_q_guards():
