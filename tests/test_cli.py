@@ -626,8 +626,9 @@ def test_help_exits_zero():
 
 
 # The modules a command adds to those of a bare interpreter.  numpy is
-# imported by the code that builds arrays and by nothing else: the field
-# laws and the GF(256) product table
+# imported by the code that builds arrays and by nothing else: the sampled
+# field check's draws and products.  The exact field laws and the GF(256)
+# product table are bytes and ints
 _COLD_START = """
 import sys
 bare = set(sys.modules)
@@ -662,10 +663,12 @@ def _cold_start(tmp_path, argv):
     (["export-pg", "--n", "2", "--q", "4", "--out"], False),
     (["export-pg", "--n", "2", "--q", "16", "--out"], False),
     (["verify", "general", "--a", "1", "--n", "2", "--out"], False),
-    (["verify", "field", "--q", "16", "--out"], True),
+    (["verify", "field", "--q", "16", "--out"], False),
+    (["verify", "field", "--q", "4294967296", "--out"], False),
     (["verify", "field", "--q", "65536", "--mode", "sampled", "--samples", "10", "--out"], True),
     (["verify", "lemma", "--bound", "8", "--out"], False),
-    (["export-pg", "--n", "1", "--q", "256", "--out"], True),  # a width-8 product
+    (["export-pg", "--n", "1", "--q", "256", "--out"], False),  # a width-8 product
+    (["verify", "general", "--a", "3", "--n", "1", "--out"], False),  # q = 256
 ], ids=lambda x: (" ".join(x) or "import") if isinstance(x, list) else
                  ("numpy" if x else "no-numpy"))
 def test_numpy_is_loaded_only_by_array_commands(tmp_path, argv, loads_numpy):

@@ -3,6 +3,7 @@
 import functools
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from naivemat import nimber
 from naivemat.errors import InputRangeError, InvalidParameterError
-from naivemat.nimber import (_gf256, _mul, field_check,
+from naivemat.nimber import (_gf256, _mul, _products, field_check,
                              greediness_lemma_holds, is_fermat_two_power, nim_mul)
 
 nimbers = st.integers(min_value=0, max_value=(1 << 63) - 1)
@@ -109,24 +110,42 @@ def test_nim_mul_table_matches_scalar_mex():
 
 
 def test_base_table_equals_mex_reference():
-    # the GF(256) table the splitting rule builds from GF(2)
-    assert (_gf256() == nim_mul_table(256)).all()
-    # widths 1, 2 and 4 end in GF(2), x & y, and read no table: every pair
-    # as uint64 arrays (as field_check passes them)
+    # the GF(256) table the splitting rule builds from GF(2) in one _mul
+    # call on byte lanes: 65,536 bytes, entry 256a + b
+    assert _gf256() == nim_mul_table(256).astype(np.uint8).tobytes()
+    # widths 1, 2 and 4 end in GF(2), x & y, and read no table: every pair,
+    # in byte lanes (the tables field_check reads) and as uint64 arrays
     ref = nim_mul_table(16)
     for bits in (1, 2, 4):
+        assert _products(bits) == ref[:1 << bits, :1 << bits].astype(np.uint8).tobytes()
         xs = np.arange(1 << bits, dtype=np.uint64)
         p = _mul(xs[:, None], xs[None, :], bits)
         assert p.dtype == np.uint64
         assert (p == ref[:1 << bits, :1 << bits]).all()
 
 
+@pytest.mark.parametrize("bits", [16, 32])
+def test_packed_lanes_match_scalar(bits):
+    # random values in lanes of `bits` bits, multiplied in one call that
+    # runs down to GF(2) (a table width above `bits` reads no table)
+    rng, n = random.Random(bits), 500
+    xs, ys = ([rng.getrandbits(bits) for _ in range(n)] for _ in range(2))
+
+    def pack(values):
+        return int.from_bytes(b"".join(v.to_bytes(bits // 8, "little") for v in values), "little")
+
+    got = _mul(pack(xs), pack(ys), bits, None, 2 * bits, pack([1] * n))
+    assert got < 1 << bits * n
+    assert got == pack([nim_mul(x, y) for x, y in zip(xs, ys)])
+
+
 def test_array_products_match_scalar():
     rng = np.random.default_rng(7)
+    table = np.frombuffer(_gf256(), dtype=np.uint8).astype(np.uint64)  # what arrays read
     for bits in (8, 16, 32, 63):
         a = rng.integers(0, 1 << bits, size=2000, dtype=np.uint64)
         b = rng.integers(0, 1 << bits, size=2000, dtype=np.uint64)
-        p = _mul(a, b, 64)
+        p = _mul(a, b, 64, table)
         assert p.dtype == np.uint64
         for x, y, z in zip(a.tolist(), b.tolist(), p.tolist()):
             assert z == nim_mul(x, y)
@@ -369,9 +388,9 @@ def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
     assert np.count_nonzero(a == bad) == 1
     real = nimber._mul
 
-    def broken(x, y, bits, table=None, table_bits=nimber._TABLE_BITS):
-        out = real(x, y, bits, table, table_bits)
-        return out if table is not None else out ^ (np.asarray(x) == bad)  # top level only
+    def broken(x, y, bits, table=None, table_bits=nimber._TABLE_BITS, one=1):
+        out = real(x, y, bits, table, table_bits, one)
+        return out ^ (np.asarray(x) == bad) if bits == 32 else out  # top level only
 
     monkeypatch.setattr(nimber, "_mul", broken)
     want = {"triple": [int(a[at]), int(b[at]), int(c[at])]}
@@ -385,12 +404,25 @@ def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
         assert checks[-1].witness == want
 
 
+def _inject_table(monkeypatch, mul):
+    """Make field_check's table laws read the products of mul, a multiplier
+    on uint64 arrays: as bytes, or, when a product is above 255, as an
+    array of 64-bit entries."""
+    def products(bits):
+        xs = np.arange(1 << bits, dtype=np.uint64)
+        t = mul(xs[:, None], xs[None, :], bits).ravel()
+        return t.astype(np.uint8).tobytes() if t.max() < 256 else array("Q", t.tolist())
+
+    monkeypatch.setattr(nimber, "_products", products)
+    monkeypatch.setattr(nimber, "_table", None)  # the GF(256) table is built by _products
+
+
 def test_field_check_names_its_witnesses(monkeypatch):
     # xor in place of the nim product: closed, commutative and associative,
     # but 1 is no identity and the product does not distribute (every row
     # of the xor table holds a 1, so the inverse law, read off the table,
     # passes: it means something only where 1 is the identity)
-    monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: x ^ y)
+    _inject_table(monkeypatch, lambda x, y, bits: x ^ y)
     rep = field_check(4)
     by_name = {c.name: c for c in rep.checks}
     assert rep.status == "fail"
@@ -399,8 +431,11 @@ def test_field_check_names_its_witnesses(monkeypatch):
     assert by_name["distributivity (exhaustive)"].witness == {"triple": [1, 0, 0]}
     assert by_name["every nonzero element has an inverse"].status == "pass"
     # the integer product mod 255 is closed on [0, 256) but does not
-    # distribute over xor: the sampled witness is a real triple
-    monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: (x * y) % 255)
+    # distribute over xor: the sampled witness is a real triple (the tower
+    # level and the samples multiply with it too)
+    mul = lambda x, y, bits, table=None: (x * y) % 255
+    monkeypatch.setattr(nimber, "_mul", mul)
+    _inject_table(monkeypatch, mul)
     rep = field_check(65536, mode="sampled", samples=100)
     a, b, c = rep.checks[-1].witness["triple"]
     assert rep.checks[-1].name == "distributivity of the tower product (100 sampled triples)"
@@ -410,22 +445,24 @@ def test_field_check_names_its_witnesses(monkeypatch):
 def _mul_with_constant_1_at(bad_h):
     """A test-side copy of nimber._mul whose width-2h step multiplies hi by
     1, not by 2^(h-1), at h = bad_h: X^2 + X + 1, reducible over GF(2^h)
-    for even h, so [0, 2^(2h)) is a ring with zero divisors there."""
-    def mul(x, y, bits, table=None, table_bits=nimber._TABLE_BITS):
+    for even h, so [0, 2^(2h)) is a ring with zero divisors there.  Like
+    _mul it runs on ints, packed ints and uint64 arrays, so it builds the
+    GF(256) table too."""
+    def mul(x, y, bits, table=None, table_bits=nimber._TABLE_BITS, one=1):
         if bits == 1:
             return x & y
         if bits >= table_bits and table is None:
             table = nimber._gf256()
         if bits == table_bits:
-            return table[x, y]
+            return table[(x << table_bits) | y]
         h = bits // 2
-        low = (1 << h) - 1
-        x1, x0, y1, y0 = x >> h, x & low, y >> h, y & low
-        lo = mul(x0, y0, h, table, table_bits)
-        hi = mul(x1, y1, h, table, table_bits)
-        mid = mul(x0 ^ x1, y0 ^ y1, h, table, table_bits)
-        c = 1 if h == bad_h else 1 << (h - 1)
-        return ((mid ^ lo) << h) ^ lo ^ mul(hi, c, h, table, table_bits)
+        low = (one << h) - one
+        x1, x0, y1, y0 = (x >> h) & low, x & low, (y >> h) & low, y & low
+        lo = mul(x0, y0, h, table, table_bits, one)
+        hi = mul(x1, y1, h, table, table_bits, one)
+        mid = mul(x0 ^ x1, y0 ^ y1, h, table, table_bits, one)
+        c = one if h == bad_h else one << (h - 1)
+        return ((mid ^ lo) << h) ^ lo ^ mul(hi, c, h, table, table_bits, one)
     return mul
 
 
@@ -452,7 +489,8 @@ def test_field_check_mutated_tower_constant_names_its_level(monkeypatch):
 
 def test_field_check_mutated_table_fails_a_table_law(monkeypatch):
     # X^2 + X + 1 over GF(4) has the roots 2 and 3, so X + 2 = 6 has no
-    # inverse; the GF(256) table is built by _mul, so it is rebuilt mutated
+    # inverse; the tables are built by one packed _mul call, so they are
+    # rebuilt mutated
     monkeypatch.setattr(nimber, "_mul", _mul_with_constant_1_at(2))
     monkeypatch.setattr(nimber, "_table", None)
     rep = field_check(16)
@@ -506,13 +544,19 @@ def _last_row_copies_row_1(t):
     t[-1] = t[1]
 
 
+def _to_gf2(mul):
+    """mul on uint64 arrays with its recursion run down to GF(2): a table
+    width above 8 reads no table."""
+    return lambda x, y, bits: mul(x, y, bits, None, 2 * nimber._TABLE_BITS)
+
+
 TABLE_MULTIPLIERS = {
-    "nim": _mul,
+    "nim": _to_gf2(_mul),
     "xor": lambda x, y, bits: x ^ y,
     "and": lambda x, y, bits: x & y,
     "product mod 2^bits - 1": lambda x, y, bits: (x * y) % ((1 << bits) - 1),
-    "tower constant 1 at h=2": _mul_with_constant_1_at(2),
-    "tower constant 1 at h=4": _mul_with_constant_1_at(4),
+    "tower constant 1 at h=2": _to_gf2(_mul_with_constant_1_at(2)),
+    "tower constant 1 at h=4": _to_gf2(_mul_with_constant_1_at(4)),
     "dot product mod 2": _dot_mod_2,
 }
 TABLE_EDITS = [_flip_2_3, _flip_3_3, _last_row_copies_row_1]  # of the nim table
@@ -526,8 +570,7 @@ def test_field_check_table_laws_match_the_plane_scan(monkeypatch, mul, q):
         edited = nim_mul_table(q).astype(np.uint64)
         mul(edited)
         mul = lambda x, y, bits: edited[x, y]
-    monkeypatch.setattr(nimber, "_mul", mul)
-    monkeypatch.setattr(nimber, "_table", None)  # the GF(256) table is built by _mul
+    _inject_table(monkeypatch, mul)
     xs = np.arange(q, dtype=np.uint64)
     want = _plane_scan(mul(xs[:, None], xs[None, :], q.bit_length() - 1))
     checks = {c.name: c for c in field_check(q).checks}
@@ -559,8 +602,11 @@ def test_field_check_passes_without_the_plane_scan(monkeypatch):
 def test_field_check_non_closed_table_names_its_closure_witness(monkeypatch):
     # the integer product leaves [0, p): closure names its pair, associativity
     # cannot compose the table and is indeterminate, and distributivity,
-    # which indexes the table by inputs only, still decides
-    monkeypatch.setattr(nimber, "_mul", lambda x, y, bits: x * y)
+    # which indexes the table by inputs only, still decides.  At p = 256
+    # the table the laws read holds the products above 255 in wider entries
+    mul = lambda x, y, bits, table=None: x * y
+    monkeypatch.setattr(nimber, "_mul", mul)
+    _inject_table(monkeypatch, mul)
     for rep, pair in ((field_check(4), [2, 2]),
                       (field_check(65536, mode="sampled", samples=1000), [2, 128])):
         closure, _, _, assoc, distrib = rep.checks[:5]
