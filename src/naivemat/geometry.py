@@ -94,9 +94,9 @@ def pg_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
 
 def _ranked_lines(n: int, q: int) -> Iterator[tuple[int, ...]]:
     w = q.bit_length() - 1  # bits per base-q digit
-    mul = [[nim_mul(lam, x) for x in range(q)] for lam in range(q)]
     # scaled[lam][t]: the tail t with every base-q digit nim-multiplied by
-    # lam; row 2's tail has at most n - 1 digits
+    # lam; row 2's tail has at most n - 1 digits, so at n = 1 no product is read
+    mul = [[nim_mul(lam, x) for x in range(q)] for lam in range(q)] if n > 1 else ()
     scaled = []
     for lam in range(q):
         table = [0]

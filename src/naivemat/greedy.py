@@ -13,26 +13,32 @@ and the generator stores nothing for them.
 
 The generator's state is relative to the frontier: `base`, the lowest
 column whose degree is still below r.  Every column under base is saturated
-and can never be placed again, so each mask is stored shifted down by the
-length of that saturated prefix: the mask of unsaturated columns by the
-current prefix, and each column's pair mask by its anchor, the prefix at
-the column's first placement, as every partner it ever gets lies above
-that.  A pair mask is closed: each row ORs all its columns into the mask of
-each, so the mask holds the column's own bit beside its partners', and
-placing a column clears it and its partners from the candidates with one
-AND and one XOR of nonnegative ints.  connectable_mask clears the own bit,
-since a column is not its own partner.  A scan starts at base with no
-search: whenever a used column is unsaturated, base is the lowest one.
-Building a row therefore costs a handful of big-int operations on masks as
-wide as the frontier, not as wide as the largest column.  Before any
-column saturates the prefix is empty and every mask is absolute.
+and can never be placed again, so no mask needs a bit for it.  Every list
+and mask shares one offset, at most base: slot i and bit i stand for column
+offset + i, so the scan reads a pair mask as stored and the commit ORs the
+row's mask straight in.  A pair mask is closed: each row ORs all its
+columns into the mask of each, so the mask holds the column's own bit
+beside its partners', and placing a column clears it and its partners from
+the candidates with one AND and one XOR of nonnegative ints.  A scan starts
+at base with no search: whenever a used column is unsaturated, base is the
+lowest one.  Building a row therefore costs a handful of big-int
+operations on masks as wide as the frontier, not as wide as the largest
+column.
 
-The per-column state follows the frontier too: it is kept only for the
-columns above the saturated prefix, and the commit that retires a column
-drops its state.  A run therefore holds about one frontier of masks,
-however many rows it emits: one row's k masks of k bits at r = 1, and the
-masks of the unsaturated used columns, up to v - 1 of them, for the lines
-of PG(n, q).
+The per-column state follows the frontier too.  The commit that retires
+columns zeroes their masks, and once the retired prefix is at least as long
+as the kept part it deletes the prefix and shifts the kept masks down to
+base in one pass: an amortised O(1) mask operation per retired column.  A
+run therefore holds at most about two frontiers of mask slots, however many
+rows it emits: one row's k masks of k bits at r = 1, and the masks of the
+unsaturated used columns, up to v - 1 of them, for the lines of PG(n, q).
+A shift drops the partners below the offset, so connectable_mask reports
+the partners above the floor only.
+
+Rows come from one generator frame that holds the state in locals and
+writes back what each row changed: next_row resumes it, and peek_next_row
+runs one step of a frame of its own on a copy of the state, so the scan and
+the commit are written once.
 
 The rows are periodic.  A complete column is never placed again, so once a
 row leaves every used column complete the greedy rule sees only fresh
@@ -94,92 +100,55 @@ class NaiveMatrixGenerator:
     """Streams rows of the greedy matrix while tracking column state.
 
     `_floor` is the length of the saturated prefix, so base = floor + 1 is
-    the lowest column whose degree is below r.  The per-column lists hold
-    the columns from the floor to max_used_column, index i standing for
-    column floor + i (slot 0 is a retired column whose state is never
-    read).  State per kept column: its degree, its anchor (the floor at its
-    first placement), and its closed pair mask, bit i standing for column
-    anchor + i: the column itself and every column it shares a row with.
-    `_active` marks the used columns whose degree is below r, bit i
-    standing for column floor + i; its lowest bit, when it has one, is
-    base, where the scan starts.  next_row moves the floor past the columns
-    a row saturates and drops their state in the same commit.  A row that
-    runs out of active candidates is finished with the fresh columns from
-    max_used_column + 1.  The public queries answer in absolute column
-    numbers; connectable_mask leaves out the column's own bit.
+    the lowest column whose degree is below r.  The per-column lists and
+    every mask share one offset, at most base: index i and bit i stand for
+    column offset + i, from the offset to max_used_column.  State per kept
+    column: its degree and its closed pair mask, the column itself and
+    every column it shares a row with.  `_active` marks the used columns
+    whose degree is below r; its lowest bit, when it has one, is base,
+    where the scan starts.  The commit that moves the floor zeroes the
+    masks of the columns it retires; once the retired prefix is at least
+    as long as the kept part, it deletes the prefix and shifts the kept
+    masks and `_active` down in one pass, so the offset becomes base.  A
+    row that runs out of active candidates is finished with the fresh
+    columns from max_used_column + 1.  The public queries answer in
+    absolute column numbers.
 
+    Rows come from one frame, `_frame` (see _rows): it holds the state in
+    locals and writes back what a row changed before it hands the row out.
     No row history is kept: next_row hands each row to the caller, and
     `emitted` counts them.
     """
 
+    # _frame is kept out of the __dict__ that the frame holds, so they form no cycle
+    __slots__ = ("__dict__", "_frame")
+
     def __init__(self, params: GenParams):
         self.params = params
-        # read on every row, where an attribute costs less than a namedtuple field
-        self._k, self._r, self._max_rows = params
+        self._k, self._r, self._max_rows = params  # read by the frame and the queries
         self.emitted = 0
         self.max_used_column = 0
-        self._floor = 0  # columns 1.._floor are retired and dropped
-        self._degree = [0]
-        self._pair = [0]
-        self._anchor = [0]
+        self._floor = 0  # columns 1.._floor are retired
+        self._offset = 1  # index i and bit i stand for column _offset + i
+        self._degree: list[int] = []
+        self._pair: list[int] = []
         self._active = 0
-
-    def peek_next_row(self) -> tuple[int, ...]:
-        """Columns the next row will use, without committing it: a pure
-        lookahead that changes no state."""
-        if self.emitted >= self._max_rows:
-            raise InvalidParameterError(f"all {self._max_rows} requested rows already emitted")
-        k = self._k
-        floor, pair, anchor = self._floor, self._pair, self._anchor
-        placed: list[int] = []
-        cand = self._active
-        i = 1  # the base, the lowest active column when any is
-        while cand:
-            placed.append(floor + i)
-            if len(placed) == k:
-                return tuple(placed)
-            # the closed mask clears column i and its partners
-            cand ^= cand & (pair[i] >> (floor - anchor[i]))
-            i = (cand & -cand).bit_length() - 1
-        first = self.max_used_column + 1
-        return (*placed, *range(first, first + k - len(placed)))
+        self._frame = _rows(self.__dict__)
 
     def next_row(self) -> tuple[int, ...]:
         """Commit the next row and return its columns, in ascending order."""
-        points = self.peek_next_row()
-        r, floor, active = self._r, self._floor, self._active
-        degree, pair, anchor = self._degree, self._pair, self._anchor
-        fresh = points[-1] - self.max_used_column
-        if fresh > 0:
-            zeros = [0] * fresh
-            degree += zeros
-            pair += zeros
-            anchor += zeros
-            self.max_used_column = points[-1]
-        row_bits = 0  # bit i and index i stand for column floor + i
-        for x in points:
-            i = x - floor
-            bit = 1 << i
-            row_bits |= bit
-            d = degree[i] + 1
-            degree[i] = d
-            if d == 1:
-                anchor[i] = floor
-                active |= bit
-            if d == r:
-                active ^= bit  # set since the first placement
-        for x in points:
-            i = x - floor
-            shift = floor - anchor[i]  # a shift copies even by 0, a whole frontier wide
-            pair[i] |= row_bits << shift if shift else row_bits
-        if not active & 2:  # the base column saturated: retire up to the next live one, and drop them
-            shift = (active & -active).bit_length() - 2 if active else self.max_used_column - floor
-            del degree[:shift], pair[:shift], anchor[:shift]  # slot 0 becomes the new floor
-            active >>= shift
-            self._floor = floor + shift
-        self._active = active
-        self.emitted += 1
-        return points
+        for row in self._frame:
+            return row
+        raise InvalidParameterError(f"all {self._max_rows} requested rows already emitted")
+
+    def peek_next_row(self) -> tuple[int, ...]:
+        """Columns the next row will use, without committing it: one step
+        of the row frame on a copy of the state, which leaves this one as
+        it is."""
+        twin = object.__new__(NaiveMatrixGenerator)
+        twin.__dict__.update(self.__dict__, _degree=self._degree.copy(), _pair=self._pair.copy())
+        twin._frame = _rows(twin.__dict__)
+        return twin.next_row()
 
     @property
     def rows(self) -> list[Row]:
@@ -191,27 +160,84 @@ class NaiveMatrixGenerator:
 
     def column_degree(self, x: int) -> int:
         """Rows containing column x: r for every column up to the floor."""
-        i = x - self._floor
-        if i < 1:  # dropped, or no column
+        if x <= self._floor:  # retired, or no column
             if x < 1:
                 raise InputRangeError(f"columns are 1-based, got {x}")
             return self._r
-        return self._degree[i] if x <= self.max_used_column else 0
+        return self._degree[x - self._offset] if x <= self.max_used_column else 0
 
     def is_complete(self, x: int) -> bool:
         """Whether column x has reached degree r in the emitted rows."""
         return self.column_degree(x) >= self._r
 
     def connectable_mask(self, x: int) -> int:
-        """Bitmask of all columns sharing an emitted row with x (bit y for
-        column y).  Exact for the columns above the floor; 0 for the
-        retired columns up to it, whose state is dropped."""
+        """Bitmask of the columns above the floor that share an emitted row
+        with x (bit y for column y); 0 for the retired columns up to the
+        floor.  A bulk shift drops the partners below the floor, so they
+        are left out for every column."""
         if x < 1:
             raise InputRangeError(f"columns are 1-based, got {x}")
-        i = x - self._floor
-        if i < 1 or x > self.max_used_column:  # dropped, or fresh
+        if x <= self._floor or x > self.max_used_column:  # retired, or fresh
             return 0
-        return (self._pair[i] << self._anchor[i]) ^ (1 << x)  # the stored mask holds x itself
+        base, offset = self._floor + 1, self._offset
+        # the stored mask holds x itself
+        return (self._pair[x - offset] >> (base - offset) << base) ^ (1 << x)
+
+
+def _rows(state: dict) -> Iterator[tuple[int, ...]]:
+    """The frame that makes every row of a NaiveMatrixGenerator, up to row
+    max_rows: it reads the generator's attributes from `state`, its
+    __dict__, at the first resume, keeps them in locals, and writes back
+    what each row changed before yielding the row.  It holds the __dict__,
+    not the generator, so the two form no reference cycle."""
+    k, r = state["_k"], state["_r"]
+    degree, pair = state["_degree"], state["_pair"]  # changed in place
+    active, floor, offset, top = state["_active"], state["_floor"], state["_offset"], state["max_used_column"]
+    for emitted in range(state["emitted"] + 1, state["_max_rows"] + 1):
+        placed = []
+        cand = active
+        row_bits = 0  # bit i stands for column offset + i
+        while cand:
+            low = cand & -cand  # base first: the lowest active column when any is
+            row_bits |= low
+            i = low.bit_length() - 1
+            placed.append(offset + i)
+            if len(placed) == k:
+                break
+            # the closed mask clears column i and its partners
+            cand ^= cand & pair[i]
+        else:  # finish with fresh columns, consecutive from top + 1
+            fresh = k - len(placed)
+            placed += range(top + 1, top + 1 + fresh)
+            bits = ((1 << fresh) - 1) << (top + 1 - offset)
+            row_bits |= bits
+            active |= bits
+            zeros = [0] * fresh
+            degree += zeros
+            pair += zeros
+            top = state["max_used_column"] = placed[-1]
+        for x in placed:
+            i = x - offset
+            pair[i] |= row_bits
+            d = degree[i] + 1
+            degree[i] = d
+            if d == r:
+                active ^= 1 << i  # set since the first placement
+        if degree[floor + 1 - offset] == r:  # base, the first column of every row, saturated
+            # retire up to the next active column, or every used one
+            new = offset + (active & -active).bit_length() - 2 if active else top
+            cut = new + 1 - offset  # the retired prefix
+            if cut >= top - new:  # no shorter than the kept part: drop it and shift
+                del degree[:cut]
+                pair[:] = [mask >> cut for mask in islice(pair, cut, None)]
+                active >>= cut
+                offset = state["_offset"] = new + 1
+            else:
+                pair[floor + 1 - offset:cut] = [0] * (new - floor)
+            floor = state["_floor"] = new
+        state["_active"] = active
+        state["emitted"] = emitted
+        yield tuple(placed)
 
 
 def generate(params: GenParams) -> Iterator[tuple[int, ...]]:

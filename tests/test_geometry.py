@@ -118,6 +118,16 @@ def test_build_pg_matches_reference(n, q):
     assert g.lines == tuple(lines)
 
 
+def test_pg_lines_multiplies_only_for_a_tail_with_digits(monkeypatch):
+    # at n = 1 row 2's tail has no digits: the q = 256 line is the points
+    # 1..257 with no nim product, where a q x q product table is 65,536 calls
+    calls = []
+    monkeypatch.setattr(geometry, "nim_mul", lambda a, b: calls.append(1) or nim_mul(a, b))
+    assert list(geometry.pg_lines(1, 256)) == [tuple(range(1, 258))]
+    assert calls == []
+    assert sum(1 for _ in geometry.pg_lines(2, 4)) == 21 and calls  # n = 2 reads the products
+
+
 @pytest.mark.parametrize("n", [6, 9])
 def test_pg_lines_holds_one_block(n):
     # a block holds under (q + 1) q^(n-1) ints: the points of its q^(n-1)

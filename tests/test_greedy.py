@@ -150,13 +150,14 @@ def test_is_complete_and_connectable():
 def test_connectable_mask_matches_pairs():
     gen = NaiveMatrixGenerator(GenParams(k=3, r=3, max_rows=4))
     rows = [gen.next_row() for _ in range(4)]
-    # column 1 saturated at row 3, which dropped its state
+    # column 1 saturated at row 3, which retired it: the floor is 1, and a
+    # mask shows the partners above it only
     assert gen.column_degree(1) == 3 and gen.connectable_mask(1) == 0
     for x in range(2, 8):
         mask = gen.connectable_mask(x)
         for y in range(1, 10):
             if y != x:
-                assert bool((mask >> y) & 1) == any(x in row and y in row for row in rows)
+                assert bool((mask >> y) & 1) == (y > 1 and any(x in row and y in row for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +204,21 @@ def test_window_growth_past_initial_bound():
     assert rows == [tuple(range(5 * i + 1, 5 * i + 6)) for i in range(20)]
 
 
+def above(mask, floor):
+    """The bits of mask for the columns above the floor."""
+    return mask >> (floor + 1) << (floor + 1)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300))
 def test_state_queries_match_emitted_rows(k, r, n_rows):
     """Every state query agrees with the rows after every row: the degree
     of every column, saturated ones included; the mask of every column
-    above the floor, and mask 0 for the retired columns up to it;
-    connectability for every pair that involves a column of the new row,
-    read from each end above the floor.  The floor is the length of the
-    saturated prefix.  The regenerated `rows` property lists exactly
-    the rows emitted."""
+    above the floor, which holds its partners above the floor, and mask 0
+    for the retired columns up to it; connectability for every pair of
+    columns above the floor that involves a column of the new row, read
+    from each end.  The floor is the length of the saturated prefix.  The
+    regenerated `rows` property lists exactly the rows emitted."""
     gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
     deg, partners = {}, {}
     prev = []
@@ -232,15 +238,13 @@ def test_state_queries_match_emitted_rows(k, r, n_rows):
         for x in range(1, top + 1):
             assert gen.column_degree(x) == deg.get(x, 0)
             assert gen.is_complete(x) == (deg.get(x, 0) == r)
-            assert gen.connectable_mask(x) == (partners.get(x, 0) if x > floor else 0)
-        for x in row:
-            for y in range(1, top + 1):
+            assert gen.connectable_mask(x) == (above(partners.get(x, 0), floor) if x > floor else 0)
+        for x in [x for x in row if x > floor]:
+            for y in range(floor + 1, top + 1):
                 if y != x:
                     want = partners[x] >> y & 1
-                    if x > floor:
-                        assert gen.connectable_mask(x) >> y & 1 == want
-                    if y > floor:
-                        assert gen.connectable_mask(y) >> x & 1 == want
+                    assert gen.connectable_mask(x) >> y & 1 == want
+                    assert gen.connectable_mask(y) >> x & 1 == want
         prev.append(row)
     assert gen.emitted == len(prev)
     assert gen.rows == [Row(i, row) for i, row in enumerate(prev, 1)]
@@ -394,82 +398,82 @@ def test_generate_replays_a_bounded_run():
 
 
 class KeepEveryColumn:
-    """The same greedy rule over per-column lists indexed by column number,
-    which keep the state of every column ever used: the reference for the
-    differential test below.  `_floor`, `_active` and the anchored pair
-    masks are as in NaiveMatrixGenerator; nothing is ever dropped."""
+    """The same greedy rule over per-column lists and masks indexed by
+    column number, which keep the state of every column ever used and
+    every partner it ever had: the reference for the differential tests
+    below.  `_floor` is the length of the saturated prefix, as in
+    NaiveMatrixGenerator; nothing is ever dropped or shifted."""
 
     def __init__(self, k, r):
         self.k, self.r = k, r
         self.max_used_column = 0
         self._floor = 0
-        self._degree, self._pair, self._anchor = [0], [0], [0]
-        self._active = 0
+        self._degree, self._pair = [0], [0]
+        self._active = 0  # bit x for each used column x whose degree is below r
 
     def next_row(self):
-        k, r, floor = self.k, self.r, self._floor
-        degree, pair, anchor = self._degree, self._pair, self._anchor
+        k, r = self.k, self.r
+        degree, pair = self._degree, self._pair
         placed, cand = [], self._active
         while cand and len(placed) < k:
             low = cand & -cand
-            j = floor + low.bit_length() - 1
-            placed.append(j)
-            cand &= ~(pair[j] >> (floor - anchor[j]))
-            cand ^= low
+            x = low.bit_length() - 1
+            placed.append(x)
+            cand &= ~pair[x]
+            cand &= ~low
         first = self.max_used_column + 1
         points = (*placed, *range(first, first + k - len(placed)))
         fresh = points[-1] - self.max_used_column
         if fresh > 0:
             degree += [0] * fresh
             pair += [0] * fresh
-            anchor += [0] * fresh
             self.max_used_column = points[-1]
-        active, row_bits = self._active, 0
+        row_bits = sum(1 << x for x in points)
         for x in points:
-            bit = 1 << (x - floor)
-            row_bits |= bit
             degree[x] += 1
-            if degree[x] == 1:
-                anchor[x] = floor
-                active |= bit
+            pair[x] |= row_bits & ~(1 << x)
             if degree[x] == r:
-                active &= ~bit
-        for x in points:
-            pair[x] |= (row_bits ^ (1 << (x - floor))) << (floor - anchor[x])
-        if not active & 2:
-            shift = (active & -active).bit_length() - 2 if active else self.max_used_column - floor
-            self._floor = floor + shift
-            active >>= shift
-        self._active = active
+                self._active &= ~(1 << x)
+            else:
+                self._active |= 1 << x
+        while self._floor < self.max_used_column and degree[self._floor + 1] == r:
+            self._floor += 1
         return points
 
     def column_degree(self, x):
         return self._degree[x] if x <= self.max_used_column else 0
 
     def connectable_mask(self, x):
-        return self._pair[x] << self._anchor[x] if x <= self.max_used_column else 0
+        return self._pair[x] if x <= self.max_used_column else 0
 
 
 def assert_matches_every_column_kept(k, r, n_rows):
-    """Equal rows, and after every row equal state for each column that can
-    have changed: the row's columns and the columns it retires (mask 0,
-    now dropped); at the end, every column.  A column's state changes only
-    at those moments."""
+    """Equal rows and max_used_column, and after every row equal state for
+    each column that can have changed: the row's columns, whose masks
+    agree above the floor, and the columns it retires, whose masks read 0
+    and whose stored slots, if still kept, hold 0; at the end, every
+    column.  A column's state changes only at those moments.  Returns how
+    many times the offset of gen moved."""
     gen, ref = NaiveMatrixGenerator(GenParams(k, r, n_rows)), KeepEveryColumn(k, r)
+    shifts = 0
 
     def same_state(x):  # the columns up to the floor are retired
+        floor = ref._floor
         assert gen.column_degree(x) == ref.column_degree(x)
-        assert gen.connectable_mask(x) == (ref.connectable_mask(x) if x > ref._floor else 0)
+        assert gen.connectable_mask(x) == (above(ref.connectable_mask(x), floor) if x > floor else 0)
 
     for _ in range(n_rows):
-        floor = ref._floor
+        floor, offset = ref._floor, gen._offset
         row = ref.next_row()
         assert gen.next_row() == row
         assert gen.max_used_column == ref.max_used_column
         for x in (*row, *range(floor + 1, ref._floor + 1)):
             same_state(x)
+        assert not any(gen._pair[:ref._floor + 1 - gen._offset])
+        shifts += gen._offset != offset
     for x in range(1, ref.max_used_column + 2):
         same_state(x)
+    return shifts
 
 
 @pytest.mark.parametrize("n,q", [(n, 2) for n in range(1, 8)] + [(2, 4), (3, 4), (2, 16)])
@@ -482,3 +486,40 @@ def test_pg_rows_and_state_match_every_column_kept(n, q):
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300))
 def test_rows_and_state_match_every_column_kept(k, r, n_rows):
     assert_matches_every_column_kept(k, r, n_rows)
+
+
+@pytest.mark.parametrize("k,r", [(3, 4), (4, 3), (5, 2)])
+def test_long_runs_match_every_column_kept(k, r):
+    # (3, 4) and (4, 3) never reset, so only the bulk shift of the retired
+    # prefix bounds their state; (5, 2) resets every 6 rows
+    assert assert_matches_every_column_kept(k, r, 5000) > 500
+
+
+def test_generator_memory_is_flat_without_resets():
+    # (3, 4) never resets: its floor climbs about 3/4 of a column a row and
+    # the frontier stays 8 columns wide.  An offset never shifted keeps a
+    # slot per column ever used, 15,000 of them after 20,000 rows.
+    assert _generator_peak_bytes(3, 4, 20000) < _generator_peak_bytes(3, 4, 2000) + 4 * 1024
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 200))
+def test_peek_is_the_next_row_and_changes_no_query(k, r, n_rows):
+    """Before every row of a whole run, peek_next_row returns the row that
+    next_row then commits, and every query reads the same after the peek
+    as before it."""
+    gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
+
+    def queries():
+        top = gen.max_used_column
+        return (gen.emitted, top,
+                [(gen.column_degree(x), gen.is_complete(x), gen.connectable_mask(x))
+                 for x in range(1, top + 2)])
+
+    for _ in range(n_rows):
+        before = queries()
+        row = gen.peek_next_row()
+        assert queries() == before
+        assert gen.next_row() == row
+    with pytest.raises(InvalidParameterError):
+        gen.peek_next_row()
