@@ -7,18 +7,16 @@ Artifacts go to stdout unless --out is given; diagnostics go to stderr.
 Output is written a batch at a time, one write call a batch: up to 2^10
 points of rows, formatted with one `%` over a template, or up to 2^10 PBM
 cells, a line wider than that on its own.  `generate` writes each batch
-once its rows are generated.  The rows repeat: once a row leaves every
-used column complete, the next ones are block 0, the rows so far, shifted
-past it.  So a run that asks for more rows than block 0 has builds block
-0 alone and writes the rest from a record of it, 4 bytes a point up to
-2^16 points; past that bound every row is built, and no record is kept.
-For matrix-pbm a first pass, which keeps no row, finds the width the
-header needs.  A PBM line costs about 2 bytes a column, so that pass
-refuses a row past column 2^20 with exit 1 before anything is written;
-the other formats have no width bound.
+once its rows are generated; greedy.generate says which rows it builds
+and which it replays.  For matrix-pbm a first pass, which keeps no row,
+finds the width the header needs.  A PBM line costs about 2 bytes a
+column, so that pass refuses a row past column 2^20 with exit 1 before
+anything is written; the other formats have no width bound.
 `export-pg` streams the lines of pg_lines after its parameters and point
-bound are checked.  An unwritable --out or stdout exits 1 with an error
-line, and a stdout pipe closed by its reader ends the output quietly.
+bound are checked.  An unwritable --out or stdout, a closed one among
+them, exits 1 with an error line, and a stdout pipe closed by its reader
+ends the output quietly.  An unwritable stderr loses the error line and
+keeps the exit code.
 Each command imports the modules it runs when it runs, so `--help` and
 an argument error load no harness module and start up fastest.
 
@@ -109,6 +107,8 @@ def _format_lines(fmt: str, rows, k: int, r: int, width: int, height: int):
 def _write(lines, out: str | None) -> None:
     """Write the text pieces to --out, or to stdout, one at a time."""
     if not out:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OutputError("cannot write stdout: it is closed")
         try:
             sys.stdout.writelines(lines)
             sys.stdout.flush()
@@ -252,11 +252,18 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         return _cmd_export_pg(args)
     except (OutputError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_FAIL
     except (InvalidParameterError, InputRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_USAGE
+
+
+def _print_error(exc: Exception) -> None:
+    try:
+        sys.stderr.write(f"error: {exc}\n")
+    except (AttributeError, OSError):  # no stderr, or a closed one: argparse's idiom
+        pass
 
 
 if __name__ == "__main__":

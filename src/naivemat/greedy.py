@@ -99,10 +99,12 @@ class Row(namedtuple("Row", "index points")):
 class NaiveMatrixGenerator:
     """Streams rows of the greedy matrix while tracking column state.
 
-    `_floor` is the length of the saturated prefix, so base = floor + 1 is
-    the lowest column whose degree is below r.  The per-column lists and
-    every mask share one offset, at most base: index i and bit i stand for
-    column offset + i, from the offset to max_used_column.  State per kept
+    `floor` is the length of the saturated prefix: columns 1..floor are
+    complete and column floor + 1, base, is not.  So the generator is at a
+    reset, every used column complete, exactly when floor ==
+    max_used_column.  The per-column lists and every mask share one
+    offset, at most base: index i and bit i stand for column offset + i,
+    from the offset to max_used_column.  State per kept
     column: its degree and its closed pair mask, the column itself and
     every column it shares a row with.  `_active` marks the used columns
     whose degree is below r; its lowest bit, when it has one, is base,
@@ -111,7 +113,7 @@ class NaiveMatrixGenerator:
     as long as the kept part, it deletes the prefix and shifts the kept
     masks and `_active` down in one pass, so the offset becomes base.  A
     row that runs out of active candidates is finished with the fresh
-    columns from max_used_column + 1.  The public queries answer in
+    columns from max_used_column + 1.  connectable_mask answers in
     absolute column numbers.
 
     Rows come from one frame, `_frame` (see _rows): it holds the state in
@@ -125,10 +127,10 @@ class NaiveMatrixGenerator:
 
     def __init__(self, params: GenParams):
         self.params = params
-        self._k, self._r, self._max_rows = params  # read by the frame and the queries
+        self._k, self._r, self._max_rows = params  # read by the frame and next_row
         self.emitted = 0
         self.max_used_column = 0
-        self._floor = 0  # columns 1.._floor are retired
+        self.floor = 0  # columns 1..floor are retired
         self._offset = 1  # index i and bit i stand for column _offset + i
         self._degree: list[int] = []
         self._pair: list[int] = []
@@ -158,18 +160,6 @@ class NaiveMatrixGenerator:
         again = NaiveMatrixGenerator(self.params)
         return [Row(i, again.next_row()) for i in range(1, self.emitted + 1)]
 
-    def column_degree(self, x: int) -> int:
-        """Rows containing column x: r for every column up to the floor."""
-        if x <= self._floor:  # retired, or no column
-            if x < 1:
-                raise InputRangeError(f"columns are 1-based, got {x}")
-            return self._r
-        return self._degree[x - self._offset] if x <= self.max_used_column else 0
-
-    def is_complete(self, x: int) -> bool:
-        """Whether column x has reached degree r in the emitted rows."""
-        return self.column_degree(x) >= self._r
-
     def connectable_mask(self, x: int) -> int:
         """Bitmask of the columns above the floor that share an emitted row
         with x (bit y for column y); 0 for the retired columns up to the
@@ -177,9 +167,9 @@ class NaiveMatrixGenerator:
         are left out for every column."""
         if x < 1:
             raise InputRangeError(f"columns are 1-based, got {x}")
-        if x <= self._floor or x > self.max_used_column:  # retired, or fresh
+        if x <= self.floor or x > self.max_used_column:  # retired, or fresh
             return 0
-        base, offset = self._floor + 1, self._offset
+        base, offset = self.floor + 1, self._offset
         # the stored mask holds x itself
         return (self._pair[x - offset] >> (base - offset) << base) ^ (1 << x)
 
@@ -192,7 +182,7 @@ def _rows(state: dict) -> Iterator[tuple[int, ...]]:
     not the generator, so the two form no reference cycle."""
     k, r = state["_k"], state["_r"]
     degree, pair = state["_degree"], state["_pair"]  # changed in place
-    active, floor, offset, top = state["_active"], state["_floor"], state["_offset"], state["max_used_column"]
+    active, floor, offset, top = state["_active"], state["floor"], state["_offset"], state["max_used_column"]
     for emitted in range(state["emitted"] + 1, state["_max_rows"] + 1):
         placed = []
         cand = active
@@ -234,7 +224,7 @@ def _rows(state: dict) -> Iterator[tuple[int, ...]]:
                 offset = state["_offset"] = new + 1
             else:
                 pair[floor + 1 - offset:cut] = [0] * (new - floor)
-            floor = state["_floor"] = new
+            floor = state["floor"] = new
         state["_active"] = active
         state["emitted"] = emitted
         yield tuple(placed)
@@ -246,9 +236,9 @@ def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
     that needs the rows again stores them itself.
 
     Block 0 is recorded, flat, while it is yielded.  Once a row leaves
-    every used column complete, the rows that follow are block 0 shifted
-    by max_used_column, then by twice that, and so on, so they are yielded
-    from the record with no further next_row.  Only a request for more rows
+    the generator at its reset, floor == max_used_column, the rows that
+    follow are block 0 shifted by max_used_column, then by twice that, and
+    so on, so they are yielded from the record with no further next_row.  Only a request for more rows
     than block 0 has replays.  The record is kept while max_used_column * r,
     block 0's length at its end, is at most _BLOCK_POINTS; past that it is
     dropped, and the rest of the stream is plain next_row calls.
@@ -267,7 +257,7 @@ def generate(params: GenParams) -> Iterator[tuple[int, ...]]:
         if gen.max_used_column * r > _BLOCK_POINTS:  # block 0 ends at top * r points
             break
         block.extend(row)
-        if not gen._active:  # every used column is complete: block 0 ends here
+        if gen.floor == gen.max_used_column:  # the reset: block 0 ends here
             top, left, size = gen.max_used_column, rows - gen.emitted, len(block)
             del gen  # the replay reads no column state
             # block t is block 0 shifted by t * top

@@ -24,11 +24,11 @@ class VerificationReport:
     `counts`.
     """
 
-    def __init__(self, subject: str, counts: dict | None = None, elapsed_ms: float = 0.0):
+    def __init__(self, subject: str, counts: dict | None = None):
         self.subject = subject
         self.checks: list[Check] = []
         self.counts = dict(counts or {})
-        self.elapsed_ms = elapsed_ms
+        self.elapsed_ms = 0.0
 
     @property
     def status(self) -> str:

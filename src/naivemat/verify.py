@@ -112,11 +112,10 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationRepor
 
     Block 0's d rows are generated and checked against the window [1, s].
     They hold 3d = s*r incidences, so if they stay in it every column 1..s
-    reaches degree r: the generator is at its reset, read as
-    max_used_column = s and is_complete(x) for x in 1..s.  A complete
-    column is never placed again, so from row d + 1 the greedy rule sees
-    only fresh columns s+1, s+2, ..., with no degree and no pair: the start
-    state shifted by s.  So block 1 is block 0 shifted by s and ends at the
+    reaches degree r: the generator is at its reset, read as floor =
+    max_used_column = s.  A complete column is never placed again, so from
+    row d + 1 the greedy rule sees only fresh columns s+1, s+2, ..., with
+    no degree and no pair: the start state shifted by s.  So block 1 is block 0 shifted by s and ends at the
     reset shifted by s, and so on for every block.  With no reset after
     row d, neither claim is decided past block 0.
     """
@@ -132,10 +131,10 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationRepor
         if first["window"] is not None:
             _add(report, names[0], first["window"])
             return f"a row of block 0 leaves [1, {s}]: no reset follows row {d}"
-        incomplete = next((x for x in range(1, s + 1) if not gen.is_complete(x)), None)
-        if incomplete is not None or gen.max_used_column > s:
-            column = f"{incomplete} is incomplete" if incomplete else f"{gen.max_used_column} is used"
-            return f"column {column}: no reset follows row {d}"
+        if gen.floor < s:  # column floor + 1 is the least incomplete one
+            return f"column {gen.floor + 1} is incomplete: no reset follows row {d}"
+        if gen.max_used_column > s:
+            return f"column {gen.max_used_column} is used: no reset follows row {d}"
         for name in names:
             _add(report, name, None)
         return None

@@ -621,6 +621,30 @@ def test_full_stdout_is_a_clean_error(argv):
         assert proc.stderr == "error: cannot write stdout: No space left on device\n", mode
 
 
+def _run_with_closed(fd, argv, **kwargs):
+    """`naivemat argv` in a child whose descriptor fd is closed before it starts."""
+    return subprocess.run([sys.executable, "-m", "naivemat", *argv.split()],
+                          preexec_fn=lambda: os.close(fd), text=True, **kwargs)
+
+
+@pytest.mark.parametrize("argv", ["generate --k 3 --r 1 --rows 5", "verify theorem --n 2",
+                                  "export-pg --n 2 --q 2"])
+def test_closed_stdout_is_a_clean_error(argv):
+    # the interpreter starts with sys.stdout None: treated as an unwritable stdout
+    for mode, env in STDOUT_MODES.items():
+        proc = _run_with_closed(1, argv, stderr=subprocess.PIPE, env=env)
+        assert proc.returncode == EXIT_FAIL, mode
+        assert proc.stderr == "error: cannot write stdout: it is closed\n", mode
+
+
+@pytest.mark.parametrize("argv", ["verify theorem --n 0", "generate --k 1 --r 1 --rows 1"])
+def test_closed_stderr_keeps_the_usage_exit_code(argv):
+    # a parameter error past argparse: its error line is lost, not moved to
+    # stdout, and the exit code stays 2
+    proc = _run_with_closed(2, argv, stdout=subprocess.PIPE, env=CHILD_ENV)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+
+
 def test_help_exits_zero():
     assert main(["--help"]) == 0
 

@@ -127,22 +127,23 @@ def test_determinism():
     assert list(generate(p)) == list(generate(p))
 
 
-def test_is_complete_and_connectable():
+def test_floor_and_connectable():
     gen = NaiveMatrixGenerator(GenParams(k=3, r=3, max_rows=7))
     gen.next_row()  # {1,2,3}
-    assert not gen.is_complete(1)
+    assert gen.floor == 0  # column 1 is incomplete
     assert gen.connectable_mask(1) >> 2 & 1
     assert not gen.connectable_mask(1) >> 4 & 1
     gen.next_row()  # {1,4,5}
     assert gen.connectable_mask(4) >> 5 & 1
     for _ in range(4):
         gen.next_row()
-    assert gen.is_complete(1)      # rows 1, 2, 3 contain point 1
-    assert not gen.is_complete(9)  # never used
+    # rows 1, 2, 3 contain point 1 and rows 1, 4, 5 point 2; point 3 is in
+    # rows 1 and 6 only, and 9 is never used
+    assert (gen.floor, gen.max_used_column) == (2, 7)
     assert gen.connectable_mask(4) >> 5 & 1  # row 2 = {1,4,5}; 3 is still open after row 6
     assert gen.connectable_mask(1) == 0  # retired and dropped by row 3
-    gen.next_row()  # {3,5,6} completes every column
-    assert gen.is_complete(4) and gen.connectable_mask(4) == 0
+    gen.next_row()  # {3,5,6} completes every column: the reset
+    assert gen.floor == gen.max_used_column == 7 and gen.connectable_mask(4) == 0
     with pytest.raises(InputRangeError):
         gen.connectable_mask(0)
 
@@ -152,7 +153,7 @@ def test_connectable_mask_matches_pairs():
     rows = [gen.next_row() for _ in range(4)]
     # column 1 saturated at row 3, which retired it: the floor is 1, and a
     # mask shows the partners above it only
-    assert gen.column_degree(1) == 3 and gen.connectable_mask(1) == 0
+    assert gen.floor == 1 and gen.connectable_mask(1) == 0
     for x in range(2, 8):
         mask = gen.connectable_mask(x)
         for y in range(1, 10):
@@ -212,13 +213,13 @@ def above(mask, floor):
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 300))
 def test_state_queries_match_emitted_rows(k, r, n_rows):
-    """Every state query agrees with the rows after every row: the degree
-    of every column, saturated ones included; the mask of every column
-    above the floor, which holds its partners above the floor, and mask 0
-    for the retired columns up to it; connectability for every pair of
-    columns above the floor that involves a column of the new row, read
-    from each end.  The floor is the length of the saturated prefix.  The
-    regenerated `rows` property lists exactly the rows emitted."""
+    """Every state query agrees with the rows after every row: the floor,
+    the length of the saturated prefix, and the kept degree of every used
+    column above it; the mask of every column above the floor, which holds
+    its partners above the floor, and mask 0 for the retired columns up to
+    it; connectability for every pair of columns above the floor that
+    involves a column of the new row, read from each end.  The regenerated
+    `rows` property lists exactly the rows emitted."""
     gen = NaiveMatrixGenerator(GenParams(k, r, n_rows))
     deg, partners = {}, {}
     prev = []
@@ -234,10 +235,11 @@ def test_state_queries_match_emitted_rows(k, r, n_rows):
             deg[x] = deg.get(x, 0) + 1
             partners[x] = partners.get(x, 0) | (row_bits ^ (1 << x))
         floor = next(x for x in range(1, gen.max_used_column + 2) if deg.get(x, 0) < r) - 1
+        assert gen.floor == floor
+        for x in range(floor + 1, gen.max_used_column + 1):
+            assert gen._degree[x - gen._offset] == deg[x]
         top = gen.max_used_column + 2
         for x in range(1, top + 1):
-            assert gen.column_degree(x) == deg.get(x, 0)
-            assert gen.is_complete(x) == (deg.get(x, 0) == r)
             assert gen.connectable_mask(x) == (above(partners.get(x, 0), floor) if x > floor else 0)
         for x in [x for x in row if x > floor]:
             for y in range(floor + 1, top + 1):
@@ -288,9 +290,8 @@ def test_rows_restart_once_every_used_column_is_complete(k, r, n_rows):
     rows, resets = [], []
     for m in range(1, n_rows + 1):
         rows.append(gen.next_row())
-        top = gen.max_used_column
-        if all(gen.is_complete(x) for x in range(1, top + 1)):
-            resets.append((m, top))
+        if gen.floor == gen.max_used_column:
+            resets.append((m, gen.floor))
     for m, top in resets:
         assert rows[m:] == [tuple(x + top for x in row) for row in rows[:n_rows - m]]
     bounds = [0, k] + [b for m, _ in resets[:1] for b in (m * k - 1, m * k)]
@@ -313,8 +314,7 @@ def test_pg_blocks_repeat_block_0_shifted(n, q):
     gen = NaiveMatrixGenerator(GenParams(k, r, 3 * b))
     block0 = [gen.next_row() for _ in range(b)]
     for t in (1, 2):
-        assert gen.max_used_column == t * v
-        assert all(gen.is_complete(x) for x in range(1, t * v + 1))
+        assert gen.floor == gen.max_used_column == t * v
         assert [gen.next_row() for _ in range(b)] == [tuple(x + t * v for x in row) for row in block0]
     expected = [tuple(x + t * v for x in row) for t in range(3) for row in block0]
     assert list(generate(GenParams(k, r, 3 * b))) == expected
@@ -401,13 +401,13 @@ class KeepEveryColumn:
     """The same greedy rule over per-column lists and masks indexed by
     column number, which keep the state of every column ever used and
     every partner it ever had: the reference for the differential tests
-    below.  `_floor` is the length of the saturated prefix, as in
+    below.  `floor` is the length of the saturated prefix, as in
     NaiveMatrixGenerator; nothing is ever dropped or shifted."""
 
     def __init__(self, k, r):
         self.k, self.r = k, r
         self.max_used_column = 0
-        self._floor = 0
+        self.floor = 0
         self._degree, self._pair = [0], [0]
         self._active = 0  # bit x for each used column x whose degree is below r
 
@@ -436,8 +436,8 @@ class KeepEveryColumn:
                 self._active &= ~(1 << x)
             else:
                 self._active |= 1 << x
-        while self._floor < self.max_used_column and degree[self._floor + 1] == r:
-            self._floor += 1
+        while self.floor < self.max_used_column and degree[self.floor + 1] == r:
+            self.floor += 1
         return points
 
     def column_degree(self, x):
@@ -448,28 +448,33 @@ class KeepEveryColumn:
 
 
 def assert_matches_every_column_kept(k, r, n_rows):
-    """Equal rows and max_used_column, and after every row equal state for
-    each column that can have changed: the row's columns, whose masks
-    agree above the floor, and the columns it retires, whose masks read 0
-    and whose stored slots, if still kept, hold 0; at the end, every
-    column.  A column's state changes only at those moments.  Returns how
-    many times the offset of gen moved."""
+    """Equal rows, max_used_column and floor after every row, the reset,
+    floor == max_used_column, exactly when every used column is complete,
+    and equal state for each column that can have changed: the row's
+    columns, whose kept degrees agree and whose masks agree above the
+    floor, and the columns it retires, whose masks read 0 and whose stored
+    slots, if still kept, hold 0; at the end, every column.  A column's
+    state changes only at those moments.  Returns how many times the
+    offset of gen moved."""
     gen, ref = NaiveMatrixGenerator(GenParams(k, r, n_rows)), KeepEveryColumn(k, r)
     shifts = 0
 
     def same_state(x):  # the columns up to the floor are retired
-        floor = ref._floor
-        assert gen.column_degree(x) == ref.column_degree(x)
+        floor = ref.floor
+        if floor < x <= gen.max_used_column:  # a kept slot
+            assert gen._degree[x - gen._offset] == ref.column_degree(x)
         assert gen.connectable_mask(x) == (above(ref.connectable_mask(x), floor) if x > floor else 0)
 
     for _ in range(n_rows):
-        floor, offset = ref._floor, gen._offset
+        floor, offset = ref.floor, gen._offset
         row = ref.next_row()
         assert gen.next_row() == row
         assert gen.max_used_column == ref.max_used_column
-        for x in (*row, *range(floor + 1, ref._floor + 1)):
+        assert gen.floor == ref.floor
+        assert (gen.floor == gen.max_used_column) == (ref._active == 0)
+        for x in (*row, *range(floor + 1, ref.floor + 1)):
             same_state(x)
-        assert not any(gen._pair[:ref._floor + 1 - gen._offset])
+        assert not any(gen._pair[:ref.floor + 1 - gen._offset])
         shifts += gen._offset != offset
     for x in range(1, ref.max_used_column + 2):
         same_state(x)
@@ -512,9 +517,8 @@ def test_peek_is_the_next_row_and_changes_no_query(k, r, n_rows):
 
     def queries():
         top = gen.max_used_column
-        return (gen.emitted, top,
-                [(gen.column_degree(x), gen.is_complete(x), gen.connectable_mask(x))
-                 for x in range(1, top + 2)])
+        return (gen.emitted, top, gen.floor, gen._offset, list(gen._degree),
+                [gen.connectable_mask(x) for x in range(1, top + 2)])
 
     for _ in range(n_rows):
         before = queries()
