@@ -15,8 +15,9 @@ anything is written; the other formats have no width bound.
 `export-pg` streams the lines of pg_lines after its parameters and point
 bound are checked.  An unwritable --out or stdout, a closed one among
 them, exits 1 with an error line, and a stdout pipe closed by its reader
-ends the output quietly.  An unwritable stderr loses the error line and
-keeps the exit code.
+ends the output quietly.  An unwritable stderr loses the error line (and
+an argument error's usage line, which never moves to stdout) and keeps the
+exit code.
 Each command imports the modules it runs when it runs, so `--help` and
 an argument error load no harness module and start up fastest.
 
@@ -127,8 +128,19 @@ def _write(lines, out: str | None) -> None:
         raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, except that an argument error with no stderr
+    prints nothing: argparse would print its usage line on stdout.  Its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        if sys.stderr is None:
+            self.exit(EXIT_USAGE)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="naivemat",
         description="Greedy 0/1 matrix generation and projective-space verification.")
     sub = parser.add_subparsers(dest="command", required=True)

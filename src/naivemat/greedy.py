@@ -18,8 +18,10 @@ and mask shares one offset, at most base: slot i and bit i stand for column
 offset + i, so the scan reads a pair mask as stored and the commit ORs the
 row's mask straight in.  A pair mask is closed: each row ORs all its
 columns into the mask of each, so the mask holds the column's own bit
-beside its partners', and placing a column clears it and its partners from
-the candidates with one AND and one XOR of nonnegative ints.  A scan starts
+beside its partners'.  A fresh column's mask is the row's, so the fresh
+columns of a row share that one int rather than a copy each.  Placing a
+column clears it and its partners from the candidates with one AND and
+one XOR of nonnegative ints.  A scan starts
 at base with no search: whenever a used column is unsaturated, base is the
 lowest one.  Building a row therefore costs a handful of big-int
 operations on masks as wide as the frontier, not as wide as the largest
@@ -184,7 +186,7 @@ def _rows(state: dict) -> Iterator[tuple[int, ...]]:
     degree, pair = state["_degree"], state["_pair"]  # changed in place
     active, floor, offset, top = state["_active"], state["floor"], state["_offset"], state["max_used_column"]
     for emitted in range(state["emitted"] + 1, state["_max_rows"] + 1):
-        placed = []
+        old = placed = []  # the row's columns used before it, and the row
         cand = active
         row_bits = 0  # bit i stands for column offset + i
         while cand:
@@ -198,15 +200,15 @@ def _rows(state: dict) -> Iterator[tuple[int, ...]]:
             cand ^= cand & pair[i]
         else:  # finish with fresh columns, consecutive from top + 1
             fresh = k - len(placed)
-            placed += range(top + 1, top + 1 + fresh)
+            placed = old + list(range(top + 1, top + 1 + fresh))
             bits = ((1 << fresh) - 1) << (top + 1 - offset)
             row_bits |= bits
-            active |= bits
-            zeros = [0] * fresh
-            degree += zeros
-            pair += zeros
+            if r > 1:  # at r = 1 a fresh column saturates in its first row
+                active |= bits
+            degree += [1] * fresh
+            pair += [row_bits] * fresh  # one int: a fresh column's partners are its row
             top = state["max_used_column"] = placed[-1]
-        for x in placed:
+        for x in old:
             i = x - offset
             pair[i] |= row_bits
             d = degree[i] + 1

@@ -11,16 +11,16 @@ halves the width down to GF(2), where the product is x & y; from width 8
 up it stops instead at the GF(256) product table, 65,536 bytes that the
 same rule builds on first use in one call on ints packing every pair into
 a byte lane.  So products in GF(2), GF(4) and GF(16) read no table.  The
-multiplier runs unchanged on ints, on packed ints and on uint64 arrays and
-keeps no memo, so its memory does not grow with use.  field_check decides
+multiplier runs unchanged on ints and on ints packing values into lanes,
+and keeps no memo, so its memory does not grow with use.  field_check decides
 exactly that GF(q) is a field for every Fermat q up to 2^32: the laws of
 the GF(p) table, p = min(q, 256), read with bytes slicing, translate and
 big-int xor, with distributivity and associativity decided on the basis
-rather than on all p^3 triples, and one trace per tower level.  numpy is
-imported only by its sampled mode, which draws triples from a
-counter-indexed splitmix64 stream, not numpy.random, in chunks of tens of
-KB.  Values are capped at 63 bits so all arithmetic stays in native
-machine words.
+rather than on all p^3 triples, and one trace per tower level.  Its
+sampled mode draws triples from a counter-indexed splitmix64 stream,
+computed in 128-bit lanes of one int, and multiplies them in byte lanes,
+about 50 KB of lanes at a time.  No module of the package imports numpy.
+Values are capped at 63 bits.
 
 Every function is pure; the table is built once and read-only after, so
 calls are safe from concurrent readers.
@@ -28,6 +28,7 @@ calls are safe from concurrent readers.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -35,7 +36,8 @@ from .errors import InputRangeError, InvalidParameterError
 from .report import INDETERMINATE, Check, VerificationReport
 
 VALUE_BITS = 63
-_SAMPLE_CHUNK = 1 << 12  # sampled triples checked per batch in field_check
+_SAMPLE_CHUNK = 1 << 10  # sampled triples checked per batch in field_check
+_LEAF_BITS = 4  # sampled products end at the GF(16) table, read a byte lane at a time
 
 
 def _check_value(x: int, what: str = "value") -> int:
@@ -48,7 +50,7 @@ def nim_mul(a: int, b: int) -> int:
     """Nim product by the Fermat splitting rule."""
     a = _check_value(a, "a")
     b = _check_value(b, "b")
-    return int(_mul(a, b, _bits(a | b)))
+    return _mul(a, b, _bits(a | b))
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +93,11 @@ def _products(bits: int) -> bytes:
 def _mul(x, y, bits: int, table=None, table_bits: int = _TABLE_BITS, one=1):
     """x (x) y for x, y below 2^bits, a Fermat width.
 
-    x and y are ints or uint64 arrays (broadcast together), or ints that
-    pack values into lanes of at least bits bits, with `one` holding 1 in
-    every lane: every step stays within its lane, so one call multiplies
-    every lane.  An array result is uint64, since products of 63-bit values
-    can reach 2^64.  With F = 2^(bits/2), x = x1*F + x0 and y = y1*F + y0,
+    x and y are ints, or ints that pack values into lanes of at least bits
+    bits, with `one` holding 1 in every lane: every step stays within its
+    lane, so one call multiplies every lane.  Nothing in it is specific to
+    ints, so the tests also run it on uint64 arrays.  With F = 2^(bits/2),
+    x = x1*F + x0 and y = y1*F + y0,
     the field identity F (x) F = F + F/2 gives, Karatsuba-style,
 
         x (x) y = (mid + lo)*F + lo + hi (x) F/2
@@ -103,9 +105,9 @@ def _mul(x, y, bits: int, table=None, table_bits: int = _TABLE_BITS, one=1):
     where lo = x0 (x) y0, hi = x1 (x) y1, mid = (x0 + x1) (x) (y0 + y1) and
     + is xor.  The recursion ends in GF(2), where the product is x & y, or,
     from width table_bits up, in `table`, the products of GF(2^table_bits)
-    at (x << table_bits) | y: for ints the GF(256) bytes, which the
-    top-level call fetches and passes down; array callers pass them as a
-    uint64 array.
+    at (x << table_bits) | y: by default the GF(256) bytes, which the
+    top-level call fetches and passes down; field_check's sampled mode
+    passes the GF(16) products read in byte lanes (_LaneTable).
     """
     if bits == 1:
         return x & y
@@ -154,37 +156,86 @@ def is_fermat_two_power(q: int) -> bool:
 # field structure check
 # ---------------------------------------------------------------------------
 
-def _bad(ok: np.ndarray, *values) -> list[int] | None:
-    """None if ok holds everywhere, else the values (broadcast to ok's
-    shape) where it first fails."""
-    if ok.all():
-        return None
-    import numpy as np
-
-    at = np.unravel_index(np.argmin(ok), ok.shape)
-    return [int(np.broadcast_to(v, ok.shape)[at]) for v in values]
+_LANE = 128  # bits a drawn value takes: a 64-bit state times a 64-bit constant fits
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's counter step
 
 
-def _draw(start: int, count: int, q: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _lanes(count: int) -> tuple[int, int]:
+    """1, and i * _GAMMA, in lane i of count lanes of _LANE bits: cached,
+    since field_check draws every full chunk with one count."""
+    ones, steps, n = 1, 0, 1  # for the first n lanes
+    while n < count:
+        steps |= (steps + n * _GAMMA * ones) << (_LANE * n)
+        ones |= ones << (_LANE * n)
+        n *= 2
+    top = (1 << _LANE * count) - 1
+    return ones & top, steps & top
+
+
+def _draw(start: int, count: int, q: int) -> int:
     """Values start, ..., start + count - 1 of the splitmix64 stream from
     counter 0 (Steele, Lea & Flood, OOPSLA 2014), reduced mod q, a power of
-    2, so uniform on [0, q): value i mixes (i + 1) * 0x9e3779b97f4a7c15.
-    Each value depends on its index alone, so any split into chunks draws
-    the same values."""
-    import numpy as np
+    2, so uniform on [0, q): value i mixes (i + 1) * _GAMMA.  Value
+    start + i is lane i of the int returned, _LANE bits a lane.  Each value
+    depends on its index alone, so any split into chunks draws the same
+    values.
 
-    z = (np.arange(start + 1, start + count + 1, dtype=np.uint64)
-         * np.uint64(0x9E3779B97F4A7C15))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))) & np.uint64(q - 1)
+    Every lane is kept below 2^64 between steps, so each product by a
+    64-bit constant stays in its lane; a right shift brings the next lane's
+    low bits down, so the shifted term is masked before it is multiplied."""
+    ones, steps = _lanes(count)
+    lanes = (ones << 64) - ones  # 2^64 - 1 in every lane
+    z = (steps + ((start + 1) * _GAMMA & ((1 << 64) - 1)) * ones) & lanes
+    z = (z ^ ((z >> 30) & lanes)) * 0xBF58476D1CE4E5B9 & lanes
+    z = (z ^ ((z >> 27) & lanes)) * 0x94D049BB133111EB & lanes
+    return (z ^ (z >> 31)) & ((ones << (q.bit_length() - 1)) - ones)
+
+
+def _triples(start: int, count: int, q: int, width: int) -> list[int]:
+    """Triples start, ..., start + count - 1 as three ints a, b, c, each
+    packing its values into lanes of `width` bytes: triple i is stream
+    values 3i, 3i + 1 and 3i + 2 (_draw), which lie below q <= 2^(8 width)."""
+    size = _LANE // 8  # bytes a drawn value
+    drawn = _draw(3 * start, 3 * count, q).to_bytes(3 * count * size, "little")
+    out = []
+    for v in range(3):
+        lanes = bytearray(width * count)
+        for k in range(width):  # byte k of every lane
+            lanes[k::width] = drawn[v * size + k::3 * size]
+        out.append(int.from_bytes(lanes, "little"))
+    return out
+
+
+class _LaneTable:
+    """A product table read in byte lanes: indexed by a packed int holding
+    (x << h) | y in the low byte of each lane and 0 elsewhere, it gives
+    x (x) y in the same lanes, one bytes.translate for every lane at once.
+    So _mul multiplies packed ints with this as its table."""
+
+    def __init__(self, table: bytes):
+        self.table = table  # 256 bytes, entry (x << h) | y; entry 0 keeps a lane's high bytes 0
+
+    def __getitem__(self, packed: int) -> int:
+        raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+        return int.from_bytes(raw.translate(self.table), "little")
+
+
+def _witness(diff: int, lane: int, *values: int) -> list[int] | None:
+    """None if diff is 0, else the values in the first lane of lane bits
+    where diff is nonzero."""
+    at = _first_lane([diff], lane)
+    if at is None:
+        return None
+    mask = (1 << lane) - 1
+    return [(v >> at * lane) & mask for v in values]
 
 
 def _trace(c: int, h: int) -> int:
     """Tr(c) = c + c^2 + c^4 + ... + c^(2^(h-1)) in GF(2^h), squaring with _mul."""
     out = 0
     for _ in range(h):
-        out, c = out ^ c, int(_mul(c, c, h))
+        out, c = out ^ c, _mul(c, c, h)
     return out
 
 
@@ -276,8 +327,11 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
     first triple drawn.  Triple i is values 3i, 3i+1 and 3i+2 of the
     splitmix64 stream from counter 0 (_draw), checked _SAMPLE_CHUNK triples
     at a time, so the triples and the witness do not depend on the chunking
-    and memory does not grow with samples, which must be below 2^62.  Only
-    this mode imports numpy.
+    and memory does not grow with samples, which must be below 2^62.  A
+    chunk's a, b and c are each one int packing their values into lanes of
+    max(1, log2(q)/8) bytes, and _mul multiplies every lane at once, down
+    to GF(16), whose products it reads with one bytes.translate a call
+    (_LaneTable); _first_lane names the first failing triple.
     """
     if not is_fermat_two_power(q):
         raise InvalidParameterError(f"field order must be a Fermat 2-power, got {q}")
@@ -287,7 +341,7 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
         raise InvalidParameterError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if mode == "sampled" and samples < 1:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
-    if mode == "sampled" and samples >> 62:  # the stream's counters, 3 per triple, are uint64
+    if mode == "sampled" and samples >> 62:  # the stream's counters, 3 per triple, are 64-bit
         raise InputRangeError(f"samples must be below 2^62, got {samples}")
 
     start = time.perf_counter()
@@ -329,7 +383,7 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
     levels, level = [f for f in (1 << 8, 1 << 16) if f < q], None  # q <= 2^32
     for f in levels:  # the first failing level is the witness
         h = f.bit_length() - 1
-        c = int(_mul(f, f, 2 * h)) ^ f
+        c = _mul(f, f, 2 * h) ^ f
         trace = _trace(c, h) if c < f else None
         if trace != 1:
             level = {"F": f, "c": c, "trace": trace}
@@ -339,19 +393,22 @@ def field_check(q: int, mode: str = "exhaustive", samples: int = 1_000_000) -> V
                    + ", ".join(map(str, levels)), level is None, level)
 
     if mode == "sampled":  # fixed-size chunks, so memory does not grow with samples
-        import numpy as np
-
-        table = np.array(memoryview(_gf256()), dtype=np.uint64)  # array products read it
         bits = _bits(q - 1)
+        width = max(1, bits // 8)  # bytes a lane
+        table = _LaneTable(_products(_LEAF_BITS))
         assoc = distrib = None
-        for done in range(0, samples, _SAMPLE_CHUNK):  # triple i is values 3i, 3i+1, 3i+2
+        for done in range(0, samples, _SAMPLE_CHUNK):
             n = min(_SAMPLE_CHUNK, samples - done)
-            a, b, c = _draw(3 * done, 3 * n, q).reshape(n, 3).T
-            ab = _mul(a, b, bits, table)
-            assoc = assoc or _bad(_mul(ab, c, bits, table)
-                                  == _mul(a, _mul(b, c, bits, table), bits, table), a, b, c)
-            distrib = distrib or _bad(_mul(a, b ^ c, bits, table)
-                                      == ab ^ _mul(a, c, bits, table), a, b, c)
+            a, b, c = _triples(done, n, q, width)
+            one = int.from_bytes(b"\x01".ljust(width, b"\0") * n, "little")
+            lanes = bits, table, _LEAF_BITS, one
+            ab = _mul(a, b, *lanes)
+            if assoc is None:
+                assoc = _witness(_mul(ab, c, *lanes) ^ _mul(a, _mul(b, c, *lanes), *lanes),
+                                 8 * width, a, b, c)
+            if distrib is None:
+                distrib = _witness(_mul(a, b ^ c, *lanes) ^ ab ^ _mul(a, c, *lanes),
+                                   8 * width, a, b, c)
         for law, bad in (("associativity", assoc), ("distributivity", distrib)):
             report.add(f"{law} of the tower product ({samples} sampled triples)", bad is None,
                        {"triple": bad})

@@ -527,3 +527,23 @@ def test_peek_is_the_next_row_and_changes_no_query(k, r, n_rows):
         assert gen.next_row() == row
     with pytest.raises(InvalidParameterError):
         gen.peek_next_row()
+
+
+@pytest.mark.parametrize("k, r", [(3, 2), (5, 3), (64, 2), (1024, 2)])
+def test_fresh_columns_share_the_row_mask(k, r):
+    # a fresh column's partners are its row, so the fresh slots of a row
+    # hold the row mask itself, one int, not a copy each: at k = 1024 the
+    # copies took 284 MB by row 64
+    gen = NaiveMatrixGenerator(GenParams(k, r, 40))
+    checked = 0
+    for _ in range(40):
+        top, offset = gen.max_used_column, gen._offset
+        row = gen.next_row()
+        if gen._offset != offset:  # a bulk shift copied every kept mask
+            continue
+        fresh = [gen._pair[x - offset] for x in row if x > top]
+        if len(fresh) > 1:
+            assert all(mask is fresh[0] for mask in fresh)
+            assert fresh[0] == sum(1 << (x - offset) for x in row)
+            checked += 1
+    assert checked

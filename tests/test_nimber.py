@@ -18,6 +18,19 @@ from naivemat.nimber import (_gf256, _mul, _products, field_check,
 nimbers = st.integers(min_value=0, max_value=(1 << 63) - 1)
 
 
+def pack(values, width):
+    """The values in consecutive lanes of `width` bytes of one int, lane 0 lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def unpack(x, width, n=None):
+    """The first n lanes of `width` bytes of x, by default every lane x reaches."""
+    if n is None:
+        n = -(-x.bit_length() // (8 * width))
+    raw = x.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
 def brute_nim_mul(a, b, _cache={}):
     """Test-side mex recursion, written independently of the package."""
     key = (a, b) if a <= b else (b, a)
@@ -130,13 +143,25 @@ def test_packed_lanes_match_scalar(bits):
     # runs down to GF(2) (a table width above `bits` reads no table)
     rng, n = random.Random(bits), 500
     xs, ys = ([rng.getrandbits(bits) for _ in range(n)] for _ in range(2))
-
-    def pack(values):
-        return int.from_bytes(b"".join(v.to_bytes(bits // 8, "little") for v in values), "little")
-
-    got = _mul(pack(xs), pack(ys), bits, None, 2 * bits, pack([1] * n))
+    width = bits // 8
+    got = _mul(pack(xs, width), pack(ys, width), bits, None, 2 * bits, pack([1] * n, width))
     assert got < 1 << bits * n
-    assert got == pack([nim_mul(x, y) for x, y in zip(xs, ys)])
+    assert got == pack([nim_mul(x, y) for x, y in zip(xs, ys)], width)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4, 8, 16, 32])
+def test_lane_products_match_nim_mul(bits):
+    # the sampled field check's products: lanes of max(1, bits/8) bytes,
+    # the recursion ending in the GF(16) table read a byte lane at a time,
+    # against nim_mul, which ends in the GF(256) table from width 8 up
+    q, width, rng = 1 << bits, max(1, bits // 8), random.Random(bits)
+    xs = [0, 0, q - 1, q - 1, 1, q - 1] + [rng.randrange(q) for _ in range(300)]
+    ys = [0, q - 1, 0, q - 1, q - 1, 1] + [rng.randrange(q) for _ in range(300)]
+    table = nimber._LaneTable(_products(nimber._LEAF_BITS))
+    got = _mul(pack(xs, width), pack(ys, width), bits, table, nimber._LEAF_BITS,
+               pack([1] * len(xs), width))
+    assert got < 1 << 8 * width * len(xs)  # nothing spills past the last lane
+    assert unpack(got, width, len(xs)) == [nim_mul(x, y) for x, y in zip(xs, ys)]
 
 
 def test_array_products_match_scalar():
@@ -354,25 +379,51 @@ def test_field_check_sampled_memory_is_within_the_exact_checks():
     assert _field_check_peak_bytes(mode="sampled", samples=10 ** 5) <= exact + (1 << 20)
 
 
+def _mix64(state):
+    """splitmix64's output function of a 64-bit state, on a Python int."""
+    mask = (1 << 64) - 1
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 def splitmix64(count):
     """The first values of the splitmix64 stream seeded with 0, on Python ints."""
     mask, state, out = (1 << 64) - 1, 0, []
     for _ in range(count):
         state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
+        out.append(_mix64(state))
     return out
 
 
 def test_draw_is_the_splitmix64_stream_in_any_chunking():
+    # _draw packs value start + i into lane i of 128 bits
     want = splitmix64(40)
     assert want[0] == 0xE220A8397B1DCDAF  # the stream's published first value
-    for q in (2, 4, 256, 1 << 32):
-        assert nimber._draw(0, 40, q).tolist() == [v & (q - 1) for v in want]
-        parts = [nimber._draw(start, n, q) for start, n in ((0, 7), (7, 1), (8, 32))]
-        assert np.concatenate(parts).tolist() == [v & (q - 1) for v in want]
+    for q in (2, 4, 16, 256, 65536, 1 << 32):
+        assert unpack(nimber._draw(0, 40, q), 16, 40) == [v & (q - 1) for v in want]
+        parts = [unpack(nimber._draw(start, n, q), 16, n) for start, n in ((0, 7), (7, 1), (8, 32))]
+        assert sum(parts, []) == [v & (q - 1) for v in want]
+    # the last three counters `samples` below 2^62 reach, where the state wraps past 2^64
+    start = 3 * ((1 << 62) - 1)
+    states = [(i + 1) * 0x9E3779B97F4A7C15 & ((1 << 64) - 1) for i in range(start, start + 3)]
+    want = [_mix64(s) & 0xFFFFFFFF for s in states]
+    assert unpack(nimber._draw(start, 3, 1 << 32), 16, 3) == want
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256, 65536, 1 << 32])
+def test_triples_are_the_splitmix64_stream_in_any_chunking(q):
+    # triple i is stream values 3i, 3i+1 and 3i+2, cut into lanes of max(1, log2(q)/8)
+    # bytes, at any chunk size
+    width, count = max(1, (q.bit_length() - 1) // 8), 40
+    want = [v & (q - 1) for v in splitmix64(3 * count)]
+    for chunk in (count, 1, 7, 13):
+        got = [[], [], []]
+        for start in range(0, count, chunk):
+            n = min(chunk, count - start)
+            for values, x in zip(got, nimber._triples(start, n, q, width)):
+                values += unpack(x, width, n)
+        assert got == [want[0::3], want[1::3], want[2::3]], chunk
 
 
 def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
@@ -381,19 +432,24 @@ def test_field_check_sampled_triple_witness_is_first_in_draw_order(monkeypatch):
     # and a later chunk that passes must not hide it.  The exact checks never
     # multiply that element, so they pass: a sampled failure is a triple.
     # Triple i is stream values 3i, 3i+1, 3i+2 whatever the chunk size, so
-    # an odd chunk size finds the same witness.
+    # an odd chunk size finds the same witness.  The products are packed in
+    # 4-byte lanes: the mutant flips bit 0 of each lane where x holds that
+    # element
     samples, at = 3 * nimber._SAMPLE_CHUNK, nimber._SAMPLE_CHUNK + 5
-    a, b, c = nimber._draw(0, 3 * samples, 1 << 32).reshape(samples, 3).T
+    drawn = [v & 0xFFFFFFFF for v in splitmix64(3 * samples)]
+    a, b, c = drawn[0::3], drawn[1::3], drawn[2::3]
     bad = a[at]
-    assert np.count_nonzero(a == bad) == 1
+    assert a.count(bad) == 1 and bad != 0
     real = nimber._mul
 
     def broken(x, y, bits, table=None, table_bits=nimber._TABLE_BITS, one=1):
         out = real(x, y, bits, table, table_bits, one)
-        return out ^ (np.asarray(x) == bad) if bits == 32 else out  # top level only
+        if bits != 32:  # top level only
+            return out
+        return out ^ pack([v == bad for v in unpack(x, 4)], 4)
 
     monkeypatch.setattr(nimber, "_mul", broken)
-    want = {"triple": [int(a[at]), int(b[at]), int(c[at])]}
+    want = {"triple": [a[at], b[at], c[at]]}
     for chunk in (nimber._SAMPLE_CHUNK, 7):
         monkeypatch.setattr(nimber, "_SAMPLE_CHUNK", chunk)
         checks = field_check(1 << 32, mode="sampled", samples=samples).checks
@@ -430,16 +486,28 @@ def test_field_check_names_its_witnesses(monkeypatch):
     assert by_name["associativity (exhaustive)"].status == "pass"
     assert by_name["distributivity (exhaustive)"].witness == {"triple": [1, 0, 0]}
     assert by_name["every nonzero element has an inverse"].status == "pass"
-    # the integer product mod 255 is closed on [0, 256) but does not
-    # distribute over xor: the sampled witness is a real triple (the tower
-    # level and the samples multiply with it too)
-    mul = lambda x, y, bits, table=None: (x * y) % 255
-    monkeypatch.setattr(nimber, "_mul", mul)
-    _inject_table(monkeypatch, mul)
+    # a GF(16) table with one product changed is commutative but does not
+    # distribute over xor.  The sampled products end in it, and nothing
+    # else reads it at q = 65536, so only the sampled checks fail, and the
+    # distributivity witness is the first triple drawn that fails under
+    # that product, scalar, with the mutated bytes as the table
+    monkeypatch.undo()
+    real = nimber._products
+    mutated = bytearray(real(4))
+    mutated[3 * 16 + 3] ^= 1  # 3 (x) 3
+    mutated = bytes(mutated)
+    monkeypatch.setattr(nimber, "_products", lambda bits: mutated if bits == 4 else real(bits))
     rep = field_check(65536, mode="sampled", samples=100)
-    a, b, c = rep.checks[-1].witness["triple"]
+    assert [c.status for c in rep.checks] == ["pass"] * 7 + ["fail"] * 2
     assert rep.checks[-1].name == "distributivity of the tower product (100 sampled triples)"
-    assert a * (b ^ c) % 255 != (a * b) % 255 ^ (a * c) % 255
+
+    def mul(x, y):
+        return _mul(x, y, 16, mutated, 4)
+
+    drawn = [v & 0xFFFF for v in splitmix64(300)]
+    failing = [[a, b, c] for a, b, c in zip(drawn[0::3], drawn[1::3], drawn[2::3])
+               if mul(a, b ^ c) != mul(a, b) ^ mul(a, c)]
+    assert rep.checks[-1].witness == {"triple": failing[0]}
 
 
 def _mul_with_constant_1_at(bad_h):
@@ -604,7 +672,7 @@ def test_field_check_non_closed_table_names_its_closure_witness(monkeypatch):
     # cannot compose the table and is indeterminate, and distributivity,
     # which indexes the table by inputs only, still decides.  At p = 256
     # the table the laws read holds the products above 255 in wider entries
-    mul = lambda x, y, bits, table=None: x * y
+    mul = lambda x, y, bits, *table: x * y  # the sampled lanes pass table, table_bits and one
     monkeypatch.setattr(nimber, "_mul", mul)
     _inject_table(monkeypatch, mul)
     for rep, pair in ((field_check(4), [2, 2]),
