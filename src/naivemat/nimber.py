@@ -11,8 +11,10 @@ halves the width down to GF(2), where the product is x & y; from width 8
 up it stops instead at the GF(256) product table, 65,536 bytes that the
 same rule builds on first use in one call on ints packing every pair into
 a byte lane.  So products in GF(2), GF(4) and GF(16) read no table.  The
-multiplier runs unchanged on ints and on ints packing values into lanes,
-and keeps no memo, so its memory does not grow with use.  field_check decides
+multiplier runs on ints and on ints packing values into lanes, where it
+takes a level in two calls on half lanes rather than four wherever its
+leaf reads every half lane, and keeps no memo, so its memory does not
+grow with use.  field_check decides
 exactly that GF(q) is a field for every Fermat q up to 2^32: the laws of
 the GF(p) table, p = min(q, 256), read with bytes slicing, translate and
 big-int xor, with distributivity and associativity decided on the basis
@@ -81,7 +83,8 @@ def _products(bits: int) -> bytes:
     """The 2^bits x 2^bits nim product table as bytes, entry (a << bits) | b
     = a (x) b, for bits <= 8: one _mul call on ints that pack every pair
     into a byte lane, with a table width above 8, so the recursion runs down
-    to GF(2)."""
+    to GF(2).  Its leaf x & y reads lanes of any width, so every level
+    takes the half-lane step: _products(8) reaches x & y 8 times."""
     p = 1 << bits
     ramp = bytes(range(p))
     x = int.from_bytes(b"".join(ramp[a:a + 1] * p for a in range(p)), "little")
@@ -108,6 +111,19 @@ def _mul(x, y, bits: int, table=None, table_bits: int = _TABLE_BITS, one=1):
     at (x << table_bits) | y: by default the GF(256) bytes, which the
     top-level call fetches and passes down; field_check's sampled mode
     passes the GF(16) products read in byte lanes (_LaneTable).
+
+    On packed lanes (one != 1) a step takes the four sub-products in two
+    calls on half lanes of h bits: x and y already hold x0 below x1 in
+    every lane, so one call gives lo and hi side by side, and a second,
+    on x0 + x1 beside hi and y0 + y1 beside F/2, gives mid beside
+    hi (x) F/2.  So a packed 32-bit product reads the GF(16) leaf 16
+    times, not 64.  It runs only where the leaf reads every half lane:
+    x & y (table_bits above bits), or a lane table once a half lane holds
+    a leaf index (h >= 2 table_bits).  The sub-products and leaf reads
+    are the same, grouped differently, so no product changes.  Scalars
+    and uint64 arrays (one == 1) have no lanes to halve, and their
+    table reads one entry per element whatever the width, so they keep
+    the four-call step.
     """
     if bits == 1:
         return x & y
@@ -117,6 +133,13 @@ def _mul(x, y, bits: int, table=None, table_bits: int = _TABLE_BITS, one=1):
         return table[(x << table_bits) | y]
     h = bits // 2
     low = (one << h) - one  # 2^h - 1 in every lane
+    if one != 1 and (bits < table_bits or h >= 2 * table_bits):  # the leaf reads every half lane
+        half = one | (one << h)
+        both = _mul(x, y, h, table, table_bits, half)  # lo in the low halves, hi in the high
+        lo = both & low
+        pair = _mul(((x ^ (x >> h)) & low) | (both ^ lo), ((y ^ (y >> h)) & low) | (one << (2 * h - 1)),
+                    h, table, table_bits, half)  # mid in the low halves, hi (x) F/2 in the high
+        return (((pair ^ lo) & low) << h) ^ lo ^ ((pair >> h) & low)
     x1, x0, y1, y0 = (x >> h) & low, x & low, (y >> h) & low, y & low
     lo = _mul(x0, y0, h, table, table_bits, one)
     hi = _mul(x1, y1, h, table, table_bits, one)

@@ -164,6 +164,65 @@ def test_lane_products_match_nim_mul(bits):
     assert unpack(got, width, len(xs)) == [nim_mul(x, y) for x, y in zip(xs, ys)]
 
 
+def _random_leaf(rng):
+    """A GF(16)-leaf table that keeps lanes closed and is no field: 256
+    random entries below 16, entry 0 = 0 as _LaneTable requires."""
+    return bytes([0] + [rng.randrange(16) for _ in range(255)])
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_half_lane_step_equals_four_call_step_under_any_leaf(bits):
+    # packed products, which take the half-lane step from width 16 up,
+    # against scalar ones, which take the four-call step, under leaves
+    # that are not fields: the steps differ only in how they group the
+    # same sub-products.  Lanes hold 0 and 2^bits - 1, the lane count is
+    # odd, and a single lane (one == 1) takes the four-call step
+    q, width, rng = 1 << bits, bits // 8, random.Random(bits)
+    for _ in range(3):
+        table = nimber._LaneTable(_random_leaf(rng))
+        xs = [0, 0, q - 1, q - 1, 1] + [rng.randrange(q) for _ in range(200)]
+        ys = [0, q - 1, 0, q - 1, q - 1] + [rng.randrange(q) for _ in range(200)]
+        want = [_mul(x, y, bits, table, 4) for x, y in zip(xs, ys)]
+        for n in (len(xs), 1):
+            got = _mul(pack(xs[:n], width), pack(ys[:n], width), bits, table, 4, pack([1] * n, width))
+            assert got < 1 << bits * n
+            assert unpack(got, width, n) == want[:n]
+
+
+class _CountingLaneTable(nimber._LaneTable):
+    """A _LaneTable that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, packed):
+        self.reads += 1
+        return super().__getitem__(packed)
+
+
+def test_packed_products_read_the_leaf_once_per_half_lane_level(monkeypatch):
+    # the half-lane step makes two calls a level on half lanes, down to
+    # lanes of a byte, where the GF(16) leaf index fits: 4 reads a product
+    # at 8 bits, 8 at 16 and 16 at 32 (the four-call step read 4, 16, 64)
+    for bits, reads in ((8, 4), (16, 8), (32, 16)):
+        width, n = bits // 8, 5
+        table = _CountingLaneTable(_products(nimber._LEAF_BITS))
+        _mul(pack(range(n), width), pack(range(n), width), bits, table, nimber._LEAF_BITS,
+             pack([1] * n, width))
+        assert table.reads == reads, bits
+    # _products ends in GF(2), x & y, which reads every lane: 2 calls a
+    # level from width 8, so 2^3 (the four-call step reached x & y 64 times)
+    real, leaves = nimber._mul, []
+
+    def counting(x, y, bits, *rest):
+        if bits == 1:
+            leaves.append((x, y))
+        return real(x, y, bits, *rest)
+
+    monkeypatch.setattr(nimber, "_mul", counting)
+    assert _products(8) == _gf256()
+    assert len(leaves) == 8
+
+
 def test_array_products_match_scalar():
     rng = np.random.default_rng(7)
     table = np.frombuffer(_gf256(), dtype=np.uint8).astype(np.uint64)  # what arrays read
@@ -514,8 +573,9 @@ def _mul_with_constant_1_at(bad_h):
     """A test-side copy of nimber._mul whose width-2h step multiplies hi by
     1, not by 2^(h-1), at h = bad_h: X^2 + X + 1, reducible over GF(2^h)
     for even h, so [0, 2^(2h)) is a ring with zero divisors there.  Like
-    _mul it runs on ints, packed ints and uint64 arrays, so it builds the
-    GF(256) table too."""
+    _mul it runs on ints, packed ints and uint64 arrays, and takes the
+    half-lane step where _mul does, with the constant 1 in the high halves
+    of its second call, so it builds the GF(256) table too."""
     def mul(x, y, bits, table=None, table_bits=nimber._TABLE_BITS, one=1):
         if bits == 1:
             return x & y
@@ -525,12 +585,19 @@ def _mul_with_constant_1_at(bad_h):
             return table[(x << table_bits) | y]
         h = bits // 2
         low = (one << h) - one
+        shift = 0 if h == bad_h else h - 1  # the constant is 2^shift
+        if one != 1 and (bits < table_bits or h >= 2 * table_bits):
+            half = one | (one << h)
+            both = mul(x, y, h, table, table_bits, half)
+            lo = both & low
+            pair = mul(((x ^ (x >> h)) & low) | (both ^ lo), ((y ^ (y >> h)) & low) | (one << (h + shift)),
+                       h, table, table_bits, half)
+            return (((pair ^ lo) & low) << h) ^ lo ^ ((pair >> h) & low)
         x1, x0, y1, y0 = (x >> h) & low, x & low, (y >> h) & low, y & low
         lo = mul(x0, y0, h, table, table_bits, one)
         hi = mul(x1, y1, h, table, table_bits, one)
         mid = mul(x0 ^ x1, y0 ^ y1, h, table, table_bits, one)
-        c = one if h == bad_h else one << (h - 1)
-        return ((mid ^ lo) << h) ^ lo ^ mul(hi, c, h, table, table_bits, one)
+        return ((mid ^ lo) << h) ^ lo ^ mul(hi, one << shift, h, table, table_bits, one)
     return mul
 
 
