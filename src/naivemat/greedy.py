@@ -21,9 +21,12 @@ columns into the mask of each, so the mask holds the column's own bit
 beside its partners'.  A fresh column's mask is the row's, so the fresh
 columns of a row share that one int rather than a copy each.  Placing a
 column clears it and its partners from the candidates with one AND and
-one XOR of nonnegative ints.  A scan starts
-at base with no search: whenever a used column is unsaturated, base is the
-lowest one.  Building a row therefore costs a handful of big-int
+one XOR of nonnegative ints.  A row starts at base with no search:
+whenever a used column is unsaturated, base is the lowest one.  Base
+leads every row until it saturates, so rows are made one base at a time:
+its candidates, the active columns it is not paired with, are computed
+once for its remaining rows, and each row scans only its other k - 1
+columns from them.  Building a row therefore costs a handful of big-int
 operations on masks as wide as the frontier, not as wide as the largest
 column.
 
@@ -181,55 +184,70 @@ def _rows(state: dict) -> Iterator[tuple[int, ...]]:
     max_rows: it reads the generator's attributes from `state`, its
     __dict__, at the first resume, keeps them in locals, and writes back
     what each row changed before yielding the row.  It holds the __dict__,
-    not the generator, so the two form no reference cycle."""
+    not the generator, so the two form no reference cycle.
+
+    It runs one base at a time.  The base leads each row until it
+    saturates, its remaining r - degree rows, and the rest of each row
+    come from cands, the active columns it is not paired with: computed
+    once a run, less each row's placed columns.  A row placed at a reset,
+    with no active column, is all fresh and a run of its own."""
     k, r = state["_k"], state["_r"]
     degree, pair = state["_degree"], state["_pair"]  # changed in place
     active, floor, offset, top = state["_active"], state["floor"], state["_offset"], state["max_used_column"]
-    for emitted in range(state["emitted"] + 1, state["_max_rows"] + 1):
-        old = placed = []  # the row's columns used before it, and the row
-        cand = active
-        row_bits = 0  # bit i stands for column offset + i
-        while cand:
-            low = cand & -cand  # base first: the lowest active column when any is
-            row_bits |= low
-            i = low.bit_length() - 1
-            placed.append(offset + i)
-            if len(placed) == k:
-                break
-            # the closed mask clears column i and its partners
-            cand ^= cand & pair[i]
-        else:  # finish with fresh columns, consecutive from top + 1
-            fresh = k - len(placed)
-            placed = old + list(range(top + 1, top + 1 + fresh))
-            bits = ((1 << fresh) - 1) << (top + 1 - offset)
-            row_bits |= bits
-            if r > 1:  # at r = 1 a fresh column saturates in its first row
-                active |= bits
-            degree += [1] * fresh
-            pair += [row_bits] * fresh  # one int: a fresh column's partners are its row
-            top = state["max_used_column"] = placed[-1]
-        for x in old:
-            i = x - offset
-            pair[i] |= row_bits
-            d = degree[i] + 1
-            degree[i] = d
-            if d == r:
-                active ^= 1 << i  # set since the first placement
-        if degree[floor + 1 - offset] == r:  # base, the first column of every row, saturated
-            # retire up to the next active column, or every used one
-            new = offset + (active & -active).bit_length() - 2 if active else top
-            cut = new + 1 - offset  # the retired prefix
-            if cut >= top - new:  # no shorter than the kept part: drop it and shift
-                del degree[:cut]
-                pair[:] = [mask >> cut for mask in islice(pair, cut, None)]
-                active >>= cut
-                offset = state["_offset"] = new + 1
-            else:
-                pair[floor + 1 - offset:cut] = [0] * (new - floor)
-            floor = state["floor"] = new
-        state["_active"] = active
-        state["emitted"] = emitted
-        yield tuple(placed)
+    emitted, last = state["emitted"], state["_max_rows"]
+    while emitted < last:
+        if active:  # the base is the lowest active column, and leads the row
+            low = active & -active
+            b = low.bit_length() - 1  # the base's slot
+            # the closed mask clears the base and its partners
+            lead, cands, run = [offset + b], active ^ (active & pair[b]), r - degree[b]
+        else:  # a reset: one row of fresh columns, the first of them the base
+            low, b, lead, cands, run = 0, top + 1 - offset, [], 0, 1
+        for emitted in range(emitted + 1, min(emitted + run, last) + 1):
+            old = placed = lead[:]  # the row's columns used before it, and the row
+            cand, scanned = cands, 0  # bit i stands for column offset + i
+            while cand:
+                bit = cand & -cand
+                scanned |= bit
+                i = bit.bit_length() - 1
+                placed.append(offset + i)
+                if len(placed) == k:
+                    row_bits = scanned | low
+                    break
+                cand ^= cand & pair[i]
+            else:  # finish with fresh columns, consecutive from top + 1
+                fresh = k - len(placed)
+                placed = old + list(range(top + 1, top + 1 + fresh))
+                bits = ((1 << fresh) - 1) << (top + 1 - offset)
+                row_bits = scanned | low | bits
+                if r > 1:  # at r = 1 a fresh column saturates in its first row
+                    active |= bits
+                degree += [1] * fresh
+                pair += [row_bits] * fresh  # one int: a fresh column's partners are its row
+                top = state["max_used_column"] = placed[-1]
+            cands ^= scanned  # the placed columns are the base's partners now
+            for x in old:
+                i = x - offset
+                pair[i] |= row_bits
+                d = degree[i] + 1
+                degree[i] = d
+                if d == r:
+                    active ^= 1 << i  # set since the first placement
+            if degree[b] == r:  # the base saturated: the run's last row
+                # retire up to the next active column, or every used one
+                new = offset + (active & -active).bit_length() - 2 if active else top
+                cut = new + 1 - offset  # the retired prefix
+                if cut >= top - new:  # no shorter than the kept part: drop it and shift
+                    del degree[:cut]
+                    pair[:] = [mask >> cut for mask in islice(pair, cut, None)]
+                    active >>= cut
+                    offset = state["_offset"] = new + 1
+                else:
+                    pair[floor + 1 - offset:cut] = [0] * (new - floor)
+                floor = state["floor"] = new
+            state["_active"] = active
+            state["emitted"] = emitted
+            yield tuple(placed)
 
 
 def generate(params: GenParams) -> Iterator[tuple[int, ...]]:

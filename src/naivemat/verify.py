@@ -6,8 +6,9 @@ name the smallest offending row, point, or triple.
 
 The four harnesses over greedy rows (theorem, periodicity, invariants,
 general) run inside one guard, _harness, which times the report, applies
-the point bound and builds the one generator, and draw their rows through
-one pass, _row_pass, the only caller of next_row.
+the point bound and builds the one generator, and each draws every row
+once, through next_row: theorem and general in one pass against the
+model, _row_pass, periodicity and invariants in plain loops.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Iterator
-from itertools import product, repeat
+from itertools import product
 
 from .errors import InputRangeError, InvalidParameterError
 from .geometry import check_design_lines, expected_counts, pg_lines, point_bound_reason
@@ -50,31 +51,25 @@ def _harness(subject: str, counts: dict, n: int, q: int, names, run) -> Verifica
     return report
 
 
-def _row_pass(gen: NaiveMatrixGenerator, n: int, q: int, first: dict,
-              model: bool = True) -> Iterator[tuple[int, ...]]:
+def _row_pass(gen: NaiveMatrixGenerator, n: int, q: int, first: dict) -> Iterator[tuple[int, ...]]:
     """Draw the b rows from gen, yield each right after it is committed, and
     set first[check] to the witness of the check's first failure (None
     while it holds) for these checks on row i:
 
-    - window (without the model): its points lie in [1, v];
-    - line (with the model): it is line i of pg_lines(n, q);
-    - xor (with the model, at q = 2): it is a triple a < b < a^b <= v.
+    - line: it is line i of pg_lines(n, q);
+    - xor (at q = 2): it is a triple a < b < a^b <= v.
 
-    With the model only a row that differs from its line is tested: at
-    q = 2 every line is an xor triple, so the first witness is that of
-    testing every row.  Without it every row is tested for the window.  No
-    row is kept, and pg_lines holds one block.
+    Only a row that differs from its line is tested: at q = 2 every line
+    is an xor triple, so the first witness is that of testing every row.
+    No row is kept, and pg_lines holds one block.
     """
-    first.update(window=None, line=None, xor=None)
-    v, b = expected_counts(n, q)[:2]
-    xor_open = model and q == 2
-    for i, line in enumerate(pg_lines(n, q) if model else repeat(None, b), 1):
+    first.update(line=None, xor=None)
+    v = expected_counts(n, q).v
+    xor_open = q == 2
+    for i, line in enumerate(pg_lines(n, q), 1):
         row = gen.next_row()
         if row != line:
-            if not model:
-                if first["window"] is None and not (0 < row[0] and row[-1] <= v):  # rows ascend
-                    first["window"] = {"row": i, "points": list(row), "window": [1, v]}
-            elif first["line"] is None:
+            if first["line"] is None:
                 first["line"] = {"line": i, "row": list(row), "expected": list(line)}
             if xor_open:
                 x, y, z = row
@@ -125,11 +120,14 @@ def verify_zero_blocks_and_periodicity(n: int, blocks: int) -> VerificationRepor
     names = ("each block of d rows stays in its s-column window", "row i+d equals row i shifted by s")
 
     def run(report, gen):
-        first: dict = {}
-        deque(_row_pass(gen, n, 2, first, model=False), 0)
+        window = None
+        for i in range(1, d + 1):
+            row = gen.next_row()
+            if not 0 < row[0] <= row[-1] <= s and window is None:  # rows ascend
+                window = {"row": i, "points": list(row), "window": [1, s]}
         report.counts.update(rows=blocks * d, generated_rows=gen.emitted)
-        if first["window"] is not None:
-            _add(report, names[0], first["window"])
+        if window is not None:
+            _add(report, names[0], window)
             return f"a row of block 0 leaves [1, {s}]: no reset follows row {d}"
         if gen.floor < s:  # column floor + 1 is the least incomplete one
             return f"column {gen.floor + 1} is incomplete: no reset follows row {d}"
@@ -172,49 +170,46 @@ def verify_proof_invariants(n: int) -> VerificationReport:
              "window points below b are connectable to a")
 
     def run(report, gen):
-        window_mask = (1 << (s + 1)) - 2  # bits 1..s
         degree, pair = [0] * (s + 1), [0] * (s + 1)  # index x for point x
-        first: dict = {}
-        claims: dict[str, dict | None] = {"claim1": None, "claim2": None, "claim3": None}
+        member = claim1 = claim2 = claim3 = None
         checked = 0
-        for m, row in enumerate(_row_pass(gen, n, 2, first, model=False)):
-            a, b, c = row
-            if c >= len(pair):  # a row past the window
-                grow = [0] * (c + 1 - len(pair))
-                degree += grow
-                pair += grow
+        for m in range(d):
+            a, b, c = row = gen.next_row()
+            if not 0 < a <= c <= s:  # rows ascend
+                if member is None:
+                    member = {"step": m, "points": [a, b, c]}
+                if c >= len(pair):
+                    grow = [0] * (c + 1 - len(pair))
+                    degree += grow
+                    pair += grow
             bits = (1 << a) | (1 << b) | (1 << c)
-            for x in row:
-                degree[x] += 1
-                pair[x] |= bits
+            degree[a] += 1
+            degree[b] += 1
+            degree[c] += 1
+            pair[a] |= bits
+            pair[b] |= bits
+            pair[c] |= bits
             # read with the row added, which puts a, b and c in the closed masks of a
-            # and b: neither claim asks for them.  need ^ (need & mask) is need less mask
-            if claims["claim2"] is None:
-                need = ((1 << c) - 2) & window_mask
-                missing = need ^ (need & (pair[a] | pair[b]))
-                if missing:
-                    claims["claim2"] = {"step": m, "next_row": [a, b, c],
-                                        "point": (missing & -missing).bit_length() - 1}
-            if claims["claim3"] is None:
-                need = ((1 << b) - 2) & window_mask
-                missing = need ^ (need & pair[a])
-                if missing:
-                    claims["claim3"] = {"step": m, "next_row": [a, b, c],
-                                        "point": (missing & -missing).bit_length() - 1}
-            if claims["claim1"] is None:
+            # and b: neither claim asks for them.  z is the least point a mask leaves
+            # out, the lowest unset bit of mask | 1
+            if claim2 is None:
+                z = ((mask := pair[a] | pair[b] | 1) ^ (mask + 1)).bit_length() - 1
+                if z < c and z <= s:
+                    claim2 = {"step": m, "next_row": [a, b, c], "point": z}
+            if claim3 is None:
+                z = ((mask := pair[a] | 1) ^ (mask + 1)).bit_length() - 1
+                if z < b and z <= s:
+                    claim3 = {"step": m, "next_row": [a, b, c], "point": z}
+            if claim1 is None and r in (degree[a], degree[b], degree[c]):
                 for x in row:
                     if x <= s and degree[x] == r:
                         checked += 1
-                        missing = window_mask ^ (window_mask & pair[x])
-                        if missing:
-                            claims["claim1"] = {"step": m + 1, "complete_point": x,
-                                                "not_connectable_to": (missing & -missing).bit_length() - 1}
+                        z = ((mask := pair[x] | 1) ^ (mask + 1)).bit_length() - 1
+                        if z <= s:
+                            claim1 = {"step": m + 1, "complete_point": x, "not_connectable_to": z}
                             break
         report.counts["complete_points"] = checked
-        # the pass's window witness, named by the step before its row
-        window = first["window"]
-        member = window and {"step": window["row"] - 1, "points": window["points"]}
-        for name, witness in zip(names, (member, *claims.values())):
+        for name, witness in zip(names, (member, claim1, claim2, claim3)):
             _add(report, name, witness)
 
     return _harness(f"proof invariants n={n}",

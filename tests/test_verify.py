@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from naivemat import verify
 from naivemat.cli import main
@@ -140,6 +142,20 @@ def test_theorem_moved_row_names_its_line(replay_rows):
         "line": 3, "row": [2, 4, 6], "expected": [1, 6, 7]}
 
 
+def test_theorem_witness_pass_reads_every_row(replay_rows):
+    # rows 2 and 3 swapped, both still xor triples, and row 10 no xor
+    # triple: the identity fails first at row 2, and the pass that names
+    # the witnesses reads on to row 10
+    lines = list(build_pg(3, 2).lines)
+    lines[1], lines[2] = lines[2], lines[1]
+    lines[9] = (2, 9, 12)
+    replay_rows(lines)
+    rep = verify_theorem_q2(3)
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        ("fail", {"row": 10, "points": [2, 9, 12]}),
+        ("fail", {"line": 2, "row": [1, 6, 7], "expected": [1, 4, 5]})]
+
+
 def test_theorem_guards(replay_rows):
     with pytest.raises(InvalidParameterError):
         verify_theorem_q2(0)
@@ -254,6 +270,39 @@ def test_one_row_pass_names_the_row_leaving_the_window(monkeypatch):
     line = {"line": 3, "row": [1, 6, 8], "expected": [1, 6, 7]}
     assert general[IDENTITY.format(2, 2)].witness == line
     assert verify_theorem_q2(2).checks[1] == Check(IDENTITY.format(2, 2), "fail", line)
+
+
+class CountsDraws(NaiveMatrixGenerator):
+    draws = 0
+
+    def next_row(self):
+        CountsDraws.draws += 1
+        return super().next_row()
+
+
+class CountsDrawsLeavingTheWindow(CountsDraws, LeavesTheWindow):
+    pass
+
+
+@pytest.mark.parametrize("harness, args, rows", [
+    (verify_theorem_q2, (2,), 7), (verify_theorem_q2, (5,), 651),
+    (verify_zero_blocks_and_periodicity, (5, 3), 651), (verify_proof_invariants, (5,), 651),
+    (verify_general_q, (0, 3), 35), (verify_general_q, (1, 2), 21),
+], ids=["theorem-2", "theorem-5", "periodicity", "invariants", "general-q2", "general-q4"])
+def test_a_pass_draws_each_row_once(monkeypatch, harness, args, rows):
+    monkeypatch.setattr(verify, "NaiveMatrixGenerator", CountsDraws)
+    monkeypatch.setattr(CountsDraws, "draws", 0)
+    assert harness(*args).status == "pass"
+    assert CountsDraws.draws == rows
+
+
+def test_a_failing_theorem_draws_the_rows_at_most_twice(monkeypatch):
+    # row 3 leaves its line: all d = 7 rows are drawn, and a pass that
+    # names the witnesses may draw them once more, no further
+    monkeypatch.setattr(verify, "NaiveMatrixGenerator", CountsDrawsLeavingTheWindow)
+    monkeypatch.setattr(CountsDraws, "draws", 0)
+    assert verify_theorem_q2(2).status == "fail"
+    assert 7 <= CountsDraws.draws <= 2 * 7
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +435,38 @@ def rows_swapped(i, j):
     (2, row_replaced(1, (2, 3, 4)), [1, 2, 3], {"step": 0, "next_row": [2, 3, 4], "point": 1}),
     # Claims 1 and 3: row 18, (3, 12, 15), meets 12 and 15 at 1 in place of 3
     (3, row_replaced(18, (1, 12, 15)), [1, 3], {"step": 18, "next_row": [3, 13, 14], "point": 12}),
-], ids=["claim1", "claim3", "claims2-3", "claims1-2-3", "claims1-3"])
+    # the window alone: point 2 already meets every window point, and the
+    # least point it misses, 8, lies below b = 9 but past s = 7
+    (2, row_replaced(7, (2, 9, 10)), [0], {"step": 6, "points": [2, 9, 10]}),
+], ids=["claim1", "claim3", "claims2-3", "claims1-2-3", "claims1-3", "window-edge"])
 def test_proof_invariants_mutated_rows_match_rescan(replay_rows, n, mutate, failing, witness):
     # rows that break the claims, fed to the harness and to the rescan alike
     replay_rows(mutate(list(build_pg(n, 2).lines)))
     rep, _ = assert_matches_rescan(n)
     assert [i for i, c in enumerate(rep.checks) if c.status == "fail"] == failing
     assert rep.checks[failing[-1]].witness == witness
+
+
+@st.composite
+def mutated_lines(draw):
+    """The lines of PG(3,2) or PG(4,2) with one row replaced by an
+    ascending triple of [1, s + 2], or two rows swapped."""
+    n = draw(st.sampled_from([3, 4]))
+    lines = list(build_pg(n, 2).lines)
+    s, d = verify.expected_counts(n, 2)[:2]
+    i = draw(st.integers(1, d))
+    if draw(st.booleans()):
+        row = tuple(sorted(draw(st.sets(st.integers(1, s + 2), min_size=3, max_size=3))))
+        return n, row_replaced(i, row)(lines)
+    return n, rows_swapped(i, draw(st.integers(1, d)))(lines)
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_lines())
+def test_proof_invariants_random_mutations_match_rescan(replay_rows, case):
+    n, lines = case
+    replay_rows(lines)
+    assert_matches_rescan(n)
 
 
 # ---------------------------------------------------------------------------
